@@ -3,7 +3,7 @@
 Modules
 -------
 core
-    Bitmask hypergraphs, spectra, exact averaging, ``.hg`` text I/O.
+    Bitmask hypergraphs, the pair kernel, spectra, exact averaging, ``.hg`` text I/O.
 constructions
     Fano plane, iterated products, complete subsets, clique hypergraphs,
     seeded random families.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -43,17 +42,6 @@ def _emit(payload: dict, stream=None) -> None:
 def _load(path: str) -> Hypergraph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_hypergraph(fh.read())
-
-
-def _threads(args: argparse.Namespace) -> int:
-    # Accepted for interface stability; kernels are sequential and results
-    # do not depend on this value.
-    env = os.environ.get("HYPERSPEC_THREADS")
-    if args.threads is not None:
-        return args.threads
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 def _parse_kv(pairs: Sequence[str]) -> dict[str, int]:
@@ -183,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Intersection spectra of small hypergraphs: constructions, "
         "coloring, inequality suites, extraction, and search.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker cap (results never depend on it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="generate a named hypergraph family as .hg text")
@@ -239,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _threads(args)
     try:
         return args.func(args)
     except HypergraphError as exc:

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Hypergraph, is_uniform, is_intersecting, vertices_of
+from .core import BLOCK_BYTES, Hypergraph, intersection_sizes, is_intersecting, is_uniform
+from .core import pack_words, vertices_of
 from .errors import (
     CompositionWitnessError,
     LengthMismatchError,
@@ -194,24 +195,19 @@ def random_refute(h: Hypergraph, trials: int, seed: int) -> RefuteReport:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
     n = h.num_vertices
-    masks = h.edge_masks
+    words = pack_words(h.edge_masks, n)
+    edge_sizes = intersection_sizes(pack_words([(1 << n) - 1], n), words)[0]
+    step = max(1, BLOCK_BYTES // max(8, words.nbytes))
     mono_trials = 0
     total_mono = 0
-    use_numpy = 0 < n <= 63 and masks
-    if use_numpy:
-        arr = np.array(masks, dtype=np.uint64)
-        for _ in range(trials):
-            ones = np.uint64(rng.getrandbits(n))
-            band = arr & ones
-            count = int(((band == 0) | (band == arr)).sum())
-            total_mono += count
-            mono_trials += count > 0
-    else:
-        for _ in range(trials):
-            ones = rng.getrandbits(n) if n else 0
-            count = sum(1 for m in masks if (m & ones == 0) or (m & ones == m))
-            total_mono += count
-            mono_trials += count > 0
+    for done in range(0, trials, step):
+        # One getrandbits(n) draw per trial, in trial order, colors vertex v
+        # by bit v; an edge is monochromatic iff it meets color 1 in 0 or all.
+        ones = pack_words([rng.getrandbits(n) for _ in range(min(step, trials - done))], n)
+        sizes = intersection_sizes(ones, words)
+        mono = ((sizes == 0) | (sizes == edge_sizes)).sum(axis=1)
+        total_mono += int(mono.sum())
+        mono_trials += int(np.count_nonzero(mono))
     return RefuteReport(
         trials=trials,
         seed=seed,

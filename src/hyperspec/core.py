@@ -1,10 +1,10 @@
 """Exact finite hypergraphs with bitmask intersection kernels.
 
 Vertices are dense 0-based integers. Every edge is stored as a Python int
-bitmask (bit v set iff vertex v belongs to the edge), so a pairwise
-intersection size is a single AND plus popcount even for the 2.88M-pair
-scan of the large composed instances. All averaging is done with
-``fractions.Fraction``; nothing in this module touches floating point.
+bitmask (bit v set iff vertex v belongs to the edge). One kernel sizes all
+pairwise intersections: a Python AND plus popcount per pair for few pairs,
+else ``np.bitwise_count`` over ``uint64`` word rows, a row block at a time.
+All averaging is exact (``fractions.Fraction``), never floating point.
 
 Edge-index sets and vertex sets are plain iterables of ints; functions
 normalize them internally. Hypergraphs are immutable after construction
@@ -16,9 +16,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, product, starmap
 from math import comb
-from typing import Iterable, Iterator, Optional
+from operator import and_
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateEdgeError,
@@ -41,6 +44,11 @@ __all__ = [
     "lambda_within",
     "lambda_across",
     "edges_containing",
+    "pack_words",
+    "intersection_sizes",
+    "pair_size_counts",
+    "pair_size_total",
+    "pair_adjacency",
     "parse_hypergraph",
     "serialize_hypergraph",
     "mask_of",
@@ -115,9 +123,6 @@ class Hypergraph:
         for m in self.edge_masks:
             yield frozenset(vertices_of(m))
 
-    def intersection_size(self, i: int, j: int) -> int:
-        return (self.edge_masks[i] & self.edge_masks[j]).bit_count()
-
     def index_of(self, vertices: Iterable[int]) -> Optional[int]:
         """Edge index of the given vertex set, or None if absent."""
         lookup = self._cache.get("index")
@@ -189,41 +194,108 @@ def is_uniform(h: Hypergraph) -> Optional[int]:
     return h._cache["uniform"]
 
 
+# -- pair kernel: every pairwise-intersection scan in the package --------
+
+# Cap on the bytes of AND temporaries per row block, so the numpy path
+# never holds an m x m array (46 MB of uint64 for 2401 edges).
+BLOCK_BYTES = 1 << 20
+# Below this many pairs a Python scan beats numpy's fixed per-call cost
+# (measured crossover: ~300 cross-set, ~700 within-set pairs, numpy 2.4).
+NUMPY_MIN_PAIRS = 512
+
+
+def pack_words(masks: Sequence[int], width: int) -> np.ndarray:
+    """Masks as a ``(len(masks), ceil(width / 64))`` uint64 array, low word first."""
+    nwords = max(1, -(-width // 64))
+    buf = b"".join(m.to_bytes(8 * nwords, "little") for m in masks)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), nwords)
+
+
+def intersection_sizes(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``(len(rows), len(cols))`` intersection sizes of packed word rows in the
+    smallest unsigned dtype, using ``len(rows) * cols.nbytes`` temporary bytes."""
+    counts = np.bitwise_count(rows[:, None, :] & cols[None, :, :])
+    return counts.sum(axis=2, dtype=np.min_scalar_type(64 * rows.shape[1]))
+
+
+def _size_blocks(rows: np.ndarray, cols: Optional[np.ndarray]) -> Iterator[np.ndarray]:
+    """Intersection sizes of every pair, one row block at a time: all of
+    rows x cols, or the pairs i < j of ``rows`` when ``cols`` is None."""
+    step = max(1, BLOCK_BYTES // max(8, (rows if cols is None else cols).nbytes))
+    for i0 in range(0, len(rows), step):
+        block = rows[i0 : i0 + step]
+        if cols is None:
+            yield intersection_sizes(block, block)[np.triu_indices(len(block), 1)]
+        yield intersection_sizes(block, rows[i0 + len(block) :] if cols is None else cols)
+
+
+def _py_sizes(masks: Sequence[int], other: Optional[Sequence[int]]) -> Optional[Iterator[int]]:
+    """Intersection sizes of the pairs as a Python iterator, or None when
+    there are enough pairs for the numpy path."""
+    m = len(masks)
+    if (m * (m - 1) // 2 if other is None else m * len(other)) >= NUMPY_MIN_PAIRS:
+        return None
+    pairs = combinations(masks, 2) if other is None else product(masks, other)
+    return map(int.bit_count, starmap(and_, pairs))
+
+
+def pair_size_counts(masks: Sequence[int], other: Optional[Sequence[int]] = None) -> dict[int, int]:
+    """Pair count per realized intersection size, ascending by size, over
+    the pairs i < j of ``masks`` or, given ``other``, all of masks x other."""
+    sizes = _py_sizes(masks, other)
+    if sizes is not None:
+        return dict(sorted(Counter(sizes).items()))
+    width = max(chain(masks, other or ())).bit_length()
+    rows = pack_words(masks, width)
+    cols = None if other is None else pack_words(other, width)
+    total = np.zeros(width + 1, dtype=np.int64)
+    for block in _size_blocks(rows, cols):
+        total += np.bincount(block.ravel(), minlength=width + 1)
+    return {size: c for size, c in enumerate(total.tolist()) if c}
+
+
+def pair_size_total(masks: Sequence[int], other: Optional[Sequence[int]] = None) -> int:
+    """Sum of the intersection sizes of the pairs :func:`pair_size_counts` counts."""
+    sizes = _py_sizes(masks, other)
+    if sizes is not None:
+        return sum(sizes)
+    return sum(size * c for size, c in pair_size_counts(masks, other).items())
+
+
+def pair_adjacency(masks: Sequence[int], lam: int) -> list[int]:
+    """Adjacency bitmasks of the graph on ``masks`` that joins i != j iff
+    masks i and j meet in at least ``lam`` vertices."""
+    rows = pack_words(masks, max(map(int.bit_length, masks), default=0))
+    adj = []
+    for sizes in _size_blocks(rows, rows):
+        for bits in np.packbits(sizes >= lam, axis=1, bitorder="little"):
+            adj.append(int.from_bytes(bits.tobytes(), "little"))
+    return [row & ~(1 << i) for i, row in enumerate(adj)]
+
+
 def is_intersecting(h: Hypergraph) -> bool:
-    """True iff every pair of distinct edges shares a vertex."""
+    """True iff every pair of distinct edges shares a vertex. Reads the cached
+    spectrum, else scans large families block by block to a disjoint pair."""
     if "intersecting" not in h._cache:
-        masks = h.edge_masks
-        result = True
-        for i in range(len(masks) - 1):
-            # `0 in map(...)` keeps the scan inside the C interpreter loop.
-            if 0 in map(masks[i].__and__, masks[i + 1 :]):
-                result = False
-                break
+        if "spectrum" in h._cache or comb(h.num_edges, 2) < NUMPY_MIN_PAIRS:
+            result = h.num_edges < 2 or 0 not in intersection_spectrum(h).sizes
+        else:
+            rows = pack_words(h.edge_masks, h.num_vertices)
+            result = not any((sizes == 0).any() for sizes in _size_blocks(rows, None))
         h._cache["intersecting"] = result
     return h._cache["intersecting"]
 
 
 def intersection_spectrum(h: Hypergraph) -> Spectrum:
-    """Exact spectrum over all C(m, 2) unordered edge pairs.
-
-    Deterministic; the full scan of a 2401-edge instance stays within a
-    couple of seconds because the inner loop is C-level (map + Counter).
-    """
+    """Exact spectrum over all C(m, 2) unordered edge pairs. Cached on
+    ``h``, which also answers :func:`is_intersecting`."""
     cached = h._cache.get("spectrum")
     if cached is not None:
         return cached
-    masks = h.edge_masks
-    m = len(masks)
-    if m < 2:
+    if h.num_edges < 2:
         raise TooFewEdgesError("a spectrum needs at least two edges")
-    mask_counts: Counter[int] = Counter()
-    for i in range(m - 1):
-        mask_counts.update(map(masks[i].__and__, masks[i + 1 :]))
-    by_size: Counter[int] = Counter()
-    for inter_mask, c in mask_counts.items():
-        by_size[inter_mask.bit_count()] += c
-    sizes = tuple(sorted(by_size))
-    spectrum = Spectrum(sizes, tuple(by_size[s] for s in sizes))
+    counts = pair_size_counts(h.edge_masks)
+    spectrum = Spectrum(tuple(counts), tuple(counts.values()))
     h._cache["spectrum"] = spectrum
     return spectrum
 
@@ -241,11 +313,7 @@ def lambda_within(h: Hypergraph, s: Iterable[int]) -> Fraction:
     idx = sorted(_check_indices(h, s))
     if len(idx) < 2:
         raise TooFewEdgesError("within-set average needs at least two edges")
-    masks = h.edge_masks
-    total = 0
-    for a, b in combinations(idx, 2):
-        total += (masks[a] & masks[b]).bit_count()
-    return Fraction(total, comb(len(idx), 2))
+    return Fraction(pair_size_total([h.edge_masks[i] for i in idx]), comb(len(idx), 2))
 
 
 def lambda_across(h: Hypergraph, s: Iterable[int], t: Iterable[int]) -> Fraction:
@@ -257,11 +325,7 @@ def lambda_across(h: Hypergraph, s: Iterable[int], t: Iterable[int]) -> Fraction
     if s_idx & t_idx:
         raise OverlappingSetsError(f"sets share edges {sorted(s_idx & t_idx)}")
     masks = h.edge_masks
-    total = 0
-    for a in s_idx:
-        ma = masks[a]
-        for b in t_idx:
-            total += (ma & masks[b]).bit_count()
+    total = pair_size_total([masks[i] for i in s_idx], [masks[i] for i in t_idx])
     return Fraction(total, len(s_idx) * len(t_idx))
 
 

@@ -28,6 +28,8 @@ from .core import (
     lambda_across,
     lambda_within,
     mask_of,
+    pair_adjacency,
+    pair_size_counts,
     vertices_of,
 )
 from .errors import (
@@ -139,22 +141,12 @@ def threshold_graph(h: Hypergraph, edge_set: Iterable[int], lam: int) -> SimpleG
     na = len(labels)
     if na < 2:
         raise TooFewEdgesError("a threshold graph needs at least two edges")
-    masks = h.edge_masks
     # When lam does not exceed the global minimum intersection size the
     # graph is complete; this skips the quadratic scan on full edge sets.
-    if h.num_edges >= 2:
-        global_min = intersection_spectrum(h).sizes[0]
-        if lam <= global_min:
-            full = (1 << na) - 1
-            return SimpleGraph.from_adjacency([full ^ (1 << i) for i in range(na)])
-    adj = [0] * na
-    for i in range(na - 1):
-        a = masks[labels[i]]
-        for j in range(i + 1, na):
-            if (a & masks[labels[j]]).bit_count() >= lam:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return SimpleGraph.from_adjacency(adj)
+    if lam <= intersection_spectrum(h).sizes[0]:
+        full = (1 << na) - 1
+        return SimpleGraph.from_adjacency([full ^ (1 << i) for i in range(na)])
+    return SimpleGraph.from_adjacency(pair_adjacency([h.edge_masks[i] for i in labels], lam))
 
 
 @dataclass(frozen=True)
@@ -634,18 +626,7 @@ class IncrementTrace:
 
 
 def _min_pairwise(h: Hypergraph, members: list[int]) -> int:
-    masks = h.edge_masks
-    best: Optional[int] = None
-    for i, a in enumerate(members[:-1]):
-        ma = masks[a]
-        for b in members[i + 1 :]:
-            size = (ma & masks[b]).bit_count()
-            if best is None or size < best:
-                best = size
-                if best == 0:
-                    return 0
-    assert best is not None
-    return best
+    return min(pair_size_counts([h.edge_masks[i] for i in members]))
 
 
 def _find_small_subset(

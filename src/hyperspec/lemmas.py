@@ -11,18 +11,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
 
 from .core import (
     Hypergraph,
-    edges_containing,
     is_intersecting,
     is_uniform,
     lambda_across,
     lambda_within,
     mask_of,
+    pair_size_counts,
+    pair_size_total,
     vertices_of,
 )
 from .coloring import monochromatic_edge
@@ -63,15 +63,6 @@ class InequalityReport:
     slack: Fraction
 
 
-def _pair_sum(masks: list[int]) -> int:
-    total = 0
-    for i in range(len(masks) - 1):
-        a = masks[i]
-        for b in masks[i + 1 :]:
-            total += (a & b).bit_count()
-    return total
-
-
 def check_pair_inequality(fam_a: Hypergraph, fam_b: Hypergraph) -> InequalityReport:
     """Within-family pair sums dominate the cross sum minus l(k+k')/2.
 
@@ -93,11 +84,8 @@ def check_pair_inequality(fam_a: Hypergraph, fam_b: Hypergraph) -> InequalityRep
 
     masks_a = list(fam_a.edge_masks)
     masks_b = list(fam_b.edge_masks)
-    within = _pair_sum(masks_a) + _pair_sum(masks_b)
-    cross = 0
-    for ma in masks_a:
-        for mb in masks_b:
-            cross += (ma & mb).bit_count()
+    within = pair_size_total(masks_a) + pair_size_total(masks_b)
+    cross = pair_size_total(masks_a, masks_b)
     lhs = Fraction(within)
     rhs = cross - Fraction(ell * (k + kp), 2)
 
@@ -220,13 +208,7 @@ def is_lambda_small(h: Hypergraph, s: Iterable[int], lam: int) -> bool:
     idx = sorted(frozenset(s))
     if len(idx) < 2:
         raise TooFewEdgesError("smallness is a pairwise property; need two edges")
-    masks = h.edge_masks
-    for i, a in enumerate(idx[:-1]):
-        ma = masks[a]
-        for b in idx[i + 1 :]:
-            if (ma & masks[b]).bit_count() >= lam:
-                return False
-    return True
+    return max(pair_size_counts([h.edge_masks[i] for i in idx])) < lam
 
 
 @dataclass(frozen=True)
@@ -259,20 +241,11 @@ def validate_lambda_pair(
         violations.append(f"X and Y share edges {sorted(overlap)}")
     if len(x_idx) != t:
         violations.append(f"|X|={len(x_idx)} differs from t={t}")
-    masks = h.edge_masks
-    within_max: Optional[int] = None
-    for i, a in enumerate(x_idx[:-1]):
-        for b in x_idx[i + 1 :]:
-            size = (masks[a] & masks[b]).bit_count()
-            within_max = size if within_max is None else max(within_max, size)
+    x_masks = [h.edge_masks[i] for i in x_idx]
+    within_max = max(pair_size_counts(x_masks), default=None)
     if within_max is not None and within_max > lam:
         violations.append(f"a pair inside X meets in {within_max} > {lam} vertices")
-    cross_min: Optional[int] = None
-    for a in x_idx:
-        ma = masks[a]
-        for b in y_idx:
-            size = (ma & masks[b]).bit_count()
-            cross_min = size if cross_min is None else min(cross_min, size)
+    cross_min = min(pair_size_counts(x_masks, [h.edge_masks[i] for i in y_idx]), default=None)
     if cross_min is not None and cross_min < lam:
         violations.append(f"a cross pair meets in {cross_min} < {lam} vertices")
     return LambdaPairValidation(

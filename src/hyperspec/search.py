@@ -21,7 +21,7 @@ from math import comb
 from typing import Optional
 
 from .coloring import ColorStatus, find_2_coloring
-from .core import Hypergraph, intersection_spectrum, is_intersecting, vertices_of
+from .core import Hypergraph, intersection_spectrum, is_intersecting, pair_size_counts, vertices_of
 from .rng import DEFAULT_SEED, substream
 
 __all__ = [
@@ -59,10 +59,7 @@ def invariant_signature(h: Hypergraph) -> tuple:
     multiset."""
     degrees = sorted(h.degree(v) for v in range(h.num_vertices))
     sizes = sorted(m.bit_count() for m in h.edge_masks)
-    pairs = sorted(
-        (a & b).bit_count()
-        for a, b in combinations(h.edge_masks, 2)
-    )
+    pairs = [size for size, c in pair_size_counts(h.edge_masks).items() for _ in range(c)]
     return (h.num_vertices, tuple(degrees), tuple(sizes), tuple(pairs))
 
 

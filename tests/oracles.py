@@ -7,6 +7,7 @@ paths cannot hide in the tests that check them.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -18,6 +19,14 @@ def naive_spectrum(edges: Sequence[Iterable[int]]) -> dict[int, int]:
     counts: Counter[int] = Counter()
     for a, b in combinations(sets, 2):
         counts[len(a & b)] += 1
+    return dict(counts)
+
+
+def naive_cross_spectrum(
+    left: Sequence[Iterable[int]], right: Sequence[Iterable[int]]
+) -> dict[int, int]:
+    """Intersection-size counts over all pairs (a, b), a in left, b in right."""
+    counts = Counter(len(frozenset(a) & frozenset(b)) for a in left for b in right)
     return dict(counts)
 
 
@@ -67,3 +76,21 @@ def naive_lambda_across(
 
 def mono_edge_count(edges: Sequence[Iterable[int]], colors: Sequence[int]) -> int:
     return sum(1 for e in edges if len({colors[v] for v in e}) == 1)
+
+
+def naive_refute(
+    n: int, edges: Sequence[Iterable[int]], trials: int, seed: int
+) -> tuple[int, int]:
+    """(trials with a monochromatic edge, monochromatic edges summed over
+    trials) for colorings drawn as ``random.Random(seed).getrandbits(n)``,
+    one draw per trial, bit v giving the color of vertex v."""
+    rng = random.Random(seed)
+    sets = [frozenset(e) for e in edges]
+    mono_trials = total = 0
+    for _ in range(trials):
+        bits = rng.getrandbits(n)
+        ones = frozenset(v for v in range(n) if bits >> v & 1)
+        count = sum(1 for e in sets if e <= ones or not e & ones)
+        mono_trials += count > 0
+        total += count
+    return mono_trials, total

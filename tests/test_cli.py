@@ -123,6 +123,17 @@ class TestErrorsAndUsage:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_threads_option_removed(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "fano.hg"
+        run_cli(["construct", "--family", "fano", "-o", str(path)], capsys)
+        monkeypatch.setenv("HYPERSPEC_THREADS", "abc")
+        code, stdout, _ = run_cli(["spectrum", str(path)], capsys)
+        assert code == 0
+        assert json.loads(stdout)["sizes"] == [1]
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "spectrum", str(path)])
+        assert exc.value.code == 2
+
     def test_parse_error_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.hg"
         bad.write_text("2 1\n0 x\n")

@@ -17,6 +17,7 @@ from hyperspec import (
     random_uniform,
     three_coloring_intersecting,
 )
+from hyperspec import coloring
 from hyperspec.coloring import ColorStatus
 from hyperspec.errors import (
     CompositionWitnessError,
@@ -134,6 +135,20 @@ class TestRandomRefute:
             mono += c > 0
         assert rep.total_mono_edges == total
         assert rep.mono_trials == mono
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130, 257])
+    def test_matches_oracle_across_word_boundaries(self, n, monkeypatch):
+        # A small block cap splits the trials into several draw batches.
+        monkeypatch.setattr(coloring, "BLOCK_BYTES", 4096)
+        rng = random.Random(n)
+        edges = {frozenset(rng.sample(range(n), rng.randint(1, 6))) for _ in range(40)}
+        edges |= {frozenset({0, n - 1}), frozenset({n - 1})}
+        edges = sorted(edges, key=sorted)
+        h = new_hypergraph(n, edges)
+        rep = random_refute(h, trials=300, seed=n + 1)
+        assert (rep.mono_trials, rep.total_mono_edges) == oracles.naive_refute(
+            n, edges, 300, n + 1
+        )
 
 
 class TestThreeColoring:

@@ -17,7 +17,8 @@ from hyperspec import (
     parse_hypergraph,
     serialize_hypergraph,
 )
-from hyperspec.core import mask_of, vertices_of
+from hyperspec import core
+from hyperspec.core import mask_of, pair_adjacency, pair_size_counts, vertices_of
 from hyperspec.errors import (
     DuplicateEdgeError,
     EmptyEdgeError,
@@ -120,22 +121,55 @@ class TestSpectrum:
         with pytest.raises(TooFewEdgesError):
             intersection_spectrum(Hypergraph(3, [{0, 1}]))
 
-    def test_against_oracle_random(self):
+    def test_against_oracle_random(self, monkeypatch):
         rng = random.Random(20240501)
+
+        def random_edges(n, m, size_cap, shared=()):
+            edges = set()
+            while len(edges) < m:
+                size = rng.randint(1, size_cap)
+                edges.add(frozenset(rng.sample(range(n), size)) | frozenset(shared))
+            return list(edges)
+
         for _ in range(30):
             n = rng.randint(2, 10)
             m = rng.randint(2, min(12, 2**n - 1))
-            edges = set()
-            while len(edges) < m:
-                size = rng.randint(1, n)
-                edges.add(frozenset(rng.sample(range(n), size)))
-            edges = list(edges)
+            edges = random_edges(n, m, n)
             h = Hypergraph(n, edges)
             sp = intersection_spectrum(h)
             expected = oracles.naive_spectrum(edges)
             assert dict(zip(sp.sizes, sp.multiplicities)) == expected
             assert sp.num_pairs == comb(m, 2)
             assert (min(sp.sizes) >= 1) == is_intersecting(h)
+
+        # Masks across the 64-bit word boundaries, edge counts on both sides
+        # of the Python/numpy cutoff, and numpy row blocks of a few rows, so
+        # the block triangles and the block tails are all exercised.
+        small, large = 12, 40
+        assert comb(small, 2) < core.NUMPY_MIN_PAIRS <= comb(large, 2)
+        assert small * small < core.NUMPY_MIN_PAIRS <= large * large
+        monkeypatch.setattr(core, "BLOCK_BYTES", 4096)
+        for n in (63, 64, 65, 130, 257):
+            for m in (small, large):
+                # Families on an even n share their top vertex, so they are
+                # intersecting and the disjointness scan runs to the end.
+                shared = (n - 1,) if n % 2 == 0 else ()
+                edges = random_edges(n, 2 * m, n // 4, shared)
+                left, right = edges[:m], edges[m:]
+                h = Hypergraph(n, left)
+                assert is_intersecting(h) == oracles.naive_is_intersecting(left)
+                sp = intersection_spectrum(h)
+                assert dict(zip(sp.sizes, sp.multiplicities)) == oracles.naive_spectrum(left)
+                masks = [mask_of(e) for e in left]
+                cross = pair_size_counts(masks, [mask_of(e) for e in right])
+                assert cross == oracles.naive_cross_spectrum(left, right)
+                assert list(cross) == sorted(cross)
+                lam = sp.sizes[len(sp.sizes) // 2]
+                adjacency = [
+                    {j for j, b in enumerate(left) if j != i and len(a & b) >= lam}
+                    for i, a in enumerate(left)
+                ]
+                assert [set(vertices_of(row)) for row in pair_adjacency(masks, lam)] == adjacency
 
     @settings(max_examples=40, deadline=None)
     @given(small_hypergraphs(), st.randoms(use_true_random=False))
