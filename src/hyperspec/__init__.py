@@ -3,7 +3,8 @@
 Modules
 -------
 core
-    Bitmask hypergraphs, the pair kernel, spectra, exact averaging, ``.hg`` text I/O.
+    Bitmask hypergraphs, the pair kernel, spectra, exact averaging, ``.hg`` text I/O,
+    and the node/time ``Budget`` shared by every exponential routine.
 constructions
     Fano plane, iterated products, complete subsets, clique hypergraphs,
     seeded random families.
@@ -20,6 +21,7 @@ search
 """
 
 from .core import (
+    Budget,
     Hypergraph,
     Spectrum,
     new_hypergraph,

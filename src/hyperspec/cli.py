@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import constructions
-from .coloring import find_2_coloring, random_refute
+from .coloring import DEFAULT_NODE_BUDGET, find_2_coloring, random_refute
 from .core import (
     Hypergraph,
     intersection_spectrum,
@@ -103,6 +103,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         "status": result.status.value,
         "coloring": list(result.coloring) if result.coloring else None,
         "nodes": result.nodes,
+        "budget_tripped": result.budget_tripped,
         "mono_fraction": None,
         "seed": args.seed,
     }
@@ -139,7 +140,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         params = ExtractionParams(
             t=args.t,
             x=args.x,
-            d=Fraction(args.density) if args.density else None,
+            d=args.density,
             seed=args.seed,
             budget_ms=args.budget_ms,
         )
@@ -189,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="decide 2-colorability; optionally sample random colorings")
     p.add_argument("file")
-    p.add_argument("--budget-nodes", type=int, default=10**8)
+    p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--t", type=int, default=4)
     p.add_argument("--x", type=int, default=4)
-    p.add_argument("--density", default=None, help="override the measured density (a fraction like 1/72)")
+    p.add_argument("--density", type=Fraction, default=None, help="override the measured density (a fraction like 1/72)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--paper-constants", action="store_true", help="use the asymptotic tuning constants")

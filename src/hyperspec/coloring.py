@@ -1,28 +1,30 @@
 """2-colorability decision, constructive 3-coloring, and cover numbers.
 
-The exact solver is a backtracking search over vertex assignments with
-not-all-equal unit propagation: once all but one vertex of an edge share a
-color, the last vertex is forced to the other color. Results are a
-tri-state; `UNKNOWN` is returned on budget exhaustion and never silently
-coerced. A `COLORABLE` answer always carries a witness that has been
-re-checked with :func:`monochromatic_edge`, and `NOT_COLORABLE` is only
-reported after the search tree is exhausted.
+The exact solver is a DPLL loop over vertex assignments, with an explicit
+trail and decision stack, and not-all-equal unit propagation: once all but
+one vertex of an edge share a color, the last vertex is forced to the other
+color. Results are a tri-state; `UNKNOWN` is returned when the
+:class:`~hyperspec.core.Budget` runs out, names the limit that did, and is
+never silently coerced. A `COLORABLE` answer always carries a witness that
+has been re-checked with :func:`monochromatic_edge`, and `NOT_COLORABLE` is
+only reported after the search tree is exhausted.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import BLOCK_BYTES, Hypergraph, intersection_sizes, is_intersecting, is_uniform
+from .core import BLOCK_BYTES, Budget, Hypergraph, intersection_sizes, is_intersecting, is_uniform
 from .core import pack_words, vertices_of
 from .errors import (
     CompositionWitnessError,
+    InvalidParameterError,
     LengthMismatchError,
     NotIntersectingError,
     NonUniformError,
@@ -56,6 +58,7 @@ class ColorResult:
     coloring: Optional[tuple[int, ...]]
     nodes: int
     elapsed_ms: float
+    budget_tripped: Optional[str]  # "nodes" or "ms" when UNKNOWN, else None
 
 
 @dataclass(frozen=True)
@@ -84,22 +87,20 @@ def monochromatic_edge(h: Hypergraph, coloring: Sequence[int]) -> Optional[int]:
     return None
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def find_2_coloring(
     h: Hypergraph,
     budget_nodes: Optional[int] = DEFAULT_NODE_BUDGET,
     budget_ms: Optional[float] = None,
 ) -> ColorResult:
-    """Backtracking 2-coloring search with not-all-equal propagation.
+    """DPLL 2-coloring search with not-all-equal propagation.
 
     Branch order is descending vertex degree with index tie-breaks; the
     first decision tries only color 0 (complementing a proper coloring
     keeps it proper, so this halves the tree without losing refutations).
+    Decisions live on an explicit stack, so the depth is not bounded by the
+    interpreter's recursion limit. One node is counted per decision.
     """
-    start = time.monotonic()
+    budget = Budget(budget_nodes, budget_ms)
     n = h.num_vertices
     edge_verts = [vertices_of(m) for m in h.edge_masks]
     vert_edges: list[list[int]] = [[] for _ in range(n)]
@@ -112,7 +113,6 @@ def find_2_coloring(
     counts = [[0, 0] for _ in edge_verts]
     sizes = [len(vs) for vs in edge_verts]
     trail: list[int] = []
-    nodes = 0
 
     def propagate(v0: int, c0: int) -> bool:
         queue = [(v0, c0)]
@@ -152,47 +152,49 @@ def find_2_coloring(
             for ei in vert_edges[v]:
                 counts[ei][c] -= 1
 
-    def search(hint: int) -> bool:
-        nonlocal nodes
-        pos = hint
+    # One frame per open decision: (order position, trail mark, color tried).
+    frames: list[tuple[int, int, int]] = []
+    pos = 0
+    while True:
         while pos < n and assign[order[pos]] != -1:
             pos += 1
         if pos == n:
-            return True
-        v = order[pos]
-        first_decision = not trail
-        nodes += 1
-        if budget_nodes is not None and nodes > budget_nodes:
-            raise _BudgetExhausted
-        if budget_ms is not None and (time.monotonic() - start) * 1000.0 > budget_ms:
-            raise _BudgetExhausted
-        for c in (0,) if first_decision else (0, 1):
-            mark = len(trail)
-            if propagate(v, c) and search(pos + 1):
-                return True
-            undo(mark)
-        return False
+            status = ColorStatus.COLORABLE
+            break
+        if not budget.step():
+            status = ColorStatus.UNKNOWN
+            break
+        frames.append((pos, len(trail), 0))
+        while frames:
+            pos, mark, c = frames[-1]
+            if propagate(order[pos], c):
+                break
+            # Conflict: undo back to the deepest decision that has color 1
+            # left to try; the first decision has none.
+            while frames:
+                pos, mark, c = frames.pop()
+                undo(mark)
+                if c == 0 and frames:
+                    frames.append((pos, mark, 1))
+                    break
+        if not frames:
+            status = ColorStatus.NOT_COLORABLE
+            break
+        pos += 1
 
-    try:
-        found = search(0)
-    except _BudgetExhausted:
-        return ColorResult(
-            ColorStatus.UNKNOWN, None, nodes, (time.monotonic() - start) * 1000.0
-        )
-    elapsed = (time.monotonic() - start) * 1000.0
-    if found:
+    witness = None
+    if status is ColorStatus.COLORABLE:
         witness = tuple(c if c != -1 else 0 for c in assign)
         if monochromatic_edge(h, witness) is not None:
             raise AssertionError("solver produced an improper coloring")
-        return ColorResult(ColorStatus.COLORABLE, witness, nodes, elapsed)
-    return ColorResult(ColorStatus.NOT_COLORABLE, None, nodes, elapsed)
+    return ColorResult(status, witness, budget.spent, budget.elapsed_ms(), budget.tripped)
 
 
 def random_refute(h: Hypergraph, trials: int, seed: int) -> RefuteReport:
     """Sample uniform 2-colorings; report how often a monochromatic edge
     appears and the mean number of monochromatic edges per trial."""
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise InvalidParameterError("need at least one trial")
     rng = random.Random(seed)
     n = h.num_vertices
     words = pack_words(h.edge_masks, n)
@@ -248,28 +250,21 @@ def cover_number(
     exhaustion.
 
     Branches on the vertices of a smallest uncovered edge; prunes with a
-    greedy upper bound and a disjoint-edge matching lower bound.
+    greedy upper bound and a disjoint-edge matching lower bound. The
+    depth-first search runs on an explicit stack, one node per visit.
     """
     masks = list(h.edge_masks)
     if not masks:
         return 0
-    start = time.monotonic()
-    nodes = 0
+    budget = Budget(budget_nodes, budget_ms)
 
     def greedy_cover() -> int:
         uncovered = masks
         size = 0
         while uncovered:
-            best_v, best_hits = -1, -1
-            seen = 0
-            for m in uncovered:
-                seen |= m
-            for v in vertices_of(seen):
-                bit = 1 << v
-                hits = sum(1 for m in uncovered if m & bit)
-                if hits > best_hits:
-                    best_v, best_hits = v, hits
-            bit = 1 << best_v
+            # The vertex in most uncovered edges, the smallest on ties.
+            hits = Counter(v for m in uncovered for v in vertices_of(m))
+            bit = 1 << min(hits, key=lambda v: (-hits[v], v))
             uncovered = [m for m in uncovered if not m & bit]
             size += 1
         return size
@@ -284,28 +279,22 @@ def cover_number(
         return count
 
     best = greedy_cover()
-
-    def branch(chosen: int, uncovered: list[int]) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if budget_nodes is not None and nodes > budget_nodes:
-            raise _BudgetExhausted
-        if budget_ms is not None and (time.monotonic() - start) * 1000.0 > budget_ms:
-            raise _BudgetExhausted
+    # Each entry is a node still to visit: (cover size, the parent's
+    # uncovered edges, the bit of the vertex the node adds to the cover).
+    stack: list[tuple[int, list[int], int]] = [(0, masks, 0)]
+    while stack:
+        chosen, parent, bit = stack.pop()
+        if not budget.step():
+            return None
+        uncovered = [m for m in parent if not m & bit]
         if not uncovered:
             best = min(best, chosen)
-            return
+            continue
         if chosen + matching_bound(uncovered) >= best:
-            return
+            continue
         pivot = min(uncovered, key=lambda m: m.bit_count())
-        for v in vertices_of(pivot):
-            bit = 1 << v
-            branch(chosen + 1, [m for m in uncovered if not m & bit])
-
-    try:
-        branch(0, masks)
-    except _BudgetExhausted:
-        return None
+        # Reversed, so children are visited in ascending vertex order.
+        stack.extend((chosen + 1, uncovered, 1 << v) for v in reversed(vertices_of(pivot)))
     return best
 
 

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .core import Hypergraph, is_uniform, vertices_of
 from .errors import (
+    InvalidParameterError,
     NonUniformError,
     SizeCapExceededError,
     TooManyEdgesRequestedError,
@@ -83,7 +84,7 @@ def iterated_fano(m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Hypergraph:
     m = 0 is the single-edge 1-uniform hypergraph, m = 1 the Fano plane.
     """
     if m < 0:
-        raise ValueError("iteration count must be non-negative")
+        raise InvalidParameterError("iteration count must be non-negative")
     expected = 7 ** ((3**m - 1) // 2)
     if expected > size_cap:
         raise SizeCapExceededError(
@@ -100,7 +101,7 @@ def iterated_fano(m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Hypergraph:
 def complete_subsets(n: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Hypergraph:
     """All k-subsets of [n]. Intersecting iff n <= 2k - 1."""
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     if comb(n, k) > size_cap:
         raise SizeCapExceededError(f"C({n},{k}) exceeds cap {size_cap}")
     return Hypergraph(n, combinations(range(n), k))
@@ -114,7 +115,7 @@ def ramsey_clique_hypergraph(n: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -
     k-sets share at most one (k-1)-subset.
     """
     if k < 2 or n < k:
-        raise ValueError(f"need k >= 2 and n >= k, got n={n}, k={k}")
+        raise InvalidParameterError(f"need k >= 2 and n >= k, got n={n}, k={k}")
     if comb(n, k - 1) > size_cap or comb(n, k) > size_cap:
         raise SizeCapExceededError("vertex or edge count exceeds cap")
     vertex_index = {c: i for i, c in enumerate(combinations(range(n), k - 1))}
@@ -128,7 +129,7 @@ def ramsey_clique_hypergraph(n: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -
 def random_uniform(n: int, k: int, m: int, seed: int) -> Hypergraph:
     """m distinct uniformly random k-subsets of [n]; deterministic per seed."""
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     total = comb(n, k)
     if m > total:
         raise TooManyEdgesRequestedError(f"asked for {m} edges, only C({n},{k})={total} exist")
@@ -166,21 +167,26 @@ class ConstructionSpec:
 def build_construction(spec: ConstructionSpec, size_cap: int = DEFAULT_SIZE_CAP) -> Hypergraph:
     """Dispatch a :class:`ConstructionSpec` to its generator."""
     fam = spec.family
-    p = spec.params
+
+    def p(key: str) -> int:
+        if key not in spec.params:
+            raise InvalidParameterError(f"family {fam!r} needs --param {key}=<int>")
+        return spec.params[key]
+
     if fam == "fano":
         return fano()
     if fam == "iterated-fano":
-        return iterated_fano(p["m"], size_cap=size_cap)
+        return iterated_fano(p("m"), size_cap=size_cap)
     if fam == "complete-subsets":
-        return complete_subsets(p["n"], p["k"], size_cap=size_cap)
+        return complete_subsets(p("n"), p("k"), size_cap=size_cap)
     if fam == "ramsey-clique":
-        return ramsey_clique_hypergraph(p["n"], p["k"], size_cap=size_cap)
+        return ramsey_clique_hypergraph(p("n"), p("k"), size_cap=size_cap)
     if fam == "random-uniform":
         if spec.seed is None:
-            raise ValueError("random-uniform needs a seed")
-        return random_uniform(p["n"], p["k"], p["m"], spec.seed)
+            raise InvalidParameterError("random-uniform needs a seed")
+        return random_uniform(p("n"), p("k"), p("m"), spec.seed)
     if fam == "compose":
         if len(spec.inputs) != 2:
-            raise ValueError("compose needs exactly two input hypergraphs")
+            raise InvalidParameterError("compose needs exactly two input hypergraphs")
         return compose(spec.inputs[0], spec.inputs[1], size_cap=size_cap)
-    raise ValueError(f"unknown family {fam!r}; choose from {ConstructionSpec._FAMILIES}")
+    raise InvalidParameterError(f"unknown family {fam!r}; choose from {ConstructionSpec._FAMILIES}")

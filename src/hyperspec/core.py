@@ -13,6 +13,7 @@ and safe to share between threads.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .errors import (
 )
 
 __all__ = [
+    "Budget",
     "Hypergraph",
     "Spectrum",
     "new_hypergraph",
@@ -335,6 +337,39 @@ def edges_containing(h: Hypergraph, vertices: Iterable[int]) -> frozenset[int]:
     if want and want.bit_length() > h.num_vertices:
         raise OutOfRangeVertexError("vertex out of range")
     return frozenset(i for i, m in enumerate(h.edge_masks) if m & want == want)
+
+
+# -- budgets -------------------------------------------------------------
+
+
+class Budget:
+    """The one budget of every exponential routine: a node count and a
+    wall-clock limit in milliseconds, either of which may be None.
+
+    :meth:`step` counts one node and returns False once the count exceeds
+    ``nodes`` or the elapsed time exceeds ``ms``; ``tripped`` then names the
+    limit that ran out. The clock is read only when ``ms`` is set.
+    """
+
+    __slots__ = ("nodes", "ms", "spent", "tripped", "_start")
+
+    def __init__(self, nodes: Optional[int] = None, ms: Optional[float] = None):
+        self.nodes = nodes
+        self.ms = ms
+        self.spent = 0
+        self.tripped: Optional[str] = None
+        self._start = time.monotonic()
+
+    def elapsed_ms(self) -> float:
+        return (time.monotonic() - self._start) * 1000.0
+
+    def step(self) -> bool:
+        self.spent += 1
+        if self.nodes is not None and self.spent > self.nodes:
+            self.tripped = "nodes"
+        elif self.ms is not None and self.elapsed_ms() > self.ms:
+            self.tripped = "ms"
+        return self.tripped is None
 
 
 # -- text format ---------------------------------------------------------

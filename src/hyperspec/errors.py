@@ -11,6 +11,11 @@ class HypergraphError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InvalidParameterError(HypergraphError, ValueError):
+    """A parameter is missing or outside its valid range. Also a
+    ValueError, so callers may catch either."""
+
+
 # ---------------------------------------------------------------- core
 
 
@@ -138,10 +143,3 @@ class NoQualifyingSubsetError(HypergraphError):
 
 class WidthTooLargeError(HypergraphError):
     """A requested subset width exceeds the anchor edge size."""
-
-
-# -------------------------------------------------------------- search
-
-
-class BudgetExhaustedError(HypergraphError):
-    """A search ran out of its node or time budget."""

@@ -21,6 +21,7 @@ from math import comb, isqrt, sqrt
 from typing import Iterable, Optional
 
 from .core import (
+    Budget,
     Hypergraph,
     edges_containing,
     intersection_spectrum,
@@ -36,6 +37,7 @@ from .errors import (
     DrcFailedError,
     EmptySetError,
     HypothesesViolatedError,
+    InvalidParameterError,
     NoDisjointEdgeError,
     NoQualifyingSubsetError,
     PoolExhaustedError,
@@ -463,17 +465,15 @@ def build_triple_family(
     pool: Iterable[int],
     anchor: int,
     x: int,
-    seed: int = DEFAULT_SEED,
 ) -> TripleFamily:
     """Greedy maximal triple family over ``pool``.
 
     Scans ordered candidate pairs (A, B) of unused pool edges in
     lexicographic order and admits a pair when at least x vertices of
     A's overlap with the anchor avoid B, taking X_i as the x smallest such
-    vertices. The seed parameter is accepted for interface stability; the
-    scan order is deterministic. A final rescan certifies maximality.
+    vertices. The scan order is deterministic. A final rescan certifies
+    maximality.
     """
-    del seed  # scan order is lexicographic, nothing random here
     members = sorted(frozenset(pool))
     if not members:
         raise EmptySetError("the candidate pool is empty")
@@ -545,7 +545,7 @@ class ExtractionParams:
 
     def __post_init__(self):
         if self.t < 2 or self.x < 1:
-            raise ValueError("need t >= 2 and x >= 1")
+            raise InvalidParameterError("need t >= 2 and x >= 1")
 
     @classmethod
     def paper_scale(cls, k: int, seed: int = DEFAULT_SEED, **overrides) -> "ExtractionParams":
@@ -558,10 +558,6 @@ class ExtractionParams:
             paper_constants=True,
             **overrides,
         )
-
-    def schedule(self, num_edges: int, k: int, level: int) -> Fraction:
-        """Edge-count demand at a given level: |E| / k^(25*(level-1)*t)."""
-        return Fraction(num_edges, k ** (25 * (level - 1) * self.t))
 
 
 @dataclass(frozen=True)
@@ -684,7 +680,7 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
         trace.notes.append("desk-scale thresholds: measured density, fraction-based demands")
     else:
         trace.notes.append("asymptotic constants requested; demands are documentation only")
-    start = time.monotonic()
+    budget = Budget(ms=params.budget_ms)
     spectrum = intersection_spectrum(h)
     pool = sorted(range(h.num_edges))
     branch_into = "initial"
@@ -692,7 +688,7 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
     prev_lam: Optional[int] = None
 
     while len(trace.levels) < max_levels:
-        if params.budget_ms is not None and (time.monotonic() - start) * 1000.0 > params.budget_ms:
+        if not budget.step():
             trace.stop_reason = "budget exhausted"
             return trace
         if len(pool) < 2:
@@ -744,7 +740,7 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
 
         anchor = min(pair.x)
         x_width = min(params.x, k)
-        family = build_triple_family(h, pair.y, anchor, x_width, params.seed)
+        family = build_triple_family(h, pair.y, anchor, x_width)
         next_core: Optional[frozenset[int]] = None
         if len(family.triples) < len(pair.y) / 4:
             branch_into = "same-intersection"

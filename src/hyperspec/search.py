@@ -14,14 +14,14 @@ proves the minimum over the whole space.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
 from typing import Optional
 
 from .coloring import ColorStatus, find_2_coloring
-from .core import Hypergraph, intersection_spectrum, is_intersecting, pair_size_counts, vertices_of
+from .core import Budget, Hypergraph, intersection_spectrum, is_intersecting, pair_size_counts, vertices_of
+from .errors import InvalidParameterError
 from .rng import DEFAULT_SEED, substream
 
 __all__ = [
@@ -83,6 +83,7 @@ class SearchReport:
     elapsed_ms: float
     method: str
     seed: int
+    budget_tripped: Optional[str]  # "nodes", "ms", or None
 
     def to_json(self, include_timings: bool = True) -> dict:
         out = {
@@ -98,21 +99,13 @@ class SearchReport:
             "m_tilde_estimate": self.m_tilde_estimate,
             "exhaustive": self.exhaustive,
             "nodes": self.nodes,
+            "budget_tripped": self.budget_tripped,
             "method": self.method,
             "seed": self.seed,
         }
         if include_timings:
             out["timings"] = {"elapsed_ms": self.elapsed_ms}
         return out
-
-
-class _Budget(Exception):
-    pass
-
-
-class _Found(Exception):
-    def __init__(self, witness: Hypergraph):
-        self.witness = witness
 
 
 def _solver_confirms(edges: list[tuple[int, ...]], used_vertices: int) -> Optional[Hypergraph]:
@@ -137,35 +130,21 @@ def min_spectrum_search(
 
     Exhaustive (iterative deepening over the spectrum-size target) up to 10
     vertices; beyond that a seeded randomized local search over edge swaps
-    reports a best-effort witness with ``exhaustive=False``.
+    reports a best-effort witness with ``exhaustive=False``. Both count
+    nodes on one :class:`~hyperspec.core.Budget`: a search-tree node in the
+    exhaustive path, a restart in the local search.
     """
     if k < 2 or max_vertices < k:
-        raise ValueError("need k >= 2 and max_vertices >= k")
-    start = time.monotonic()
-    edge_space = comb(max_vertices, k)
+        raise InvalidParameterError("need k >= 2 and max_vertices >= k")
     if max_vertices <= 10:
-        return _exhaustive_search(k, max_vertices, budget_ms, budget_nodes, seed, start)
-    return _local_search(k, max_vertices, budget_ms, seed, start, edge_space)
+        return _exhaustive_search(k, max_vertices, Budget(budget_nodes, budget_ms), seed)
+    return _local_search(k, max_vertices, budget_ms, Budget(budget_nodes), seed)
 
 
-def _exhaustive_search(
-    k: int,
-    max_vertices: int,
-    budget_ms: Optional[float],
-    budget_nodes: Optional[int],
-    seed: int,
-    start: float,
-) -> SearchReport:
+def _exhaustive_search(k: int, max_vertices: int, budget: Budget, seed: int) -> SearchReport:
     all_edges = list(combinations(range(max_vertices), k))
     edge_masks = [sum(1 << v for v in e) for e in all_edges]
     min_edges_needed = 2 ** (k - 1)  # below this a random coloring works
-    nodes = 0
-
-    def check_budget() -> None:
-        if budget_nodes is not None and nodes > budget_nodes:
-            raise _Budget
-        if budget_ms is not None and (time.monotonic() - start) * 1000.0 > budget_ms:
-            raise _Budget
 
     def extend(
         chosen: list[int],
@@ -173,14 +152,15 @@ def _exhaustive_search(
         used_vertices: int,
         cand_start: int,
         target: int,
-    ) -> None:
-        nonlocal nodes
-        nodes += 1
-        check_budget()
+    ) -> Optional[Hypergraph]:
+        """The first witness below this prefix, or None once the prefix is
+        exhausted or the budget trips."""
+        if not budget.step():
+            return None
         if len(chosen) >= min_edges_needed:
             witness = _solver_confirms([all_edges[i] for i in chosen], used_vertices)
             if witness is not None:
-                raise _Found(witness)
+                return witness
         for ci in range(cand_start, len(all_edges)):
             cmask = edge_masks[ci]
             cedge = all_edges[ci]
@@ -201,7 +181,7 @@ def _exhaustive_search(
             if not ok or len(new_sizes) > target:
                 continue
             chosen.append(ci)
-            extend(
+            witness = extend(
                 chosen,
                 frozenset(new_sizes),
                 max(used_vertices, cedge[-1] + 1),
@@ -209,47 +189,30 @@ def _exhaustive_search(
                 target,
             )
             chosen.pop()
+            if witness is not None or budget.tripped:
+                return witness
+        return None
 
-    best_witness: Optional[Hypergraph] = None
-    exhausted_cleanly = True
-    try:
-        for target in range(1, k):
-            first = list(range(k))
-            first_idx = all_edges.index(tuple(first))
-            extend([first_idx], frozenset(), k, first_idx + 1, target)
-    except _Found as hit:
-        best_witness = hit.witness
-    except _Budget:
-        exhausted_cleanly = False
+    witness: Optional[Hypergraph] = None
+    for target in range(1, k):
+        # Edge 0 in lexicographic order is {0, ..., k-1}.
+        witness = extend([0], frozenset(), k, 1, target)
+        if witness is not None or budget.tripped:
+            break
 
-    elapsed = (time.monotonic() - start) * 1000.0
-    if best_witness is not None:
-        spectrum = intersection_spectrum(best_witness)
-        return SearchReport(
-            k=k,
-            max_vertices=max_vertices,
-            edge_space=comb(max_vertices, k),
-            best_spectrum_size=spectrum.r,
-            witness=best_witness,
-            m_tilde_estimate=best_witness.num_edges,
-            exhaustive=exhausted_cleanly,
-            nodes=nodes,
-            elapsed_ms=elapsed,
-            method="iterative-deepening",
-            seed=seed,
-        )
     return SearchReport(
         k=k,
         max_vertices=max_vertices,
         edge_space=comb(max_vertices, k),
-        best_spectrum_size=None,
-        witness=None,
-        m_tilde_estimate=None,
-        exhaustive=exhausted_cleanly,
-        nodes=nodes,
-        elapsed_ms=elapsed,
+        best_spectrum_size=intersection_spectrum(witness).r if witness is not None else None,
+        witness=witness,
+        m_tilde_estimate=witness.num_edges if witness is not None else None,
+        exhaustive=budget.tripped is None,
+        nodes=budget.spent,
+        elapsed_ms=budget.elapsed_ms(),
         method="iterative-deepening",
         seed=seed,
+        budget_tripped=budget.tripped,
     )
 
 
@@ -257,9 +220,8 @@ def _local_search(
     k: int,
     max_vertices: int,
     budget_ms: Optional[float],
+    budget: Budget,
     seed: int,
-    start: float,
-    edge_space: int,
 ) -> SearchReport:
     # The restart count is derived from the budget value, not the clock,
     # so identical (flags, seed) runs produce identical reports.
@@ -267,7 +229,6 @@ def _local_search(
     restarts = max(1, int((budget_ms if budget_ms is not None else 2000.0) / 20.0))
     best: Optional[Hypergraph] = None
     best_r: Optional[int] = None
-    nodes = 0
 
     def random_intersecting_family() -> Optional[Hypergraph]:
         edges: list[tuple[int, ...]] = []
@@ -287,7 +248,8 @@ def _local_search(
         return Hypergraph(max_vertices, edges)
 
     for _ in range(restarts):
-        nodes += 1
+        if not budget.step():
+            break
         candidate = random_intersecting_family()
         if candidate is None:
             continue
@@ -317,17 +279,17 @@ def _local_search(
             if best_r is None or r < best_r:
                 best, best_r = trial, r
 
-    elapsed = (time.monotonic() - start) * 1000.0
     return SearchReport(
         k=k,
         max_vertices=max_vertices,
-        edge_space=edge_space,
+        edge_space=comb(max_vertices, k),
         best_spectrum_size=best_r,
         witness=best,
         m_tilde_estimate=best.num_edges if best else None,
         exhaustive=False,
-        nodes=nodes,
-        elapsed_ms=elapsed,
+        nodes=budget.spent,
+        elapsed_ms=budget.elapsed_ms(),
         method="local-search",
         seed=seed,
+        budget_tripped=budget.tripped,
     )

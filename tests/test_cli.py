@@ -60,6 +60,15 @@ class TestColor:
         assert payload["coloring"] is None
         assert payload["mono_fraction"] == 1.0
         assert payload["nodes"] > 0
+        assert payload["budget_tripped"] is None
+
+    def test_unknown_names_budget(self, tmp_path, capsys):
+        path = tmp_path / "itf2.hg"
+        run_cli(["construct", "--family", "iterated-fano", "--param", "m=2", "-o", str(path)], capsys)
+        code, stdout, _ = run_cli(["color", str(path), "--budget-nodes", "5"], capsys)
+        assert code == 0
+        payload = json.loads(stdout)
+        assert (payload["status"], payload["nodes"], payload["budget_tripped"]) == ("unknown", 6, "nodes")
 
 
 class TestVerify:
@@ -102,6 +111,7 @@ class TestSearch:
         payload = json.loads(stdout)
         assert payload["best_spectrum_size"] == 1
         assert payload["exhaustive"] is True
+        assert payload["budget_tripped"] is None
         assert out.read_text().startswith("3 3\n")
 
 
@@ -132,6 +142,31 @@ class TestErrorsAndUsage:
         assert json.loads(stdout)["sizes"] == [1]
         with pytest.raises(SystemExit) as exc:
             main(["--threads", "2", "spectrum", str(path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["construct", "--family", "iterated-fano"],
+            ["construct", "--family", "complete-subsets", "--param", "n=3", "--param", "k=5"],
+            ["search", "--k", "1", "--max-vertices", "3"],
+            ["extract", "FANO", "--t", "1"],
+            ["color", "FANO", "--trials", "-3"],
+        ],
+        ids=["missing-param", "k-above-n", "search-k1", "extract-t1", "negative-trials"],
+    )
+    def test_bad_parameter_is_domain_error(self, args, tmp_path, capsys):
+        path = tmp_path / "fano.hg"
+        run_cli(["construct", "--family", "fano", "-o", str(path)], capsys)
+        code, _, err = run_cli([str(path) if a == "FANO" else a for a in args], capsys)
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "InvalidParameterError"
+
+    def test_bad_density_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "fano.hg"
+        run_cli(["construct", "--family", "fano", "-o", str(path)], capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", str(path), "--density", "abc"])
         assert exc.value.code == 2
 
     def test_parse_error_reported(self, tmp_path, capsys):

@@ -103,6 +103,25 @@ class TestFind2Coloring:
     def test_nodes_counted(self, fano_h):
         assert find_2_coloring(fano_h).nodes > 0
 
+    def test_pinned_node_counts(self, fano_h, itf2):
+        res = find_2_coloring(fano_h)
+        assert (res.status, res.nodes, res.budget_tripped) == (ColorStatus.NOT_COLORABLE, 4, None)
+        # The node that trips the budget is counted, not expanded.
+        res = find_2_coloring(itf2, budget_nodes=2000)
+        assert (res.status, res.nodes, res.budget_tripped) == (ColorStatus.UNKNOWN, 2001, "nodes")
+
+    def test_ms_budget_is_named(self, itf2):
+        res = find_2_coloring(itf2, budget_nodes=None, budget_ms=50.0)
+        assert res.status is ColorStatus.UNKNOWN
+        assert res.budget_tripped == "ms"
+
+    def test_deep_sparse_family(self):
+        # One decision per vertex: 3000 levels, past the default recursion limit.
+        h = random_uniform(3000, 3, 50, seed=201)
+        res = find_2_coloring(h, budget_nodes=10**5)
+        assert res.status is ColorStatus.COLORABLE
+        assert monochromatic_edge(h, res.coloring) is None
+
 
 class TestRandomRefute:
     def test_fano_fraction_one(self, fano_h):
@@ -203,6 +222,11 @@ class TestCoverNumber:
 
     def test_budget_exhaustion_returns_none(self, itf2):
         assert cover_number(itf2, budget_nodes=3) is None
+
+    def test_disjoint_triangles_deeper_than_recursion_limit(self):
+        # Cover number 2 per triangle; a branch is 1200 decisions deep.
+        edges = [(a + i, a + j) for a in range(0, 1800, 3) for i, j in ((0, 1), (0, 2), (1, 2))]
+        assert cover_number(new_hypergraph(1800, edges), budget_nodes=10**5) in (1200, None)
 
     def test_at_most_k_for_uniform_intersecting(self, fano_h):
         assert cover_number(fano_h) <= 3

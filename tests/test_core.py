@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -18,7 +19,7 @@ from hyperspec import (
     serialize_hypergraph,
 )
 from hyperspec import core
-from hyperspec.core import mask_of, pair_adjacency, pair_size_counts, vertices_of
+from hyperspec.core import Budget, mask_of, pair_adjacency, pair_size_counts, vertices_of
 from hyperspec.errors import (
     DuplicateEdgeError,
     EmptyEdgeError,
@@ -268,6 +269,25 @@ class TestEdgesContaining:
         h = Hypergraph(7, FANO_LINES)
         for i in range(7):
             assert edges_containing(h, h.edge_vertices(i)) == {i}
+
+
+class TestBudget:
+    def test_node_limit(self):
+        budget = Budget(nodes=2)
+        assert [budget.step() for _ in range(3)] == [True, True, False]
+        assert budget.spent == 3
+        assert budget.tripped == "nodes"
+
+    def test_no_limit_never_trips(self):
+        budget = Budget()
+        assert all(budget.step() for _ in range(1000))
+        assert budget.tripped is None
+
+    def test_ms_limit(self):
+        budget = Budget(nodes=10, ms=0.0)
+        time.sleep(0.002)
+        assert not budget.step()
+        assert budget.tripped == "ms"
 
 
 class TestTextFormat:

@@ -80,6 +80,13 @@ class TestExhaustiveSearch:
         rep = min_spectrum_search(4, 9, budget_nodes=3)
         assert not rep.exhaustive
         assert rep.best_spectrum_size is None
+        assert (rep.nodes, rep.budget_tripped) == (4, "nodes")
+
+    def test_pinned_node_counts(self):
+        rep = min_spectrum_search(3, 7)
+        assert (rep.exhaustive, rep.nodes, rep.budget_tripped) == (True, 19, None)
+        rep = min_spectrum_search(4, 8, budget_nodes=5000)
+        assert (rep.exhaustive, rep.nodes, rep.budget_tripped) == (False, 5001, "nodes")
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -89,6 +96,13 @@ class TestExhaustiveSearch:
 
 
 class TestLocalSearch:
+    def test_budget_nodes_caps_restarts(self):
+        # budget_ms=100 allows 5 restarts; one node each.
+        free = min_spectrum_search(3, 12, budget_ms=100.0)
+        assert (free.nodes, free.budget_tripped) == (5, None)
+        capped = min_spectrum_search(3, 12, budget_ms=100.0, budget_nodes=1)
+        assert (capped.nodes, capped.budget_tripped) == (2, "nodes")
+
     def test_runs_and_is_deterministic(self):
         a = min_spectrum_search(3, 12, budget_ms=300.0, seed=4)
         b = min_spectrum_search(3, 12, budget_ms=300.0, seed=4)
