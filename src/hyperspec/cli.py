@@ -57,6 +57,19 @@ def _parse_kv(pairs: Sequence[str]) -> dict[str, int]:
     return out
 
 
+def _at_least(low: int, kind: type = int):
+    """argparse type: a ``kind`` number of at least ``low`` (not NaN)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     inputs = ()
     if args.family == "compose":
@@ -190,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="decide 2-colorability; optionally sample random colorings")
     p.add_argument("file")
-    p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--budget-ms", type=float, default=None)
+    p.add_argument("--budget-nodes", type=_at_least(0), default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget-ms", type=_at_least(0, float), default=None)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_color)
@@ -199,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a randomized inequality suite")
     p.add_argument("--suite", default="lemmas")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--instances", type=int, default=200)
+    p.add_argument("--instances", type=_at_least(1), default=200)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("extract", help="run the density-increment driver on a .hg file")
@@ -208,15 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, default=4)
     p.add_argument("--density", type=Fraction, default=None, help="override the measured density (a fraction like 1/72)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--budget-ms", type=float, default=None)
+    p.add_argument("--budget-ms", type=_at_least(0, float), default=None)
     p.add_argument("--paper-constants", action="store_true", help="use the asymptotic tuning constants")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("search", help="minimize spectrum size over small witnesses")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-vertices", type=int, required=True)
-    p.add_argument("--budget-ms", type=float, default=None)
-    p.add_argument("--budget-nodes", type=int, default=None)
+    p.add_argument("--budget-ms", type=_at_least(0, float), default=None)
+    p.add_argument("--budget-nodes", type=_at_least(0), default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--witness-out", help="write the best witness as .hg")
     p.set_defaults(func=cmd_search)

@@ -1,13 +1,13 @@
 """2-colorability decision, constructive 3-coloring, and cover numbers.
 
-The exact solver is a DPLL loop over vertex assignments, with an explicit
-trail and decision stack, and not-all-equal unit propagation: once all but
-one vertex of an edge share a color, the last vertex is forced to the other
-color. Results are a tri-state; `UNKNOWN` is returned when the
-:class:`~hyperspec.core.Budget` runs out, names the limit that did, and is
-never silently coerced. A `COLORABLE` answer always carries a witness that
-has been re-checked with :func:`monochromatic_edge`, and `NOT_COLORABLE` is
-only reported after the search tree is exhausted.
+The exact solver is a DPLL loop with not-all-equal unit propagation (once
+all but one vertex of an edge share a color, the last is forced to the
+other) on two vertex bitmasks, one per color; a backtrack restores the two
+masks its decision frame saved. Results are a tri-state; `UNKNOWN` is
+returned when the :class:`~hyperspec.core.Budget` runs out, names the limit
+that did, and is never silently coerced. A `COLORABLE` answer always
+carries a witness that has been re-checked with :func:`monochromatic_edge`,
+and `NOT_COLORABLE` is only reported after the search tree is exhausted.
 """
 
 from __future__ import annotations
@@ -102,61 +102,43 @@ def find_2_coloring(
     """
     budget = Budget(budget_nodes, budget_ms)
     n = h.num_vertices
-    edge_verts = [vertices_of(m) for m in h.edge_masks]
+    bits = [1 << v for v in range(n)]
     vert_edges: list[list[int]] = [[] for _ in range(n)]
-    for ei, vs in enumerate(edge_verts):
-        for v in vs:
-            vert_edges[v].append(ei)
+    for m in h.edge_masks:
+        for v in vertices_of(m):
+            vert_edges[v].append(m)
     order = sorted(range(n), key=lambda v: (-len(vert_edges[v]), v))
 
-    assign = [-1] * n
-    counts = [[0, 0] for _ in edge_verts]
-    sizes = [len(vs) for vs in edge_verts]
-    trail: list[int] = []
-
-    def propagate(v0: int, c0: int) -> bool:
-        queue = [(v0, c0)]
-        qi = 0
-        while qi < len(queue):
-            v, c = queue[qi]
-            qi += 1
-            cur = assign[v]
-            if cur == c:
-                continue
-            if cur == 1 - c:
-                return False
-            assign[v] = c
-            trail.append(v)
-            conflict = False
-            for ei in vert_edges[v]:
-                # Complete every increment even after a conflict so undo()
-                # can decrement all of v's edges symmetrically.
-                ec = counts[ei]
-                ec[c] += 1
-                if ec[c] == sizes[ei]:
-                    conflict = True
-                elif not conflict and ec[c] == sizes[ei] - 1 and ec[1 - c] == 0:
-                    for u in edge_verts[ei]:
-                        if assign[u] == -1:
-                            queue.append((u, 1 - c))
-                            break
-            if conflict:
-                return False
+    def propagate(v: int, c: int, col: list[int]) -> bool:
+        # Color v with c in ``col`` and close under propagation; False on a
+        # monochromatic edge. Forcing adds only vertices of color 1 - c, so
+        # ``free`` (the vertices not colored c) holds for a whole scan.
+        col[c] |= bits[v]
+        queue = [(v, c)]
+        for v, c in queue:
+            free = ~col[c]
+            other = col[1 - c]
+            for m in vert_edges[v]:
+                if m & other:
+                    continue
+                rest = m & free
+                if rest & (rest - 1):
+                    continue
+                if not rest:
+                    return False
+                other |= rest
+                queue.append((rest.bit_length() - 1, 1 - c))
+            col[1 - c] = other
         return True
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            v = trail.pop()
-            c = assign[v]
-            assign[v] = -1
-            for ei in vert_edges[v]:
-                counts[ei][c] -= 1
-
-    # One frame per open decision: (order position, trail mark, color tried).
-    frames: list[tuple[int, int, int]] = []
+    # One frame per open decision: (order position, the color masks before
+    # it, color tried). Backtracking restores the two masks.
+    col = [0, 0]
+    frames: list[tuple[int, int, int, int]] = []
     pos = 0
     while True:
-        while pos < n and assign[order[pos]] != -1:
+        assigned = col[0] | col[1]
+        while pos < n and assigned & bits[order[pos]]:
             pos += 1
         if pos == n:
             status = ColorStatus.COLORABLE
@@ -164,19 +146,23 @@ def find_2_coloring(
         if not budget.step():
             status = ColorStatus.UNKNOWN
             break
-        frames.append((pos, len(trail), 0))
+        if not vert_edges[order[pos]]:
+            # Vertices in no edge come last in the order and never conflict:
+            # each is one decision, keeps color 0 and needs no frame.
+            pos += 1
+            continue
+        frames.append((pos, col[0], col[1], 0))
         while frames:
-            pos, mark, c = frames[-1]
-            if propagate(order[pos], c):
+            pos, c0, c1, c = frames[-1]
+            col = [c0, c1]
+            if propagate(order[pos], c, col):
                 break
-            # Conflict: undo back to the deepest decision that has color 1
-            # left to try; the first decision has none.
-            while frames:
-                pos, mark, c = frames.pop()
-                undo(mark)
-                if c == 0 and frames:
-                    frames.append((pos, mark, 1))
-                    break
+            # Conflict: back to the deepest decision that has color 1 left
+            # to try; the first decision has none.
+            while frames and (frames[-1][3] or len(frames) == 1):
+                frames.pop()
+            if frames:
+                frames[-1] = (*frames[-1][:3], 1)
         if not frames:
             status = ColorStatus.NOT_COLORABLE
             break
@@ -184,7 +170,7 @@ def find_2_coloring(
 
     witness = None
     if status is ColorStatus.COLORABLE:
-        witness = tuple(c if c != -1 else 0 for c in assign)
+        witness = tuple(1 if col[1] & b else 0 for b in bits)
         if monochromatic_edge(h, witness) is not None:
             raise AssertionError("solver produced an improper coloring")
     return ColorResult(status, witness, budget.spent, budget.elapsed_ms(), budget.tripped)

@@ -94,3 +94,74 @@ def naive_refute(
         mono_trials += count > 0
         total += count
     return mono_trials, total
+
+
+def counting_dpll(
+    n: int, edges: Sequence[Iterable[int]], budget_nodes: Optional[int] = None
+) -> tuple[str, Optional[tuple[int, ...]], int, Optional[str]]:
+    """Recursive DPLL with per-edge color counts, following the solver's
+    trajectory: vertices by descending degree then index, color 0 before
+    color 1, only color 0 at the first decision, one node per decision, and
+    the node past ``budget_nodes`` counted before giving up.
+
+    Returns (status, coloring or None, nodes, "nodes" or None)."""
+    sets = [frozenset(e) for e in edges]
+    vert_edges = [[e for e in sets if v in e] for v in range(n)]
+    order = sorted(range(n), key=lambda v: (-len(vert_edges[v]), v))
+    assign: dict[int, int] = {}
+    nodes = 0
+
+    class Tripped(Exception):
+        pass
+
+    def propagate(v0: int, c0: int) -> Optional[list[int]]:
+        """Assigned vertices in order, or None (with nothing kept) on a conflict."""
+        trail: list[int] = []
+        queue = [(v0, c0)]
+        ok = True
+        while queue and ok:
+            v, c = queue.pop(0)
+            if v in assign:
+                ok = assign[v] == c
+                continue
+            assign[v] = c
+            trail.append(v)
+            for e in vert_edges[v]:
+                counts = Counter(assign.get(u) for u in e)
+                if counts[c] == len(e):
+                    ok = False
+                    break
+                if counts[c] == len(e) - 1 and counts[1 - c] == 0:
+                    queue.extend((u, 1 - c) for u in e if u not in assign)
+        if ok:
+            return trail
+        for v in trail:
+            del assign[v]
+        return None
+
+    def search(pos: int, first: bool) -> bool:
+        nonlocal nodes
+        while pos < n and order[pos] in assign:
+            pos += 1
+        if pos == n:
+            return True
+        nodes += 1
+        if budget_nodes is not None and nodes > budget_nodes:
+            raise Tripped
+        for c in (0,) if first else (0, 1):
+            trail = propagate(order[pos], c)
+            if trail is None:
+                continue
+            if search(pos + 1, False):
+                return True
+            for v in trail:
+                del assign[v]
+        return False
+
+    try:
+        found = search(0, True)
+    except Tripped:
+        return "unknown", None, nodes, "nodes"
+    if not found:
+        return "not_colorable", None, nodes, None
+    return "colorable", tuple(assign[v] for v in range(n)), nodes, None

@@ -162,6 +162,47 @@ class TestErrorsAndUsage:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "InvalidParameterError"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--instances", "0"],
+            ["verify", "--instances", "-1"],
+            ["color", "FANO", "--budget-nodes", "-1"],
+            ["search", "--k", "3", "--max-vertices", "7", "--budget-nodes", "-1"],
+            ["color", "FANO", "--budget-ms", "-5"],
+            ["search", "--k", "3", "--max-vertices", "12", "--budget-ms", "-5"],
+            ["extract", "FANO", "--budget-ms", "-5"],
+            ["extract", "FANO", "--budget-ms", "nan"],
+        ],
+        ids=[
+            "instances-0",
+            "instances-neg",
+            "color-budget-nodes-neg",
+            "search-budget-nodes-neg",
+            "color-budget-ms-neg",
+            "search-budget-ms-neg",
+            "extract-budget-ms-neg",
+            "extract-budget-ms-nan",
+        ],
+    )
+    def test_out_of_range_number_exits_2(self, args, tmp_path, capsys):
+        path = tmp_path / "fano.hg"
+        run_cli(["construct", "--family", "fano", "-o", str(path)], capsys)
+        with pytest.raises(SystemExit) as exc:
+            main([str(path) if a == "FANO" else a for a in args])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    def test_range_limits_are_inclusive(self, tmp_path, capsys):
+        path = tmp_path / "fano.hg"
+        run_cli(["construct", "--family", "fano", "-o", str(path)], capsys)
+        code, stdout, _ = run_cli(["color", str(path), "--budget-nodes", "0", "--budget-ms", "0"], capsys)
+        assert code == 0
+        assert json.loads(stdout)["status"] == "unknown"
+        code, stdout, _ = run_cli(["verify", "--instances", "1"], capsys)
+        assert code == 0
+        assert json.loads(stdout)["instances"] == 1
+
     def test_bad_density_exits_2(self, tmp_path, capsys):
         path = tmp_path / "fano.hg"
         run_cli(["construct", "--family", "fano", "-o", str(path)], capsys)

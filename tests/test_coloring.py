@@ -91,6 +91,24 @@ class TestFind2Coloring:
             oracle = oracles.exhaustive_two_coloring(n, list(h.edges()))
             assert (res.status is ColorStatus.COLORABLE) == (oracle is not None)
 
+    def test_trajectory_matches_counting_oracle(self):
+        # Same status, witness, node count and tripped budget as a per-edge
+        # counting DPLL on frozensets, including instances with isolated
+        # vertices, size-1 edges and masks across word boundaries.
+        rng = random.Random(41)
+        sizes = [rng.randint(1, 14) for _ in range(280)] + [63, 64, 65, 130] * 5
+        for n in sizes:
+            kmax = min(5, n) if n <= 14 else 4
+            edges = set()
+            for _ in range(rng.randint(0, 30 if n <= 14 else 60)):
+                kmin = 1 if rng.random() < 0.05 else min(2, n)
+                edges.add(frozenset(rng.sample(range(n), rng.randint(kmin, kmax))))
+            h = new_hypergraph(n, sorted(sorted(e) for e in edges))
+            budget = rng.choice([None, 1, 3, 10, 50])
+            res = find_2_coloring(h, budget_nodes=budget)
+            expected = oracles.counting_dpll(n, list(h.edges()), budget)
+            assert (res.status.value, res.coloring, res.nodes, res.budget_tripped) == expected
+
     def test_unknown_on_tiny_budget(self, itf2):
         res = find_2_coloring(itf2, budget_nodes=5)
         assert res.status is ColorStatus.UNKNOWN
