@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=constructions.ConstructionSpec._FAMILIES)
     p.add_argument("--param", action="append", default=[], metavar="K=V")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--size-cap", type=int, default=constructions.DEFAULT_SIZE_CAP)
+    p.add_argument("--size-cap", type=_at_least(1), default=constructions.DEFAULT_SIZE_CAP)
     p.add_argument("--left", help="first input .hg (compose only)")
     p.add_argument("--right", help="second input .hg (compose only)")
     p.add_argument("-o", "--output", help="output path (stdout if omitted)")

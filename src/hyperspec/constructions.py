@@ -126,13 +126,17 @@ def ramsey_clique_hypergraph(n: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -
     return Hypergraph(len(vertex_index), edges)
 
 
-def random_uniform(n: int, k: int, m: int, seed: int) -> Hypergraph:
+def random_uniform(
+    n: int, k: int, m: int, seed: int, size_cap: int = DEFAULT_SIZE_CAP
+) -> Hypergraph:
     """m distinct uniformly random k-subsets of [n]; deterministic per seed."""
     if not 1 <= k <= n:
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     total = comb(n, k)
     if m > total:
         raise TooManyEdgesRequestedError(f"asked for {m} edges, only C({n},{k})={total} exist")
+    if m > size_cap:
+        raise SizeCapExceededError(f"{m} edges exceed cap {size_cap}")
     rng = random.Random(seed)
     population = range(n)
     seen: set[tuple[int, ...]] = set()
@@ -174,6 +178,8 @@ def build_construction(spec: ConstructionSpec, size_cap: int = DEFAULT_SIZE_CAP)
         return spec.params[key]
 
     if fam == "fano":
+        if size_cap < 7:
+            raise SizeCapExceededError(f"the Fano plane has 7 edges, cap is {size_cap}")
         return fano()
     if fam == "iterated-fano":
         return iterated_fano(p("m"), size_cap=size_cap)
@@ -184,7 +190,7 @@ def build_construction(spec: ConstructionSpec, size_cap: int = DEFAULT_SIZE_CAP)
     if fam == "random-uniform":
         if spec.seed is None:
             raise InvalidParameterError("random-uniform needs a seed")
-        return random_uniform(p("n"), p("k"), p("m"), spec.seed)
+        return random_uniform(p("n"), p("k"), p("m"), spec.seed, size_cap=size_cap)
     if fam == "compose":
         if len(spec.inputs) != 2:
             raise InvalidParameterError("compose needs exactly two input hypergraphs")

@@ -20,7 +20,10 @@ from itertools import combinations
 from math import comb, isqrt, sqrt
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .core import (
+    BLOCK_BYTES,
     Budget,
     Hypergraph,
     edges_containing,
@@ -29,6 +32,7 @@ from .core import (
     lambda_across,
     lambda_within,
     mask_of,
+    pack_words,
     pair_adjacency,
     pair_size_counts,
     vertices_of,
@@ -49,7 +53,7 @@ from .lemmas import (
     greedy_increase,
     validate_lambda_pair,
 )
-from .rng import DEFAULT_SEED, substream
+from .rng import DEFAULT_SEED, sample_rows, substream
 
 __all__ = [
     "SimpleGraph",
@@ -160,6 +164,13 @@ class DrcResult:
     removed: int
 
 
+def _sampled_rows(rng, n: int, t: int, count: int, row_words: int):
+    """:func:`sample_rows` blocks for a predicate holding ``row_words`` uint64
+    temporaries per row, sized to about ``BLOCK_BYTES`` with the raw draw
+    (some 64 bytes per index: two 32-bit outputs as an int, bytes and arrays)."""
+    return sample_rows(rng, n, t, count, max(1, BLOCK_BYTES // (64 * t + 8 * row_words)))
+
+
 def _count_bad_subsets(
     g: SimpleGraph, members: list[int], t: int, n: int
 ) -> tuple[int, list[tuple[int, ...]]]:
@@ -246,11 +257,13 @@ def dependent_random_choice(
             if fraction < target:
                 return DrcResult(frozenset(members), fraction, True, attempt, 0)
             continue
+        adj = pack_words([g.adj[v] for v in members], m)
         bad = 0
-        for _ in range(sample_size):
-            sub = rng.sample(members, t)
-            if g.common_neighbors_mask(sub).bit_count() < n:
-                bad += 1
+        for rows in _sampled_rows(rng, len(members), t, sample_size, 2 * adj.shape[1]):
+            common = adj[rows[:, 0]]
+            for col in rows.T[1:]:
+                common &= adj[col]
+            bad += int((np.bitwise_count(common).sum(axis=1) < n).sum())
         est = bad / sample_size
         margin = max(3.0 * sqrt(est * (1.0 - est) / sample_size), 3.0 / sample_size)
         if est + margin < target:
@@ -337,7 +350,14 @@ def _lambda_small_fraction(
     if total <= enum_cap:
         count = sum(1 for sub in combinations(members, t) if small(sub))
         return Fraction(count, total), True
-    count = sum(1 for _ in range(sample_size) if small(tuple(rng.sample(members, t))))
+    words = pack_words([masks[i] for i in members], h.num_vertices)
+    first, second = np.triu_indices(t, 1)
+    row_words = (t + len(first)) * words.shape[1]
+    count = 0
+    for rows in _sampled_rows(rng, len(members), t, sample_size, row_words):
+        sub = words[rows]
+        sizes = np.bitwise_count(sub[:, first] & sub[:, second]).sum(axis=2)
+        count += int((sizes < lam).all(axis=1).sum())
     return count / sample_size, False
 
 
@@ -562,6 +582,10 @@ class ExtractionParams:
 
 @dataclass(frozen=True)
 class TraceLevel:
+    """One driver level. Times in ms: ``elapsed_ms`` is the lambda-pair
+    extraction, then the triple family and the growth (branch, core growth,
+    next pool); these two stay 0 when the level stops before them."""
+
     lam: int
     pair: LambdaPair
     branch: str  # how this level's pool was reached
@@ -572,6 +596,8 @@ class TraceLevel:
     extractor: str
     notes: tuple[str, ...]
     elapsed_ms: float
+    triple_family_ms: float = 0.0
+    growth_ms: float = 0.0
 
 
 @dataclass
@@ -600,7 +626,9 @@ class IncrementTrace:
                 "notes": list(lvl.notes),
             }
             if include_timings:
-                row["timings"] = {"elapsed_ms": lvl.elapsed_ms}
+                row["timings"] = {
+                    k: getattr(lvl, k) for k in ("elapsed_ms", "triple_family_ms", "growth_ms")
+                }
             levels.append(row)
         out = {
             "params": {
@@ -740,101 +768,34 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
 
         anchor = min(pair.x)
         x_width = min(params.x, k)
+        family_start = time.monotonic()
         family = build_triple_family(h, pair.y, anchor, x_width)
-        next_core: Optional[frozenset[int]] = None
-        if len(family.triples) < len(pair.y) / 4:
-            branch_into = "same-intersection"
-            used = {e for a, b, _ in family.triples for e in (a, b)}
-            survivors = [e for e in sorted(pair.y) if e not in used]
-            if not survivors:
-                trace.stop_reason = "no progress: every companion edge joined the family"
-                return trace
-            first = survivors[0]
-            overlap = h.edge_mask(first) & h.edge_mask(anchor)
-            if pair.lam >= x_width and overlap.bit_count() > x_width:
-                core_size = overlap.bit_count() - x_width
-                best_core: Optional[tuple[int, frozenset[int]]] = None
-                for sub in combinations(vertices_of(overlap), core_size):
-                    popularity = len(edges_containing(h, sub))
-                    if best_core is None or popularity > best_core[0]:
-                        best_core = (popularity, frozenset(sub))
-                assert best_core is not None
-                core = best_core[1]
-            else:
-                core = frozenset()
-            steps = min(x_width + 1, k - len(core))
-            if steps <= 0:
-                trace.stop_reason = "no progress: core already spans an edge"
-                return trace
-            try:
-                grown = greedy_increase(h, core, steps)
-            except NoDisjointEdgeError as exc:
-                trace.witness_coloring = exc.witness_coloring
-                trace.stop_reason = (
-                    "no progress: no disjoint edge; 2-coloring witness recorded"
-                )
-                return trace
-            next_core = grown.final_set
-        else:
-            branch_into = "spread-out"
-            groups: dict[frozenset[int], list[tuple[int, int]]] = {}
-            for a, b, xi in family.triples:
-                groups.setdefault(xi, []).append((a, b))
-            best_xi = max(sorted(groups, key=sorted), key=lambda key: len(groups[key]))
-            group = groups[best_xi]
-            t = params.t
-            # The split needs two edges per side, so certification requires
-            # an even t of at least 4 and a group of at least t triples.
-            if len(group) >= t and t % 2 == 0 and t >= 4:
-                a_side = [a for a, _ in group]
-                b_side = [b for _, b in group]
-                s_full = _find_small_subset(h, a_side, pair.lam, t, params.search_tries)
-                t_full = _find_small_subset(h, b_side, pair.lam, t, params.search_tries)
-                if s_full is not None and t_full is not None:
-                    half = t // 2
-                    s_half = s_full[:half]
-                    t_half = t_full[:half]
-                    lam_s = lambda_within(h, s_half)
-                    lam_t = lambda_within(h, t_half)
-                    lam_st = lambda_across(h, s_half, t_half)
-                    lam_union = lambda_within(h, s_half + t_half)
-                    lhs = comb(half, 2) * (lam_s + lam_t) + half * half * lam_st
-                    rhs = comb(2 * half, 2) * lam_union
-                    avg = check_average_lambda(h, s_half, t_half, best_xi)
-                    trace.identity_checks.append(
-                        {
-                            "level_lambda": pair.lam,
-                            "union_identity_lhs": str(lhs),
-                            "union_identity_rhs": str(rhs),
-                            "union_identity_holds": lhs == rhs,
-                            "average_lambda_holds": avg.holds,
-                            "average_lambda_slack": str(avg.slack),
-                            "lambda_union": str(lam_union),
-                            "separation_target": f"{pair.lam} - 2*sqrt({k})",
-                            "separation_value": float(lam_union) - (pair.lam - 2 * sqrt(k)),
-                        }
-                    )
+        growth_start = time.monotonic()
+        try:
+            next_core: Optional[frozenset[int]] = None
+            if len(family.triples) < len(pair.y) / 4:
+                branch_into = "same-intersection"
+                used = {e for a, b, _ in family.triples for e in (a, b)}
+                survivors = [e for e in sorted(pair.y) if e not in used]
+                if not survivors:
+                    trace.stop_reason = "no progress: every companion edge joined the family"
+                    return trace
+                first = survivors[0]
+                overlap = h.edge_mask(first) & h.edge_mask(anchor)
+                if pair.lam >= x_width and overlap.bit_count() > x_width:
+                    core_size = overlap.bit_count() - x_width
+                    best_core: Optional[tuple[int, frozenset[int]]] = None
+                    for sub in combinations(vertices_of(overlap), core_size):
+                        popularity = len(edges_containing(h, sub))
+                        if best_core is None or popularity > best_core[0]:
+                            best_core = (popularity, frozenset(sub))
+                    assert best_core is not None
+                    core = best_core[1]
                 else:
-                    trace.notes.append(
-                        f"spread group at lambda={pair.lam} had no small {t}-subsets; "
-                        "certification skipped"
-                    )
-            else:
-                trace.notes.append(
-                    f"spread group too small for certification at lambda={pair.lam}"
-                )
-            trace.notes.append(
-                "spread case certified numerically; advancing via the popular "
-                "anchor-subset superset route"
-            )
-            core = best_xi
-            containing = sorted(edges_containing(h, core))
-            if len(containing) >= 2 and _min_pairwise(h, containing) > pair.lam:
-                next_core = core
-            else:
-                steps = pair.lam + 1 - len(core)
-                if steps <= 0 or len(core) + steps > k:
-                    trace.stop_reason = "no progress: spread core cannot be grown"
+                    core = frozenset()
+                steps = min(x_width + 1, k - len(core))
+                if steps <= 0:
+                    trace.stop_reason = "no progress: core already spans an edge"
                     return trace
                 try:
                     grown = greedy_increase(h, core, steps)
@@ -845,16 +806,92 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
                     )
                     return trace
                 next_core = grown.final_set
+            else:
+                branch_into = "spread-out"
+                groups: dict[frozenset[int], list[tuple[int, int]]] = {}
+                for a, b, xi in family.triples:
+                    groups.setdefault(xi, []).append((a, b))
+                best_xi = max(sorted(groups, key=sorted), key=lambda key: len(groups[key]))
+                group = groups[best_xi]
+                t = params.t
+                # The split needs two edges per side, so certification requires
+                # an even t of at least 4 and a group of at least t triples.
+                if len(group) >= t and t % 2 == 0 and t >= 4:
+                    a_side = [a for a, _ in group]
+                    b_side = [b for _, b in group]
+                    s_full = _find_small_subset(h, a_side, pair.lam, t, params.search_tries)
+                    t_full = _find_small_subset(h, b_side, pair.lam, t, params.search_tries)
+                    if s_full is not None and t_full is not None:
+                        half = t // 2
+                        s_half = s_full[:half]
+                        t_half = t_full[:half]
+                        lam_s = lambda_within(h, s_half)
+                        lam_t = lambda_within(h, t_half)
+                        lam_st = lambda_across(h, s_half, t_half)
+                        lam_union = lambda_within(h, s_half + t_half)
+                        lhs = comb(half, 2) * (lam_s + lam_t) + half * half * lam_st
+                        rhs = comb(2 * half, 2) * lam_union
+                        avg = check_average_lambda(h, s_half, t_half, best_xi)
+                        trace.identity_checks.append(
+                            {
+                                "level_lambda": pair.lam,
+                                "union_identity_lhs": str(lhs),
+                                "union_identity_rhs": str(rhs),
+                                "union_identity_holds": lhs == rhs,
+                                "average_lambda_holds": avg.holds,
+                                "average_lambda_slack": str(avg.slack),
+                                "lambda_union": str(lam_union),
+                                "separation_target": f"{pair.lam} - 2*sqrt({k})",
+                                "separation_value": float(lam_union) - (pair.lam - 2 * sqrt(k)),
+                            }
+                        )
+                    else:
+                        trace.notes.append(
+                            f"spread group at lambda={pair.lam} had no small {t}-subsets; "
+                            "certification skipped"
+                        )
+                else:
+                    trace.notes.append(
+                        f"spread group too small for certification at lambda={pair.lam}"
+                    )
+                trace.notes.append(
+                    "spread case certified numerically; advancing via the popular "
+                    "anchor-subset superset route"
+                )
+                core = best_xi
+                containing = sorted(edges_containing(h, core))
+                if len(containing) >= 2 and _min_pairwise(h, containing) > pair.lam:
+                    next_core = core
+                else:
+                    steps = pair.lam + 1 - len(core)
+                    if steps <= 0 or len(core) + steps > k:
+                        trace.stop_reason = "no progress: spread core cannot be grown"
+                        return trace
+                    try:
+                        grown = greedy_increase(h, core, steps)
+                    except NoDisjointEdgeError as exc:
+                        trace.witness_coloring = exc.witness_coloring
+                        trace.stop_reason = (
+                            "no progress: no disjoint edge; 2-coloring witness recorded"
+                        )
+                        return trace
+                    next_core = grown.final_set
 
-        assert next_core is not None
-        next_pool = sorted(edges_containing(h, next_core))
-        if len(next_pool) < 2:
-            trace.stop_reason = "no progress: next pool has fewer than two edges"
-            return trace
-        if _min_pairwise(h, next_pool) <= pair.lam:
-            trace.stop_reason = "no progress: next pool does not increase lambda"
-            return trace
-        pool = next_pool
+            assert next_core is not None
+            next_pool = sorted(edges_containing(h, next_core))
+            if len(next_pool) < 2:
+                trace.stop_reason = "no progress: next pool has fewer than two edges"
+                return trace
+            if _min_pairwise(h, next_pool) <= pair.lam:
+                trace.stop_reason = "no progress: next pool does not increase lambda"
+                return trace
+            pool = next_pool
+        finally:
+            trace.levels[-1] = replace(
+                level,
+                triple_family_ms=(growth_start - family_start) * 1000.0,
+                growth_ms=(time.monotonic() - growth_start) * 1000.0,
+            )
 
     trace.stop_reason = "level cap reached"
     return trace

@@ -173,6 +173,8 @@ class TestErrorsAndUsage:
             ["search", "--k", "3", "--max-vertices", "12", "--budget-ms", "-5"],
             ["extract", "FANO", "--budget-ms", "-5"],
             ["extract", "FANO", "--budget-ms", "nan"],
+            ["construct", "--family", "fano", "--size-cap", "-5"],
+            ["construct", "--family", "fano", "--size-cap", "0"],
         ],
         ids=[
             "instances-0",
@@ -183,6 +185,8 @@ class TestErrorsAndUsage:
             "search-budget-ms-neg",
             "extract-budget-ms-neg",
             "extract-budget-ms-nan",
+            "size-cap-neg",
+            "size-cap-0",
         ],
     )
     def test_out_of_range_number_exits_2(self, args, tmp_path, capsys):
@@ -192,6 +196,23 @@ class TestErrorsAndUsage:
             main([str(path) if a == "FANO" else a for a in args])
         assert exc.value.code == 2
         assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--family", "fano", "--size-cap", "6"],
+            ["--family", "random-uniform", "--param", "n=10", "--param", "k=4",
+             "--param", "m=12", "--size-cap", "3"],
+            ["--family", "iterated-fano", "--param", "m=1", "--size-cap", "3"],
+        ],
+        ids=["fano", "random-uniform", "iterated-fano"],
+    )
+    def test_size_cap_applies_to_every_family(self, args, capsys):
+        code, stdout, err = run_cli(["construct", *args], capsys)
+        assert code == 1 and stdout == ""
+        assert json.loads(err)["error"]["type"] == "SizeCapExceededError"
+        code, stdout, _ = run_cli(["construct", *args[:-1], "12"], capsys)
+        assert code == 0 and stdout
 
     def test_range_limits_are_inclusive(self, tmp_path, capsys):
         path = tmp_path / "fano.hg"

@@ -163,6 +163,12 @@ class TestRandomUniform:
         with pytest.raises(TooManyEdgesRequestedError):
             random_uniform(4, 2, 7, seed=0)
 
+    def test_size_cap_checked_before_drawing(self):
+        # C(60, 30) edges could never be drawn in time; the cap refuses first.
+        with pytest.raises(SizeCapExceededError):
+            random_uniform(60, 30, 10**15, seed=0, size_cap=10)
+        assert random_uniform(10, 4, 12, seed=5, size_cap=12).num_edges == 12
+
 
 class TestBuildConstruction:
     def test_dispatch(self, fano_h):

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, sqrt
 
 import pytest
+
+import oracles
 
 from hyperspec import (
     build_triple_family,
@@ -15,6 +17,7 @@ from hyperspec import (
     find_lambda_pair_ramsey,
     intersection_spectrum,
     new_hypergraph,
+    random_uniform,
     threshold_graph,
     validate_lambda_pair,
 )
@@ -25,11 +28,14 @@ from hyperspec.errors import (
     TooFewEdgesError,
     WidthTooLargeError,
 )
+from hyperspec import extraction
 from hyperspec.extraction import (
     ExtractionParams,
     SimpleGraph,
+    _lambda_small_fraction,
     gnp_random_graph,
 )
+from hyperspec.rng import substream
 
 
 def spread_case_instance():
@@ -300,6 +306,19 @@ class TestDensityIncrementRun:
         assert monochromatic_edge(star, trace.witness_coloring) is None
         assert "witness" in trace.stop_reason
 
+    def test_level_timings_split_by_phase(self, itf2):
+        trace = density_increment_run(itf2, ExtractionParams(t=4, x=4, seed=0))
+        rows = trace.to_json(include_timings=True)["levels"]
+        assert rows and all(
+            set(row["timings"]) == {"elapsed_ms", "triple_family_ms", "growth_ms"}
+            and min(row["timings"].values()) >= 0
+            for row in rows
+        )
+        # The first level runs its triple family and growth before the next.
+        assert rows[0]["timings"]["triple_family_ms"] > 0
+        assert rows[0]["timings"]["growth_ms"] > 0
+        assert all("timings" not in row for row in trace.to_json(include_timings=False)["levels"])
+
     def test_trace_json_round_trip(self, fano_h):
         import json
 
@@ -317,3 +336,80 @@ class TestDensityIncrementRun:
         assert params.t == 4 and params.x == 40 and params.d == Fraction(1, 24)
         trace = density_increment_run(fano_h, params)
         assert trace.notes  # documentation mode flagged
+
+
+def clique_with_pendants(seed, q, core=300, sparse=100):
+    """A clique on ``core`` vertices plus ``sparse`` vertices, each joined
+    to every clique vertex with probability q. Few edges touch the sparse
+    vertices, so they make dependent random choice retry (a sampled sparse
+    vertex leaves a small U) and make some sampled t-subsets bad."""
+    rng = random.Random(seed)
+    edges = [(i, j) for i in range(core) for j in range(i + 1, core)]
+    edges += [(c, s) for s in range(core, core + sparse) for c in range(core) if rng.random() < q]
+    return SimpleGraph(core + sparse, edges)
+
+
+def drc_oracle(g, t, n, seed, retries, sample_size):
+    """The sampled-branch dependent random choice one draw at a time, on
+    neighbor frozensets: (U, estimate, attempt) or None, and the generator."""
+    m = g.num_vertices
+    neighbors = [frozenset(v for v in range(m) if g.has_edge(u, v)) for u in range(m)]
+    rng = substream(seed, "drc")
+    target = Fraction(1, (2 * t) ** t)
+    for attempt in range(1, retries + 1):
+        sample = [rng.randrange(m) for _ in range(t)]
+        members = sorted(frozenset(range(m)).intersection(*(neighbors[v] for v in sample)))
+        if len(members) <= 2 * n:
+            continue
+        est = oracles.sampled_drc_bad(neighbors, members, t, n, rng, sample_size) / sample_size
+        margin = max(3.0 * sqrt(est * (1.0 - est) / sample_size), 3.0 / sample_size)
+        if est + margin < target:
+            return (frozenset(members), est, attempt), rng
+    return None, rng
+
+
+class TestSampledLoopsMatchPerDrawOracles:
+    """The batched sampled branches (``enum_cap`` set low so they run) give
+    the value, and leave the generator state, of one ``random.sample`` call
+    per draw."""
+
+    @pytest.mark.parametrize(
+        "t, pool, seed",
+        [(2, 150, 1), (3, 150, 2), (4, 150, 3), (5, 120, 4), (6, 90, 5), (6, 80, 6), (6, 40, 7)],
+    )
+    def test_lambda_small_fraction(self, t, pool, seed):
+        # 100 vertices: masks span two 64-bit words. t = 6 with at most 85
+        # members runs random.sample's pool branch.
+        h = random_uniform(100, 10, 150, seed=seed)
+        members = sorted(random.Random(seed).sample(range(150), pool))
+        edges = [sorted(e) for e in h.edges()]
+        for lam in (1, 2, 3):
+            expected_rng, rng = substream(seed, "small"), substream(seed, "small")
+            expected = oracles.sampled_small_fraction(edges, members, lam, t, expected_rng, 3000)
+            value, exact = _lambda_small_fraction(h, members, lam, t, rng, 0, 3000)
+            assert (value, exact) == (expected, False)
+            assert rng.getstate() == expected_rng.getstate()
+        assert 0 < expected < 1
+
+    # q = 0.15 gives sampled estimates above 0, q = 0.05 repeated attempts.
+    @pytest.mark.parametrize("q, shows", [(0.15, "bad"), (0.05, "retry")])
+    def test_dependent_random_choice(self, q, shows, monkeypatch):
+        g = clique_with_pendants(1, q)
+        made = []
+        monkeypatch.setattr(
+            extraction, "substream", lambda *key: made.append(substream(*key)) or made[-1]
+        )
+        results = []
+        for seed in range(12):
+            res = dependent_random_choice(
+                g, Fraction(1, 2), 2, 12, seed, retries=3, enum_cap=0, sample_size=3000
+            )
+            expected, expected_rng = drc_oracle(g, 2, 12, seed, 3, 3000)
+            assert res is not None and not res.exhaustive
+            assert (res.u, res.bad_fraction, res.attempts) == expected
+            assert made[-1].getstate() == expected_rng.getstate()
+            results.append(res)
+        if shows == "bad":
+            assert any(res.bad_fraction > 0 for res in results)
+        else:
+            assert any(res.attempts > 1 for res in results)
