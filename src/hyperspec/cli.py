@@ -70,6 +70,17 @@ def _at_least(low: int, kind: type = int):
     return parse
 
 
+def _density(text: str) -> Fraction:
+    """argparse type: a fraction in (0, 1]."""
+    value = Fraction(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
+_density.__name__ = "Fraction"  # argparse names the type in its messages
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     inputs = ()
     if args.family == "compose":
@@ -219,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--t", type=int, default=4)
     p.add_argument("--x", type=int, default=4)
-    p.add_argument("--density", type=Fraction, default=None, help="override the measured density (a fraction like 1/72)")
+    p.add_argument("--density", type=_density, default=None, help="override the measured density (a fraction like 1/72)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget-ms", type=_at_least(0, float), default=None)
     p.add_argument("--paper-constants", action="store_true", help="use the asymptotic tuning constants")

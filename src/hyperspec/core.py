@@ -51,6 +51,7 @@ __all__ = [
     "pair_size_counts",
     "pair_size_total",
     "pair_adjacency",
+    "row_masks",
     "parse_hypergraph",
     "serialize_hypergraph",
     "mask_of",
@@ -268,11 +269,13 @@ def pair_adjacency(masks: Sequence[int], lam: int) -> list[int]:
     """Adjacency bitmasks of the graph on ``masks`` that joins i != j iff
     masks i and j meet in at least ``lam`` vertices."""
     rows = pack_words(masks, max(map(int.bit_length, masks), default=0))
-    adj = []
-    for sizes in _size_blocks(rows, rows):
-        for bits in np.packbits(sizes >= lam, axis=1, bitorder="little"):
-            adj.append(int.from_bytes(bits.tobytes(), "little"))
+    adj = [row for sizes in _size_blocks(rows, rows) for row in row_masks(sizes >= lam)]
     return [row & ~(1 << i) for i, row in enumerate(adj)]
+
+
+def row_masks(flags: np.ndarray) -> list[int]:
+    """Each row of a 2-D boolean array as the bitmask of its True columns."""
+    return [int.from_bytes(bits.tobytes(), "little") for bits in np.packbits(flags, axis=1, bitorder="little")]
 
 
 def is_intersecting(h: Hypergraph) -> bool:

@@ -20,7 +20,8 @@ from math import comb
 from typing import Optional
 
 from .coloring import ColorStatus, find_2_coloring
-from .core import Budget, Hypergraph, intersection_spectrum, is_intersecting, pair_size_counts, vertices_of
+from .core import Budget, Hypergraph, intersection_sizes, intersection_spectrum, is_intersecting, pack_words
+from .core import pair_size_counts, row_masks, vertices_of
 from .errors import InvalidParameterError
 from .rng import DEFAULT_SEED, substream
 
@@ -108,16 +109,6 @@ class SearchReport:
         return out
 
 
-def _solver_confirms(edges: list[tuple[int, ...]], used_vertices: int) -> Optional[Hypergraph]:
-    candidate = Hypergraph(used_vertices, edges)
-    result = find_2_coloring(candidate, budget_nodes=10**6)
-    if result.status is ColorStatus.UNKNOWN:
-        raise AssertionError("solver must close on tiny instances")
-    if result.status is ColorStatus.NOT_COLORABLE:
-        return candidate
-    return None
-
-
 def min_spectrum_search(
     k: int,
     max_vertices: int,
@@ -145,58 +136,76 @@ def _exhaustive_search(k: int, max_vertices: int, budget: Budget, seed: int) -> 
     all_edges = list(combinations(range(max_vertices), k))
     edge_masks = [sum(1 << v for v in e) for e in all_edges]
     min_edges_needed = 2 ** (k - 1)  # below this a random coloring works
+    # by_size[i][s]: the edges j with |e_i & e_j| = s, as an edge-index mask.
+    rows = pack_words(edge_masks, max_vertices)
+    pair_sizes = intersection_sizes(rows, rows)
+    by_size = list(zip(*(row_masks(pair_sizes == s) for s in range(k))))
+    # allowed[u]: the edges whose vertices >= u are u, u + 1, ... in order.
+    # New vertices must extend the used prefix consecutively; the min-lex
+    # representative of every isomorphism class does.
+    allowed = [
+        sum(1 << i for i, e in enumerate(all_edges) if e[-1] < u + sum(v >= u for v in e))
+        for u in range(max_vertices + 1)
+    ]
 
-    def extend(
-        chosen: list[int],
-        sizes: frozenset[int],
-        used_vertices: int,
-        cand_start: int,
-        target: int,
-    ) -> Optional[Hypergraph]:
-        """The first witness below this prefix, or None once the prefix is
-        exhausted or the budget trips."""
-        if not budget.step():
-            return None
-        if len(chosen) >= min_edges_needed:
-            witness = _solver_confirms([all_edges[i] for i in chosen], used_vertices)
-            if witness is not None:
-                return witness
-        for ci in range(cand_start, len(all_edges)):
-            cmask = edge_masks[ci]
-            cedge = all_edges[ci]
-            # New vertices must extend the used prefix consecutively; the
-            # min-lex representative of every isomorphism class does.
-            fresh = [v for v in cedge if v >= used_vertices]
-            if fresh and fresh != list(range(used_vertices, used_vertices + len(fresh))):
-                continue
-            new_sizes = sizes
-            ok = True
-            for ei in chosen:
-                inter = (edge_masks[ei] & cmask).bit_count()
-                if inter == 0:
-                    ok = False
-                    break
-                if inter not in new_sizes:
-                    new_sizes = new_sizes | {inter}
-            if not ok or len(new_sizes) > target:
-                continue
+    def first_witness(target: int) -> Optional[Hypergraph]:
+        """Depth-first over the families that extend edge 0 and keep at most
+        ``target`` intersection sizes: the first non-2-colorable one, or None
+        once they are exhausted or the budget trips.
+
+        A node's state is its edge list ``chosen``, the bitmask ``sizes`` of
+        its intersection sizes, ``meets[s]`` (the edges meeting some chosen
+        edge in exactly s vertices), the used vertex count, and ``ones``,
+        the color-1 vertices of a proper coloring of the family (None until
+        the solver has run). Each open node keeps a frame holding its state
+        and the candidates it has still to visit.
+        """
+        chosen = [0]  # edge 0 in lexicographic order is {0, ..., k-1}
+        sizes, meets, used, ones = 0, by_size[0], k, None
+        frames: list[tuple[int, int, tuple[int, ...], int, Optional[int]]] = []
+        while True:
+            if not budget.step():
+                return None
+            new = edge_masks[chosen[-1]]
+            # A coloring of the parent stays proper unless the new edge is
+            # monochromatic under it (fresh vertices have color 0).
+            if len(chosen) >= min_edges_needed and (ones is None or (new & ones) in (0, new)):
+                family = Hypergraph(used, [all_edges[i] for i in chosen])
+                result = find_2_coloring(family, budget_nodes=10**6)
+                if result.status is ColorStatus.UNKNOWN:
+                    raise AssertionError("solver must close on tiny instances")
+                if result.status is ColorStatus.NOT_COLORABLE:
+                    return family
+                ones = sum(1 << v for v, c in enumerate(result.coloring) if c)
+            start = chosen[-1] + 1
+            cands = (allowed[used] & ~meets[0]) >> start << start
+            # Drop the candidates that would add more new sizes than the
+            # target leaves room for: at_least[j] holds the candidates in at
+            # least j of the masks meets[s] over the sizes s not yet present.
+            room = target - sizes.bit_count()
+            at_least = [cands] + [0] * (room + 1)
+            for s in range(1, k):
+                if not sizes >> s & 1:
+                    for j in range(room + 1, 0, -1):
+                        at_least[j] |= at_least[j - 1] & meets[s]
+            frames.append((cands & ~at_least[-1], sizes, meets, used, ones))
+            while frames and not frames[-1][0]:
+                frames.pop()
+            if not frames:
+                return None
+            cands, sizes, meets, used, ones = frames[-1]
+            low = cands & -cands
+            frames[-1] = (cands ^ low, sizes, meets, used, ones)
+            ci = low.bit_length() - 1
+            del chosen[len(frames) :]
             chosen.append(ci)
-            witness = extend(
-                chosen,
-                frozenset(new_sizes),
-                max(used_vertices, cedge[-1] + 1),
-                ci + 1,
-                target,
-            )
-            chosen.pop()
-            if witness is not None or budget.tripped:
-                return witness
-        return None
+            sizes |= sum(1 << s for s in range(1, k) if meets[s] >> ci & 1)
+            meets = tuple(m | b for m, b in zip(meets, by_size[ci]))
+            used = max(used, all_edges[ci][-1] + 1)
 
     witness: Optional[Hypergraph] = None
     for target in range(1, k):
-        # Edge 0 in lexicographic order is {0, ..., k-1}.
-        witness = extend([0], frozenset(), k, 1, target)
+        witness = first_witness(target)
         if witness is not None or budget.tripped:
             break
 

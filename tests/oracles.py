@@ -167,6 +167,78 @@ def counting_dpll(
     return "colorable", tuple(assign[v] for v in range(n)), nodes, None
 
 
+def naive_min_spectrum_search(
+    k: int, n: int, budget_nodes: Optional[int] = None
+) -> tuple[Optional[int], Optional[tuple[int, list[frozenset[int]]]], int, bool, Optional[str]]:
+    """Recursive reference for the exhaustive minimum-spectrum search.
+
+    For each target 1, ..., k-1 in turn it extends edge {0, ..., k-1} in
+    lexicographic edge order, depth first, keeping families that are
+    intersecting, introduce new vertices consecutively and have at most
+    ``target`` intersection sizes. One node is counted per family visited,
+    the node past ``budget_nodes`` included, and every family with at least
+    2^(k-1) edges is checked by :func:`exhaustive_two_coloring`. The first
+    non-2-colorable family ends the search.
+
+    Returns (spectrum size of the witness, witness as (vertex count, edges
+    in the order chosen), nodes, whether the search was exhaustive, "nodes"
+    or None)."""
+    all_edges = [frozenset(e) for e in combinations(range(n), k)]
+    nodes = 0
+
+    class Tripped(Exception):
+        pass
+
+    def extend(chosen, sizes, used, start, target):
+        nonlocal nodes
+        nodes += 1
+        if budget_nodes is not None and nodes > budget_nodes:
+            raise Tripped
+        if len(chosen) >= 2 ** (k - 1) and exhaustive_two_coloring(used, chosen) is None:
+            return used, chosen
+        for ci in range(start, len(all_edges)):
+            edge = all_edges[ci]
+            fresh = sorted(v for v in edge if v >= used)
+            if fresh != list(range(used, used + len(fresh))):
+                continue
+            inters = {len(edge & e) for e in chosen}
+            if 0 in inters or len(sizes | inters) > target:
+                continue
+            found = extend(chosen + [edge], sizes | inters, max(used, max(edge) + 1), ci + 1, target)
+            if found is not None:
+                return found
+        return None
+
+    try:
+        for target in range(1, k):
+            found = extend([all_edges[0]], set(), k, 1, target)
+            if found is not None:
+                return len(naive_spectrum(found[1])), found, nodes, True, None
+    except Tripped:
+        return None, None, nodes, False, "nodes"
+    return None, None, nodes, True, None
+
+
+def brute_min_spectrum(k: int, n: int) -> Optional[int]:
+    """Fewest distinct intersection sizes over every intersecting,
+    non-2-colorable family of k-subsets of range(n), or None when there is
+    none. Backtracks over all intersecting families in edge-index order."""
+    edges = [frozenset(e) for e in combinations(range(n), k)]
+    best: Optional[int] = None
+
+    def grow(family: list[frozenset[int]], start: int) -> None:
+        nonlocal best
+        if len(family) >= 2 and exhaustive_two_coloring(n, family) is None:
+            size = len(naive_spectrum(family))
+            best = size if best is None else min(best, size)
+        for i in range(start, len(edges)):
+            if all(edges[i] & e for e in family):
+                grow(family + [edges[i]], i + 1)
+
+    grow([], 0)
+    return best
+
+
 def sampled_small_fraction(
     edges: Sequence[Iterable[int]],
     members: Sequence[int],

@@ -175,6 +175,9 @@ class TestErrorsAndUsage:
             ["extract", "FANO", "--budget-ms", "nan"],
             ["construct", "--family", "fano", "--size-cap", "-5"],
             ["construct", "--family", "fano", "--size-cap", "0"],
+            ["extract", "FANO", "--t", "2", "--x", "1", "--density", "0"],
+            ["extract", "FANO", "--t", "2", "--x", "1", "--density=-1/2"],
+            ["extract", "FANO", "--t", "2", "--x", "1", "--density", "5"],
         ],
         ids=[
             "instances-0",
@@ -187,6 +190,9 @@ class TestErrorsAndUsage:
             "extract-budget-ms-nan",
             "size-cap-neg",
             "size-cap-0",
+            "density-0",
+            "density-neg",
+            "density-above-1",
         ],
     )
     def test_out_of_range_number_exits_2(self, args, tmp_path, capsys):
@@ -195,7 +201,8 @@ class TestErrorsAndUsage:
         with pytest.raises(SystemExit) as exc:
             main([str(path) if a == "FANO" else a for a in args])
         assert exc.value.code == 2
-        assert "must be at least" in capsys.readouterr().err
+        expected = "must be in (0, 1]" if any(a.startswith("--density") for a in args) else "must be at least"
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args",
@@ -223,6 +230,9 @@ class TestErrorsAndUsage:
         code, stdout, _ = run_cli(["verify", "--instances", "1"], capsys)
         assert code == 0
         assert json.loads(stdout)["instances"] == 1
+        for density in ("1", "1/72"):
+            code, _, _ = run_cli(["extract", str(path), "--t", "2", "--x", "1", "--density", density], capsys)
+            assert code == 0
 
     def test_bad_density_exits_2(self, tmp_path, capsys):
         path = tmp_path / "fano.hg"

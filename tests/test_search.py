@@ -14,6 +14,7 @@ from hyperspec import (
     min_spectrum_search,
     new_hypergraph,
 )
+from hyperspec import search
 from hyperspec.coloring import ColorStatus
 from hyperspec.search import invariant_signature
 
@@ -87,6 +88,38 @@ class TestExhaustiveSearch:
         assert (rep.exhaustive, rep.nodes, rep.budget_tripped) == (True, 19, None)
         rep = min_spectrum_search(4, 8, budget_nodes=5000)
         assert (rep.exhaustive, rep.nodes, rep.budget_tripped) == (False, 5001, "nodes")
+
+    @pytest.mark.parametrize("k,n", [(k, n) for k in range(2, 6) for n in range(k, 10)])
+    def test_matches_recursive_oracle(self, k, n):
+        # The unbudgeted tree is small enough for the oracle only here.
+        budgets = (None, 1, 3, 50, 700) if k <= 3 or n <= k + 1 else (1, 3, 50, 700)
+        for budget in budgets:
+            rep = min_spectrum_search(k, n, budget_nodes=budget)
+            witness = (rep.witness.num_vertices, list(rep.witness.edges())) if rep.witness else None
+            got = (rep.best_spectrum_size, witness, rep.nodes, rep.exhaustive, rep.budget_tripped)
+            assert got == oracles.naive_min_spectrum_search(k, n, budget), budget
+
+    @pytest.mark.parametrize("k,n", [(2, n) for n in range(2, 6)] + [(3, n) for n in range(3, 7)])
+    def test_minimum_against_brute_force(self, k, n):
+        rep = min_spectrum_search(k, n)
+        assert rep.exhaustive
+        assert rep.best_spectrum_size == oracles.brute_min_spectrum(k, n)
+
+    def test_solver_call_counts(self, monkeypatch):
+        # The search reuses the parent's coloring and calls the solver only
+        # when the new edge is monochromatic under it (4,370 calls without).
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return find_2_coloring(*args, **kwargs)
+
+        monkeypatch.setattr(search, "find_2_coloring", counting)
+        min_spectrum_search(3, 7)
+        assert len(calls) == 7
+        calls.clear()
+        min_spectrum_search(4, 8, budget_nodes=5000)
+        assert len(calls) == 44
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
