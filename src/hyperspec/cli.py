@@ -125,7 +125,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     payload = {
         "schema": SCHEMA,
         "status": result.status.value,
-        "coloring": list(result.coloring) if result.coloring else None,
+        "coloring": None if result.coloring is None else list(result.coloring),
         "nodes": result.nodes,
         "budget_tripped": result.budget_tripped,
         "mono_fraction": None,

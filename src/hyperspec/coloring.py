@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import BLOCK_BYTES, Budget, Hypergraph, intersection_sizes, is_intersecting, is_uniform
+from .core import BLOCK_BYTES, Budget, Hypergraph, is_intersecting, is_uniform
 from .core import pack_words, vertices_of
 from .errors import (
     CompositionWitnessError,
@@ -178,24 +178,36 @@ def find_2_coloring(
 
 def random_refute(h: Hypergraph, trials: int, seed: int) -> RefuteReport:
     """Sample uniform 2-colorings; report how often a monochromatic edge
-    appears and the mean number of monochromatic edges per trial."""
+    appears and the mean number of monochromatic edges per trial.
+
+    Trial t colors vertex v by bit v of the t-th ``getrandbits(n)`` draw. Bit t of
+    row v of ``ones`` (``zeros``) is set iff trial t gives v color 1 (0); row n is
+    set on every trial in both, so edges are padded to one width with vertex n."""
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
     rng = random.Random(seed)
     n = h.num_vertices
-    words = pack_words(h.edge_masks, n)
-    edge_sizes = intersection_sizes(pack_words([(1 << n) - 1], n), words)[0]
-    step = max(1, BLOCK_BYTES // max(8, words.nbytes))
-    mono_trials = 0
-    total_mono = 0
+    verts = [h.edge_vertices(i) for i in range(h.num_edges)]
+    width = max(map(len, verts), default=1)
+    padded = np.array([vs + (n,) * (width - len(vs)) for vs in verts], dtype=np.intp).reshape(-1, width)
+    # Bytes per word of 64 trials: ~160 per vertex (draw bits, color rows), ~40 per edge.
+    step = 64 * max(1, BLOCK_BYTES // (160 * (n + 1) + 40 * len(verts)))
+    mono_trials = total_mono = 0
     for done in range(0, trials, step):
-        # One getrandbits(n) draw per trial, in trial order, colors vertex v
-        # by bit v; an edge is monochromatic iff it meets color 1 in 0 or all.
-        ones = pack_words([rng.getrandbits(n) for _ in range(min(step, trials - done))], n)
-        sizes = intersection_sizes(ones, words)
-        mono = ((sizes == 0) | (sizes == edge_sizes)).sum(axis=1)
-        total_mono += int(mono.sum())
-        mono_trials += int(np.count_nonzero(mono))
+        count = min(step, trials - done)
+        draws = pack_words([rng.getrandbits(n) | 1 << n for _ in range(count)], n + 1).view(np.uint8)
+        bits = np.zeros((n + 1, -(-count // 64) * 64), dtype=np.uint8)
+        bits[:, :count] = np.unpackbits(draws, axis=1, count=n + 1, bitorder="little").T
+        ones = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        zeros = ones ^ ones[n]
+        zeros[n] = ones[n]
+        mono, zero = ones[padded[:, 0]], zeros[padded[:, 0]]
+        for column in padded.T[1:]:
+            mono &= ones[column]
+            zero &= zeros[column]
+        mono |= zero
+        total_mono += int(np.bitwise_count(mono).sum())
+        mono_trials += int(np.bitwise_count(np.bitwise_or.reduce(mono, axis=0)).sum())
     return RefuteReport(
         trials=trials,
         seed=seed,

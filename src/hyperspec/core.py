@@ -3,7 +3,7 @@
 Vertices are dense 0-based integers. Every edge is stored as a Python int
 bitmask (bit v set iff vertex v belongs to the edge). One kernel sizes all
 pairwise intersections: a Python AND plus popcount per pair for few pairs,
-else ``np.bitwise_count`` over ``uint64`` word rows, a row block at a time.
+else ``np.bitwise_count`` over ``uint64`` word rows, one word and row block at a time.
 All averaging is exact (``fractions.Fraction``), never floating point.
 
 Edge-index sets and vertex sets are plain iterables of ints; functions
@@ -215,16 +215,19 @@ def pack_words(masks: Sequence[int], width: int) -> np.ndarray:
 
 
 def intersection_sizes(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``(len(rows), len(cols))`` intersection sizes of packed word rows in the
-    smallest unsigned dtype, using ``len(rows) * cols.nbytes`` temporary bytes."""
-    counts = np.bitwise_count(rows[:, None, :] & cols[None, :, :])
-    return counts.sum(axis=2, dtype=np.min_scalar_type(64 * rows.shape[1]))
+    """``(len(rows), len(cols))`` intersection sizes of packed word rows in the smallest
+    unsigned dtype, one word at a time in ``9 * len(rows) * len(cols)`` temporary bytes."""
+    cols_t = np.ascontiguousarray(cols.T)  # each word's column a contiguous row
+    sizes = np.bitwise_count(rows[:, 0, None] & cols_t[0]).astype(np.min_scalar_type(64 * len(cols_t)), copy=False)
+    for w in range(1, rows.shape[1]):
+        sizes += np.bitwise_count(rows[:, w, None] & cols_t[w])
+    return sizes
 
 
 def _size_blocks(rows: np.ndarray, cols: Optional[np.ndarray]) -> Iterator[np.ndarray]:
     """Intersection sizes of every pair, one row block at a time: all of
     rows x cols, or the pairs i < j of ``rows`` when ``cols`` is None."""
-    step = max(1, BLOCK_BYTES // max(8, (rows if cols is None else cols).nbytes))
+    step = max(1, BLOCK_BYTES // (8 * max(1, len(rows if cols is None else cols))))
     for i0 in range(0, len(rows), step):
         block = rows[i0 : i0 + step]
         if cols is None:

@@ -93,15 +93,15 @@ def check_pair_inequality(fam_a: Hypergraph, fam_b: Hypergraph) -> InequalityRep
     n = fam_a.num_vertices
     deg_within = 0
     deg_cross = 0
-    deg_sizes = Fraction(0)
+    deg_sizes = 0
     for v in range(n):
         bit = 1 << v
         a_v = sum(1 for m in masks_a if m & bit)
         b_v = sum(1 for m in masks_b if m & bit)
         deg_within += comb(a_v, 2) + comb(b_v, 2)
         deg_cross += a_v * b_v
-        deg_sizes += Fraction(a_v + b_v, 2)
-    if deg_within != within or deg_cross != cross or deg_sizes != Fraction(ell * (k + kp), 2):
+        deg_sizes += a_v + b_v
+    if deg_within != within or deg_cross != cross or deg_sizes != ell * (k + kp):
         raise AssertionError("pair-sum and degree-count evaluations disagree")
 
     return InequalityReport(lhs=lhs, rhs=rhs, holds=lhs >= rhs, slack=lhs - rhs)

@@ -70,6 +70,15 @@ class TestColor:
         payload = json.loads(stdout)
         assert (payload["status"], payload["nodes"], payload["budget_tripped"]) == ("unknown", 6, "nodes")
 
+    def test_colorable_without_vertices(self, tmp_path, capsys):
+        # The witness of a 0-vertex input is the empty coloring, not null.
+        path = tmp_path / "empty.hg"
+        path.write_text("0 0\n")
+        code, stdout, _ = run_cli(["color", str(path), "--trials", "5"], capsys)
+        assert code == 0
+        payload = json.loads(stdout)
+        assert (payload["status"], payload["coloring"], payload["mono_fraction"]) == ("colorable", [], 0.0)
+
 
 class TestVerify:
     def test_lemma_suite_deterministic(self, capsys):

@@ -173,19 +173,29 @@ class TestRandomRefute:
         assert rep.total_mono_edges == total
         assert rep.mono_trials == mono
 
-    @pytest.mark.parametrize("n", [63, 64, 65, 130, 257])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 257])
     def test_matches_oracle_across_word_boundaries(self, n, monkeypatch):
-        # A small block cap splits the trials into several draw batches.
-        monkeypatch.setattr(coloring, "BLOCK_BYTES", 4096)
         rng = random.Random(n)
-        edges = {frozenset(rng.sample(range(n), rng.randint(1, 6))) for _ in range(40)}
-        edges |= {frozenset({0, n - 1}), frozenset({n - 1})}
-        edges = sorted(edges, key=sorted)
-        h = new_hypergraph(n, edges)
-        rep = random_refute(h, trials=300, seed=n + 1)
-        assert (rep.mono_trials, rep.total_mono_edges) == oracles.naive_refute(
-            n, edges, 300, n + 1
-        )
+        # Odd vertices are isolated in `sparse`; `mixed` has a 1-vertex edge
+        # and the edge on all n vertices, so edge sizes range from 1 to n.
+        even = range(0, n, 2)
+        sparse = {frozenset(rng.sample(even, rng.randint(1, min(len(even), 6)))) for _ in range(30)}
+        mixed = {frozenset(rng.sample(range(n), rng.randint(1, min(n, 6)))) for _ in range(30)}
+        mixed |= {frozenset({n - 1}), frozenset(range(n))}
+        for edges in (sorted(sparse, key=sorted), sorted(mixed, key=sorted), []):
+            h = new_hypergraph(n, edges)
+            for trials in (1, 63, 64, 65, 129, 1000):
+                expected = oracles.naive_refute(n, edges, trials, n + trials)
+                # Caps of one and of a few 64-trial words per block, so the
+                # trials span several blocks, most ending on a partial word.
+                for block_bytes in (1, 40_000):
+                    monkeypatch.setattr(coloring, "BLOCK_BYTES", block_bytes)
+                    rep = random_refute(h, trials, seed=n + trials)
+                    assert (rep.mono_trials, rep.total_mono_edges) == expected
+
+    def test_no_vertices(self):
+        rep = random_refute(new_hypergraph(0, []), trials=70, seed=1)
+        assert (rep.mono_trials, rep.total_mono_edges, rep.mono_fraction) == (0, 0, 0.0)
 
 
 class TestThreeColoring:

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from hyperspec import (
     serialize_hypergraph,
 )
 from hyperspec import core
-from hyperspec.core import Budget, mask_of, pair_adjacency, pair_size_counts, vertices_of
+from hyperspec.core import Budget, intersection_sizes, mask_of, pack_words, pair_adjacency, pair_size_counts, vertices_of
 from hyperspec.errors import (
     DuplicateEdgeError,
     EmptyEdgeError,
@@ -185,6 +186,23 @@ class TestSpectrum:
         a = intersection_spectrum(h)
         b = intersection_spectrum(relabeled)
         assert a.sizes == b.sizes and a.multiplicities == b.multiplicities
+
+
+class TestIntersectionSizes:
+    # 1 to 5 words; from 4 words (n > 192) the result dtype is uint16, and at
+    # n = 256 the all-ones pair meets in 256 vertices, past uint8.
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 192, 193, 255, 256, 257, 320])
+    def test_matches_bit_count(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        row_masks = [rng.getrandbits(n) for _ in range(9)] + [full]
+        col_masks = [rng.getrandbits(n) for _ in range(6)] + [full, 0]
+        rows, cols = pack_words(row_masks, n), pack_words(col_masks, n)
+        sizes = intersection_sizes(rows, cols)
+        assert sizes.dtype == np.min_scalar_type(64 * rows.shape[1])
+        assert sizes.tolist() == [[(a & b).bit_count() for b in col_masks] for a in row_masks]
+        assert intersection_sizes(rows[:0], cols).shape == (0, len(col_masks))
+        assert intersection_sizes(rows, cols[:0]).shape == (len(row_masks), 0)
 
 
 class TestLambdas:
