@@ -9,8 +9,9 @@ constructions
     Fano plane, iterated products, complete subsets, clique hypergraphs,
     seeded random families.
 coloring
-    Exact 2-colorability with not-all-equal propagation, randomized
-    refutation, constructive 3-coloring, cover numbers.
+    Exact 2-colorability: module contraction with a checkable certificate
+    in front of DPLL with not-all-equal propagation; randomized refutation,
+    constructive 3-coloring, cover numbers.
 lemmas
     Exact-rational inequality checkers and greedy common-vertex growth.
 extraction
@@ -45,11 +46,15 @@ from .constructions import (
 from .coloring import (
     ColorResult,
     ColorStatus,
+    Module,
+    ModuleCertificate,
     monochromatic_edge,
     find_2_coloring,
+    decide_2_coloring,
     random_refute,
     three_coloring_intersecting,
     cover_number,
+    certificate_mono_edge,
     compositional_mono_edge,
 )
 from .lemmas import (

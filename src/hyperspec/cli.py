@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import constructions
-from .coloring import DEFAULT_NODE_BUDGET, find_2_coloring, random_refute
+from .coloring import DEFAULT_NODE_BUDGET, decide_2_coloring, random_refute
 from .core import (
     Hypergraph,
     intersection_spectrum,
@@ -121,13 +121,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_color(args: argparse.Namespace) -> int:
     h = _load(args.file)
     started = time.monotonic()
-    result = find_2_coloring(h, budget_nodes=args.budget_nodes, budget_ms=args.budget_ms)
+    result = decide_2_coloring(h, budget_nodes=args.budget_nodes, budget_ms=args.budget_ms)
     payload = {
         "schema": SCHEMA,
         "status": result.status.value,
         "coloring": None if result.coloring is None else list(result.coloring),
         "nodes": result.nodes,
         "budget_tripped": result.budget_tripped,
+        "method": result.method,
+        "certificate": None if result.certificate is None else result.certificate.to_json(),
         "mono_fraction": None,
         "seed": args.seed,
     }

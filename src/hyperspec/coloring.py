@@ -1,11 +1,22 @@
 """2-colorability decision, constructive 3-coloring, and cover numbers.
 
-The exact solver is a DPLL loop with not-all-equal unit propagation (once
-all but one vertex of an edge share a color, the last is forced to the
-other) on two vertex bitmasks, one per color; a backtrack restores the two
-masks its decision frame saved. Results are a tri-state; `UNKNOWN` is
-returned when the :class:`~hyperspec.core.Budget` runs out, names the limit
-that did, and is never silently coerced. A `COLORABLE` answer always
+:func:`decide_2_coloring` first contracts modules (substitution
+decomposition, Möhring and Radermacher 1984). A vertex set M is a module
+when the edges meeting M are exactly {g ∪ f}, g ranging over their parts
+outside M and f over their traces on M. If the traces are not 2-colorable,
+M contracts to one vertex; if they are, M takes their coloring and leaves
+with every edge on it. Rounds of pairwise-disjoint modules repeat on the
+quotient, which is then solved. Every solve (traces and quotient) draws on
+one shared :class:`~hyperspec.core.Budget`, and the result carries
+``method`` ("modules", or "dpll" when no module was found) and a
+:class:`ModuleCertificate` that an independent checker can re-verify.
+
+The exact solver underneath, :func:`find_2_coloring`, is a DPLL loop with
+not-all-equal unit propagation (once all but one vertex of an edge share a
+color, the last is forced to the other) on two vertex bitmasks, one per
+color; a backtrack restores the two masks its decision frame saved. Results
+are a tri-state; `UNKNOWN` is returned when the budget runs out, names the
+limit that did, and is never silently coerced. A `COLORABLE` answer always
 carries a witness that has been re-checked with :func:`monochromatic_edge`,
 and `NOT_COLORABLE` is only reported after the search tree is exhausted.
 """
@@ -13,7 +24,6 @@ and `NOT_COLORABLE` is only reported after the search tree is exhausted.
 from __future__ import annotations
 
 import enum
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -21,7 +31,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import BLOCK_BYTES, Budget, Hypergraph, is_intersecting, is_uniform
-from .core import pack_words, vertices_of
+from .core import mask_of, pack_words, vertex_index, vertices_of
+from .rng import substream
 from .errors import (
     CompositionWitnessError,
     InvalidParameterError,
@@ -33,12 +44,16 @@ from .errors import (
 __all__ = [
     "ColorStatus",
     "ColorResult",
+    "Module",
+    "ModuleCertificate",
     "RefuteReport",
     "monochromatic_edge",
     "find_2_coloring",
+    "decide_2_coloring",
     "random_refute",
     "three_coloring_intersecting",
     "cover_number",
+    "certificate_mono_edge",
     "compositional_mono_edge",
     "DEFAULT_NODE_BUDGET",
 ]
@@ -53,12 +68,57 @@ class ColorStatus(str, enum.Enum):
 
 
 @dataclass(frozen=True)
+class Module:
+    """A module of one round of a :class:`ModuleCertificate`: its vertices and
+    its traces (the sets e ∩ M), each a mask of input vertices, and whether
+    the traces are 2-colorable. A colorable module was colored by its traces'
+    coloring and dropped with every edge on it; any other was contracted."""
+
+    vertices: int
+    traces: tuple[int, ...]
+    colorable: bool
+
+
+@dataclass(frozen=True)
+class ModuleCertificate:
+    """The reduction :func:`decide_2_coloring` made: the pairwise-disjoint
+    modules of each round's hypergraph, and ``quotient``, what the last round
+    left. Quotient vertex i stands for the input vertices in ``origins[i]``.
+    The input is 2-colorable iff ``quotient`` is."""
+
+    rounds: tuple[tuple[Module, ...], ...]
+    quotient: Hypergraph
+    origins: tuple[int, ...]
+
+    def to_json(self) -> dict:
+        return {
+            "rounds": [
+                [
+                    {
+                        "vertices": list(vertices_of(m.vertices)),
+                        "traces": [list(vertices_of(f)) for f in m.traces],
+                        "verdict": "colorable" if m.colorable else "not_colorable",
+                    }
+                    for m in modules
+                ]
+                for modules in self.rounds
+            ],
+            "quotient": {
+                "vertices": [list(vertices_of(o)) for o in self.origins],
+                "edges": [list(vertices_of(e)) for e in self.quotient.edge_masks],
+            },
+        }
+
+
+@dataclass(frozen=True)
 class ColorResult:
     status: ColorStatus
     coloring: Optional[tuple[int, ...]]
     nodes: int
     elapsed_ms: float
     budget_tripped: Optional[str]  # "nodes" or "ms" when UNKNOWN, else None
+    method: str = "dpll"  # "modules" when decide_2_coloring found a module
+    certificate: Optional[ModuleCertificate] = None
 
 
 @dataclass(frozen=True)
@@ -176,22 +236,190 @@ def find_2_coloring(
     return ColorResult(status, witness, budget.spent, budget.elapsed_ms(), budget.tripped)
 
 
+def _candidate_modules(h: Hypergraph) -> list[int]:
+    """Vertex masks that may be modules, in vertex order: each vertex v in
+    some edge with its top-codegree neighbours, if two necessary conditions
+    hold. In a module M = {g ∪ f} with |G| outside parts g, every vertex x
+    outside M has codeg(x, v) = |G_x|·|F_v| and deg(v) = |G|·|F_v|, where
+    |G| divides gcd(deg(v), top codegree); so each nonzero codeg(x, v) is
+    at least deg(v) / gcd(deg(v), top). And codeg(x, v)·deg(b) =
+    codeg(x, b)·deg(v) for v's first top neighbour b. Rows of the codegree
+    product AᵀA over the vertices in some edge count the vertex pairs of
+    each edge, in blocks of rows (and then of the rows of their b) and of
+    edges, so that no temporary but a copy of the edge index exceeds
+    ``BLOCK_BYTES``."""
+    n = h.num_vertices
+    index = vertex_index(h)
+    deg = np.bincount(index.ravel(), minlength=n + 1)[:n]
+    active = np.flatnonzero(deg)
+    na = len(active)
+    local = np.full(n + 1, na)
+    local[active] = np.arange(na)
+    edges = local[index]  # active-vertex rows, padded with na
+    edge_step = max(1, BLOCK_BYTES // (8 * edges.shape[1] ** 2))
+    row_step = max(1, BLOCK_BYTES // (8 * (na + 1)) - 1)
+
+    def codegree(rows: np.ndarray) -> np.ndarray:
+        pos = np.full(na + 1, len(rows))  # other rows and the padding count in a spare row
+        pos[rows] = np.arange(len(rows))
+        out = np.zeros((len(rows) + 1) * (na + 1), dtype=np.int64)
+        for e0 in range(0, len(edges), edge_step):
+            block = edges[e0 : e0 + edge_step]
+            out += np.bincount((pos[block][:, :, None] * (na + 1) + block[:, None, :]).ravel(), minlength=len(out))
+        return out.reshape(len(rows) + 1, na + 1)[:-1, :-1]
+
+    proposals = []
+    for r0 in range(0, na, row_step):
+        rows = np.arange(r0, min(na, r0 + row_step))
+        co = codegree(rows)
+        co[np.arange(len(rows)), rows] = 0
+        top = co.max(axis=1)
+        dv = deg[active[rows]]
+        # Outside M_v codegrees are below top: none may lie in [1, deg(v) / gcd).
+        least = np.minimum(top, -(-dv // np.gcd(dv, top)))
+        keep = np.flatnonzero((top > 0) & ~((co > 0) & (co < least[:, None])).any(axis=1))
+        if not len(keep):
+            continue
+        b = co[keep].argmax(axis=1)  # the first top neighbour
+        if len(rows) == na:
+            cob = co[b]
+        else:
+            ub, inv = np.unique(b, return_inverse=True)
+            cob = codegree(ub)[inv]
+        co, dv = co[keep], dv[keep]
+        member = co == top[keep, None]
+        member[np.arange(len(keep)), rows[keep]] = True
+        ok = (member | (co * deg[active[b], None] == cob * dv[:, None])).all(axis=1)
+        ok &= member.sum(axis=1) < na
+        proposals.extend(mask_of(active[flags].tolist()) for flags in member[ok])
+    return proposals
+
+
+def _module_traces(h: Hypergraph, module: int) -> Optional[list[int]]:
+    """The traces e ∩ M of the edges e meeting M, ordered by their vertices, if
+    M is a module; else None. The edges meeting M are distinct pairs
+    (e ∖ M, e ∩ M), so M is a module, every outside part with every trace,
+    iff there are as many such edges as outside parts times traces."""
+    meeting = [e for e in h.edge_masks if e & module]
+    traces = {e & module for e in meeting}
+    if len(meeting) != len(traces) * len({e & ~module for e in meeting}):
+        return None
+    return sorted(traces, key=vertices_of)
+
+
+def _quotient(h: Hypergraph, rep: np.ndarray, gone: np.ndarray, origins: list[int]) -> tuple[Hypergraph, tuple[int, ...]]:
+    """``h`` without the edges on a vertex v with ``gone[v]``, every vertex v
+    renamed ``rep[v]``, and the vertices left in some edge renumbered in
+    order; returns it with the ``origins`` of its vertices."""
+    n = h.num_vertices
+    index = vertex_index(h)
+    rows = np.sort(rep[index[~gone[index].any(axis=1)]], axis=1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = n
+    rows = np.sort(rows, axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)  # the first of each run of equal rows
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    rows = rows[first]
+    used = np.unique(rows[rows < n])
+    rank = np.full(n + 1, n)
+    rank[used] = np.arange(len(used))
+    quotient = Hypergraph(len(used), (row[row < n].tolist() for row in rank[rows]))
+    return quotient, tuple(origins[v] for v in used.tolist())
+
+
+def decide_2_coloring(
+    h: Hypergraph,
+    budget_nodes: Optional[int] = DEFAULT_NODE_BUDGET,
+    budget_ms: Optional[float] = None,
+) -> ColorResult:
+    """2-colorability by module contraction, then :func:`find_2_coloring`.
+
+    Each round takes pairwise-disjoint modules greedily in vertex order and
+    solves each module's traces: a module with colorable traces is colored
+    by them and dropped with every edge on it, any other is contracted to
+    one vertex. Rounds repeat on the quotient while modules are found, then
+    the quotient is solved. Every solve draws on one shared budget, so
+    ``nodes`` is their sum. A ``COLORABLE`` witness is lifted back through
+    the modules and re-checked on ``h``. An input without modules gets
+    ``find_2_coloring``'s answer with ``method`` "dpll" and no certificate.
+    """
+    budget = Budget(budget_nodes, budget_ms)
+
+    def solve(g: Hypergraph) -> ColorResult:
+        res = find_2_coloring(g, *budget.left())
+        budget.spent += res.nodes
+        budget.tripped = res.budget_tripped
+        return res
+
+    def union(mask: int) -> int:
+        out = 0
+        for v in vertices_of(mask):
+            out |= origins[v]
+        return out
+
+    current, origins = h, tuple(1 << v for v in range(h.num_vertices))
+    rounds: list[tuple[Module, ...]] = []
+    ones = 0  # input vertices colored 1 by the dropped modules
+    while True:
+        found = []
+        taken = 0
+        for mask in dict.fromkeys(_candidate_modules(current)):
+            traces = None if mask & taken else _module_traces(current, mask)
+            if traces is not None:
+                found.append((mask, traces))
+                taken |= mask
+        if not found:
+            break
+        rep = np.arange(current.num_vertices + 1)
+        gone = np.zeros(current.num_vertices + 1, dtype=bool)
+        merged = list(origins)
+        modules = []
+        for mask, traces in found:
+            verts = vertices_of(mask)
+            local = {v: i for i, v in enumerate(verts)}
+            res = solve(Hypergraph(len(verts), [[local[v] for v in vertices_of(f)] for f in traces]))
+            if res.status is ColorStatus.UNKNOWN:
+                return ColorResult(res.status, None, budget.spent, budget.elapsed_ms(), budget.tripped, "modules")
+            colorable = res.status is ColorStatus.COLORABLE
+            modules.append(Module(union(mask), tuple(map(union, traces)), colorable))
+            if colorable:
+                gone[list(verts)] = True
+                ones |= union(mask_of(v for v, c in zip(verts, res.coloring) if c))
+            else:
+                rep[list(verts)] = verts[0]
+                merged[verts[0]] = modules[-1].vertices
+        rounds.append(tuple(modules))
+        current, origins = _quotient(current, rep, gone, merged)
+
+    res = solve(current)
+    if not rounds or res.status is ColorStatus.UNKNOWN:
+        method = "modules" if rounds else "dpll"
+        return ColorResult(res.status, res.coloring, budget.spent, budget.elapsed_ms(), budget.tripped, method)
+    witness = None
+    if res.status is ColorStatus.COLORABLE:
+        ones |= union(mask_of(v for v, c in enumerate(res.coloring) if c))
+        witness = tuple(ones >> v & 1 for v in range(h.num_vertices))
+        if monochromatic_edge(h, witness) is not None:
+            raise AssertionError("module lift produced an improper coloring")
+    certificate = ModuleCertificate(tuple(rounds), current, origins)
+    return ColorResult(res.status, witness, budget.spent, budget.elapsed_ms(), None, "modules", certificate)
+
+
 def random_refute(h: Hypergraph, trials: int, seed: int) -> RefuteReport:
     """Sample uniform 2-colorings; report how often a monochromatic edge
     appears and the mean number of monochromatic edges per trial.
 
-    Trial t colors vertex v by bit v of the t-th ``getrandbits(n)`` draw. Bit t of
-    row v of ``ones`` (``zeros``) is set iff trial t gives v color 1 (0); row n is
-    set on every trial in both, so edges are padded to one width with vertex n."""
+    Trial t colors vertex v by bit v of the t-th ``getrandbits(n)`` draw of the
+    ``"refute"`` substream. Bit t of row v of ``ones`` (``zeros``) is set iff trial
+    t gives v color 1 (0); row n is set on every trial in both, so edges are read
+    through :func:`~hyperspec.core.vertex_index`, padded with vertex n."""
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
-    rng = random.Random(seed)
+    rng = substream(seed, "refute")
     n = h.num_vertices
-    verts = [h.edge_vertices(i) for i in range(h.num_edges)]
-    width = max(map(len, verts), default=1)
-    padded = np.array([vs + (n,) * (width - len(vs)) for vs in verts], dtype=np.intp).reshape(-1, width)
+    padded = vertex_index(h)
     # Bytes per word of 64 trials: ~160 per vertex (draw bits, color rows), ~40 per edge.
-    step = 64 * max(1, BLOCK_BYTES // (160 * (n + 1) + 40 * len(verts)))
+    step = 64 * max(1, BLOCK_BYTES // (160 * (n + 1) + 40 * h.num_edges))
     mono_trials = total_mono = 0
     for done in range(0, trials, step):
         count = min(step, trials - done)
@@ -296,6 +524,49 @@ def cover_number(
     return best
 
 
+def certificate_mono_edge(h: Hypergraph, certificate: ModuleCertificate, coloring: Sequence[int]) -> int:
+    """Index of an edge of ``h`` that is monochromatic under ``coloring``, from a
+    certificate that ``h`` is not 2-colorable.
+
+    Round by round, each contracted module has a monochromatic trace under
+    the coloring (its traces are not 2-colorable), and the module's vertex
+    takes that trace's color. Some quotient edge is then monochromatic (the
+    quotient is not 2-colorable), and replacing each contracted module in it
+    by its chosen trace, last round first, gives a monochromatic edge of h.
+    """
+    if len(coloring) != h.num_vertices:
+        raise LengthMismatchError(
+            f"coloring has {len(coloring)} entries, hypergraph has {h.num_vertices} vertices"
+        )
+    given = ones = mask_of(v for v, c in enumerate(coloring) if c)
+    chosen: list[tuple[int, int]] = []  # (contracted module, its monochromatic trace)
+    for r, modules in enumerate(certificate.rounds):
+        for i, module in enumerate(modules):
+            if module.colorable:
+                continue
+            trace = next((f for f in module.traces if f & ones in (0, f)), None)
+            if trace is None:
+                raise CompositionWitnessError(f"module {i} of round {r} has no monochromatic trace")
+            ones = ones & ~module.vertices | (module.vertices if trace & ones else 0)
+            chosen.append((module.vertices, trace))
+    quotient = certificate.quotient
+    hit = monochromatic_edge(quotient, [1 if ones & o else 0 for o in certificate.origins])
+    if hit is None:
+        raise CompositionWitnessError("no monochromatic quotient edge under the induced coloring")
+    edge = 0
+    for v in quotient.edge_vertices(hit):
+        edge |= certificate.origins[v]
+    for vertices, trace in reversed(chosen):
+        if edge & vertices:
+            edge = edge & ~vertices | trace
+    idx = h.index_of(vertices_of(edge))
+    if idx is None:
+        raise CompositionWitnessError("assembled edge is not an edge of the hypergraph")
+    if edge & given not in (0, edge):
+        raise AssertionError("assembled edge is not monochromatic")
+    return idx
+
+
 def compositional_mono_edge(
     outer: Hypergraph,
     inner: Hypergraph,
@@ -305,41 +576,16 @@ def compositional_mono_edge(
     """Locate a monochromatic edge of ``composed = compose(outer, inner)``
     under any 2-coloring, via the product structure.
 
-    Each copy of the inner hypergraph must contain a monochromatic inner
-    edge (inner is not 2-colorable); coloring each outer vertex by its
-    copy's forced color, some outer edge is monochromatic too, and the
-    union of its copies' forced inner edges is the certificate.
+    The copies of ``inner`` are the modules of one round, each contracted
+    (``inner`` is not 2-colorable), and ``outer`` is the quotient; the edge
+    comes from :func:`certificate_mono_edge` on that certificate.
     """
     n2 = inner.num_vertices
     if len(coloring) != composed.num_vertices or outer.num_vertices * n2 != composed.num_vertices:
         raise LengthMismatchError("coloring/composition size mismatch")
-    forced: list[tuple[int, int]] = []  # per copy: (inner edge index, color)
-    for a in range(outer.num_vertices):
-        base = a * n2
-        hit = -1
-        for j, m in enumerate(inner.edge_masks):
-            vs = vertices_of(m)
-            c = coloring[base + vs[0]]
-            if all(coloring[base + v] == c for v in vs[1:]):
-                hit = j
-                break
-        if hit < 0:
-            raise CompositionWitnessError(f"copy {a} has no monochromatic inner edge")
-        forced.append((hit, coloring[base + vertices_of(inner.edge_masks[hit])[0]]))
-    induced = [color for _, color in forced]
-    outer_hit = monochromatic_edge(outer, induced)
-    if outer_hit is None:
-        raise CompositionWitnessError("no monochromatic outer edge in the induced coloring")
-    edge: list[int] = []
-    for a in outer.edge_vertices(outer_hit):
-        inner_idx, _ = forced[a]
-        base = a * n2
-        edge.extend(base + v for v in vertices_of(inner.edge_masks[inner_idx]))
-    idx = composed.index_of(edge)
-    if idx is None:
-        raise CompositionWitnessError("assembled edge is not present in the composition")
-    m = composed.edge_mask(idx)
-    c = coloring[vertices_of(m)[0]]
-    if any(coloring[v] != c for v in vertices_of(m)):
-        raise AssertionError("assembled edge is not monochromatic")
-    return idx
+    copies = tuple(
+        Module(((1 << n2) - 1) << a * n2, tuple(f << a * n2 for f in inner.edge_masks), False)
+        for a in range(outer.num_vertices)
+    )
+    certificate = ModuleCertificate((copies,), outer, tuple(m.vertices for m in copies))
+    return certificate_mono_edge(composed, certificate, coloring)

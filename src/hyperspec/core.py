@@ -52,6 +52,7 @@ __all__ = [
     "pair_size_total",
     "pair_adjacency",
     "row_masks",
+    "vertex_index",
     "parse_hypergraph",
     "serialize_hypergraph",
     "mask_of",
@@ -281,6 +282,28 @@ def row_masks(flags: np.ndarray) -> list[int]:
     return [int.from_bytes(bits.tobytes(), "little") for bits in np.packbits(flags, axis=1, bitorder="little")]
 
 
+def vertex_index(h: Hypergraph) -> np.ndarray:
+    """``(m, w)`` intp array whose row i lists the vertices of edge i in
+    ascending order, padded with ``h.num_vertices`` to the widest edge's
+    size w (at least 1). Built from the packed edge words (unpackbits, then
+    nonzero) in edge blocks of about ``BLOCK_BYTES``, and cached on ``h``."""
+    cached = h._cache.get("vertex_index")
+    if cached is not None:
+        return cached
+    masks, n = h.edge_masks, h.num_vertices
+    width = max(map(int.bit_count, masks), default=1)
+    out = np.full((len(masks), width), n, dtype=np.intp)
+    step = max(1, BLOCK_BYTES // (n + 32 * width))  # a byte per bit, 32 per set bit's indices
+    for i0 in range(0, len(masks), step):
+        bits = np.unpackbits(pack_words(masks[i0 : i0 + step], n).view(np.uint8), axis=1, count=n, bitorder="little")
+        rows, cols = np.divmod(np.flatnonzero(bits.view(bool)), n)
+        counts = np.bincount(rows, minlength=len(bits))
+        out[i0 + rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]] = cols
+    out.flags.writeable = False
+    h._cache["vertex_index"] = out
+    return out
+
+
 def is_intersecting(h: Hypergraph) -> bool:
     """True iff every pair of distinct edges shares a vertex. Reads the cached
     spectrum, else scans large families block by block to a disjoint pair."""
@@ -368,6 +391,14 @@ class Budget:
 
     def elapsed_ms(self) -> float:
         return (time.monotonic() - self._start) * 1000.0
+
+    def left(self) -> tuple[Optional[int], Optional[float]]:
+        """The nodes and milliseconds not yet spent (None where unlimited), as
+        the limits of a sub-search that draws on this budget."""
+        return (
+            None if self.nodes is None else self.nodes - self.spent,
+            None if self.ms is None else self.ms - self.elapsed_ms(),
+        )
 
     def step(self) -> bool:
         self.spent += 1

@@ -14,6 +14,13 @@ from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 
+def read_hg(text: str) -> tuple[int, list[frozenset[int]]]:
+    """Vertex count and edges of ``.hg`` text: a "n m" header after any '#'
+    comment lines, then one edge per line."""
+    rows = [line.split() for line in text.splitlines() if line.strip() and not line.startswith("#")]
+    return int(rows[0][0]), [frozenset(map(int, row)) for row in rows[1:]]
+
+
 def naive_spectrum(edges: Sequence[Iterable[int]]) -> dict[int, int]:
     sets = [frozenset(e) for e in edges]
     counts: Counter[int] = Counter()
@@ -47,6 +54,59 @@ def exhaustive_two_coloring(
     return None
 
 
+def _brute_colorable(vertices: Iterable, edges: Iterable[Iterable]) -> bool:
+    index = {x: i for i, x in enumerate(vertices)}
+    return exhaustive_two_coloring(len(index), [{index[x] for x in e} for e in edges]) is not None
+
+
+def check_module_certificate(n: int, edges: Sequence[Iterable[int]], certificate: dict) -> bool:
+    """Re-verify the JSON certificate of ``color`` on the input edges and
+    return whether it shows the input 2-colorable; AssertionError otherwise.
+
+    A vertex of a round's hypergraph is the frozenset of input vertices it
+    stands for. Each module must be a union of at least two such vertices,
+    disjoint from the round's other modules, and a module: grouping the
+    edges that meet it by their part outside it gives every group the same
+    trace set. Its traces must be the listed ones, and brute force must give
+    its verdict. The round's modules then apply at once: a colorable one
+    goes with every edge on it, any other merges into one vertex. After the
+    last round the listed quotient must be exactly what is left, and brute
+    force decides it."""
+    assert all(0 <= v < n for e in edges for v in e)
+    current = {frozenset(frozenset({v}) for v in e) for e in edges}
+    for modules in certificate["rounds"]:
+        names = frozenset().union(*current)
+        rename: dict[frozenset, frozenset] = {}
+        dropped: set[frozenset] = set()
+        seen: set[frozenset] = set()
+        for module in modules:
+            verts = frozenset(module["vertices"])
+            members = frozenset(x for x in names if x <= verts)
+            assert len(members) >= 2 and frozenset().union(*members) == verts, "not a union of vertices"
+            assert not members & seen, "modules overlap"
+            seen |= members
+            groups: dict[frozenset, set[frozenset]] = {}
+            for e in current:
+                if e & members:
+                    groups.setdefault(e - members, set()).add(e & members)
+            traces = next(iter(groups.values()))
+            assert all(g == traces for g in groups.values()), "not a module"
+            listed = {frozenset(f) for f in module["traces"]}
+            assert {frozenset().union(*f) for f in traces} == listed, "traces differ"
+            colorable = _brute_colorable(members, traces)
+            assert colorable == (module["verdict"] == "colorable"), "wrong verdict"
+            if colorable:
+                dropped |= members
+            else:
+                rename.update(dict.fromkeys(members, verts))
+        current = {frozenset(rename.get(x, x) for x in e) for e in current if not e & dropped}
+    vertices = [frozenset(v) for v in certificate["quotient"]["vertices"]]
+    quotient = [frozenset(vertices[i] for i in e) for e in certificate["quotient"]["edges"]]
+    assert len(set(vertices)) == len(vertices) and set(vertices) == frozenset().union(*current), "wrong quotient vertices"
+    assert len(set(quotient)) == len(quotient) and set(quotient) == current, "wrong quotient edges"
+    return _brute_colorable(vertices, quotient)
+
+
 def naive_cover_number(n: int, edges: Sequence[Iterable[int]]) -> int:
     sets = [frozenset(e) for e in edges]
     if not sets:
@@ -78,13 +138,19 @@ def mono_edge_count(edges: Sequence[Iterable[int]], colors: Sequence[int]) -> in
     return sum(1 for e in edges if len({colors[v] for v in e}) == 1)
 
 
+def refute_stream(seed: int) -> random.Random:
+    """The generator of sampled refutation, spelled out: ``rng.substream(seed,
+    "refute")`` seeds ``random.Random`` with this string."""
+    return random.Random(f"{seed:#x}/refute")
+
+
 def naive_refute(
     n: int, edges: Sequence[Iterable[int]], trials: int, seed: int
 ) -> tuple[int, int]:
     """(trials with a monochromatic edge, monochromatic edges summed over
-    trials) for colorings drawn as ``random.Random(seed).getrandbits(n)``,
-    one draw per trial, bit v giving the color of vertex v."""
-    rng = random.Random(seed)
+    trials) for colorings drawn as ``getrandbits(n)`` from the seed's
+    "refute" substream, one draw per trial, bit v giving the color of vertex v."""
+    rng = refute_stream(seed)
     sets = [frozenset(e) for e in edges]
     mono_trials = total = 0
     for _ in range(trials):

@@ -21,6 +21,7 @@ from hyperspec import (
     complete_subsets,
     compositional_mono_edge,
     cover_number,
+    decide_2_coloring,
     dependent_random_choice,
     density_increment_run,
     edges_containing,
@@ -46,6 +47,8 @@ from hyperspec.coloring import ColorStatus
 from hyperspec.extraction import ExtractionParams, gnp_random_graph
 from hyperspec.lemmas import planted_average_instance, random_pair_instance
 from hyperspec.rng import DEFAULT_SEED, substream
+
+import oracles
 
 SEED = DEFAULT_SEED
 _REPORT_CACHE: dict[str, str] = {}
@@ -116,10 +119,12 @@ def test_criterion_3_non_2_colorability_evidence(fano_h, itf2):
             assert len({colors[v] for v in edge}) == 1
     assert clock.elapsed < 30.0
 
-    solver = find_2_coloring(itf2, budget_nodes=10**8, budget_ms=5_000.0)
-    assert solver.status in (ColorStatus.NOT_COLORABLE, ColorStatus.UNKNOWN)
-    # Unknown is acceptable; the compositional finder above is binding.
-    print(f"\nACCEPTANCE 3 (refutation evidence, solver={solver.status.value}): PASS")
+    # The exact decision: module contraction inside the 5 s budget, with a
+    # certificate that the brute-force checker re-verifies on frozensets.
+    solver = decide_2_coloring(itf2, budget_nodes=10**8, budget_ms=5_000.0)
+    assert (solver.status, solver.method) == (ColorStatus.NOT_COLORABLE, "modules")
+    assert oracles.check_module_certificate(49, list(itf2.edges()), solver.certificate.to_json()) is False
+    print(f"\nACCEPTANCE 3 (refutation evidence, solver={solver.status.value} in {solver.nodes} nodes): PASS")
 
 
 # -- criteria 4 to 9: randomized suites ------------------------------------

@@ -4,6 +4,8 @@ import pytest
 
 from hyperspec.cli import main
 
+import oracles
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -69,6 +71,25 @@ class TestColor:
         assert code == 0
         payload = json.loads(stdout)
         assert (payload["status"], payload["nodes"], payload["budget_tripped"]) == ("unknown", 6, "nodes")
+
+    def test_itf2_decided_by_modules(self, tmp_path, capsys):
+        path = tmp_path / "itf2.hg"
+        run_cli(["construct", "--family", "iterated-fano", "--param", "m=2", "-o", str(path)], capsys)
+        code, stdout, _ = run_cli(["color", str(path), "--budget-nodes", "2000"], capsys)
+        assert code == 0
+        payload = json.loads(stdout)
+        assert (payload["status"], payload["nodes"], payload["budget_tripped"], payload["method"]) == (
+            "not_colorable", 32, None, "modules")
+        n, edges = oracles.read_hg(path.read_text())
+        assert oracles.check_module_certificate(n, edges, payload["certificate"]) is False
+
+    def test_module_free_input_reports_dpll(self, tmp_path, capsys):
+        path = tmp_path / "fano.hg"
+        run_cli(["construct", "--family", "fano", "-o", str(path)], capsys)
+        _, stdout, _ = run_cli(["color", str(path)], capsys)
+        payload = json.loads(stdout)
+        assert (payload["status"], payload["nodes"], payload["method"], payload["certificate"]) == (
+            "not_colorable", 4, "dpll", None)
 
     def test_colorable_without_vertices(self, tmp_path, capsys):
         # The witness of a 0-vertex input is the empty coloring, not null.

@@ -1,13 +1,16 @@
 import random
 from itertools import product
+from math import comb
 
 import pytest
 
 from hyperspec import (
+    certificate_mono_edge,
     complete_subsets,
     compose,
     compositional_mono_edge,
     cover_number,
+    decide_2_coloring,
     fano,
     find_2_coloring,
     monochromatic_edge,
@@ -17,7 +20,7 @@ from hyperspec import (
     random_uniform,
     three_coloring_intersecting,
 )
-from hyperspec import coloring
+from hyperspec import coloring, core
 from hyperspec.coloring import ColorStatus
 from hyperspec.errors import (
     CompositionWitnessError,
@@ -141,6 +144,168 @@ class TestFind2Coloring:
         assert monochromatic_edge(h, res.coloring) is None
 
 
+def planted_instance(rng: random.Random, max_n: int = 14):
+    """compose(outer, inner) of two small random uniform families, with a
+    random family on disjoint vertices beside it when room is left."""
+    n1, n2 = rng.randint(1, 4), rng.randint(2, 4)
+    while n1 * n2 > max_n:
+        n1, n2 = rng.randint(1, 4), rng.randint(2, 4)
+    k1, k2 = rng.randint(1, n1), rng.randint(1, n2)
+    outer = random_uniform(n1, k1, rng.randint(1, min(4, comb(n1, k1))), seed=rng.randrange(1 << 30))
+    inner = random_uniform(n2, k2, rng.randint(1, min(4, comb(n2, k2))), seed=rng.randrange(1 << 30))
+    prod = compose(outer, inner)
+    base = prod.num_vertices
+    extra = rng.randint(0, max_n - base)
+    edges = [prod.edge_vertices(i) for i in range(prod.num_edges)]
+    if extra:
+        side = {frozenset(rng.sample(range(extra), rng.randint(1, min(3, extra)))) for _ in range(rng.randint(1, 5))}
+        edges += [[base + v for v in sorted(e)] for e in side]
+    return new_hypergraph(base + extra, edges)
+
+
+def random_instance(rng: random.Random, max_n: int = 14):
+    n = rng.randint(1, max_n)
+    edges = {frozenset(rng.sample(range(n), rng.randint(1, min(n, 4)))) for _ in range(rng.randint(0, 25))}
+    return new_hypergraph(n, sorted(sorted(e) for e in edges))
+
+
+class TestDecide2Coloring:
+    def test_itf2_by_modules(self, itf2):
+        # Seven Fano copies contracted (4 nodes each), then the Fano quotient.
+        res = decide_2_coloring(itf2, budget_nodes=2000)
+        assert (res.status, res.nodes, res.budget_tripped, res.method) == (
+            ColorStatus.NOT_COLORABLE, 32, None, "modules")
+        cert = res.certificate.to_json()
+        assert [len(r) for r in cert["rounds"]] == [7]
+        assert all(m["verdict"] == "not_colorable" for m in cert["rounds"][0])
+        assert oracles.check_module_certificate(49, list(itf2.edges()), cert) is False
+
+    def test_budget_shared_by_sub_solves(self, itf2):
+        # The second copy's solve trips the 5-node budget on the 6th node.
+        res = decide_2_coloring(itf2, budget_nodes=5)
+        assert (res.status, res.nodes, res.budget_tripped, res.method, res.certificate) == (
+            ColorStatus.UNKNOWN, 6, "nodes", "modules", None)
+        res = decide_2_coloring(itf2, budget_nodes=None, budget_ms=0.0)
+        assert (res.status, res.budget_tripped) == (ColorStatus.UNKNOWN, "ms")
+
+    def test_no_module_is_plain_dpll(self, fano_h):
+        rng = random.Random(5)
+        cases = [(fano_h, None), (ramsey_clique_hypergraph(6, 3), 3)]
+        cases += [(random_uniform(40, 5, 60, seed=s), rng.choice([None, 2, 20])) for s in range(6)]
+        for h, budget in cases:
+            res = decide_2_coloring(h, budget_nodes=budget)
+            plain = find_2_coloring(h, budget_nodes=budget)
+            assert (res.method, res.certificate) == ("dpll", None)
+            assert (res.status, res.coloring, res.nodes, res.budget_tripped) == (
+                plain.status, plain.coloring, plain.nodes, plain.budget_tripped)
+
+    def test_isolated_edges_dropped(self):
+        h = random_uniform(3000, 3, 50, seed=201)
+        res = decide_2_coloring(h, budget_nodes=10**5)
+        assert (res.status, res.method) == (ColorStatus.COLORABLE, "modules")
+        assert monochromatic_edge(h, res.coloring) is None
+        assert res.nodes < 200  # DPLL alone spends one node per vertex
+        assert oracles.check_module_certificate(3000, list(h.edges()), res.certificate.to_json()) is True
+
+    def test_agrees_with_exhaustive_oracle(self):
+        rng = random.Random(71)
+        methods, verdicts = [], set()
+        for i in range(240):
+            h = planted_instance(rng) if i % 2 else random_instance(rng)
+            edges = list(h.edges())
+            res = decide_2_coloring(h)
+            oracle = oracles.exhaustive_two_coloring(h.num_vertices, edges)
+            assert res.status is (ColorStatus.NOT_COLORABLE if oracle is None else ColorStatus.COLORABLE)
+            if res.coloring is not None:
+                assert len(res.coloring) == h.num_vertices
+                assert oracles.mono_edge_count(edges, res.coloring) == 0
+            methods.append(res.method)
+            if res.certificate is not None:
+                cert = res.certificate.to_json()
+                colorable = oracles.check_module_certificate(h.num_vertices, edges, cert)
+                assert colorable == (res.status is ColorStatus.COLORABLE)
+                verdicts.update(m["verdict"] for r in cert["rounds"] for m in r)
+                if not colorable:
+                    colors = [rng.randrange(2) for _ in range(h.num_vertices)]
+                    idx = certificate_mono_edge(h, res.certificate, colors)
+                    assert len({colors[v] for v in h.edge_vertices(idx)}) == 1
+        # Both reductions and both paths were exercised.
+        assert verdicts == {"colorable", "not_colorable"}
+        assert methods.count("modules") > 60 and methods.count("dpll") > 60
+
+    def test_unknown_counts_budget_plus_one(self):
+        rng = random.Random(72)
+        for _ in range(150):
+            h = planted_instance(rng)
+            budget = rng.randint(0, 12)
+            res = decide_2_coloring(h, budget_nodes=budget)
+            if res.status is ColorStatus.UNKNOWN:
+                assert (res.nodes, res.budget_tripped, res.coloring, res.certificate) == (budget + 1, "nodes", None, None)
+            else:
+                assert res.nodes <= budget and res.budget_tripped is None
+
+    def test_row_blocks_propose_the_same_modules(self, itf2, monkeypatch):
+        # With a tiny block cap the codegree rows come a few at a time, and the
+        # top neighbours' rows from a second pass.
+        rng = random.Random(73)
+        small = [planted_instance(rng) for _ in range(30)]
+        large = [itf2, random_uniform(3000, 3, 50, seed=201), random_uniform(400, 8, 600, seed=3)]
+
+        def proposals(hs):
+            return [coloring._candidate_modules(new_hypergraph(h.num_vertices, h.edges())) for h in hs]
+
+        expected = proposals(small + large)
+        assert [len(set(p)) for p in expected[-3:]] == [7, 51, 0]
+        for cap, hs in ((1, small), (8000, small + large)):
+            monkeypatch.setattr(coloring, "BLOCK_BYTES", cap)
+            monkeypatch.setattr(core, "BLOCK_BYTES", cap)
+            assert proposals(hs) == expected[: len(hs)]
+
+
+class TestCertificateChecker:
+    @staticmethod
+    def fano_with_isolated_edge():
+        # The edge {7, 8, 9} is a module with colorable traces; the Fano
+        # plane beside it is one with non-colorable traces.
+        h = new_hypergraph(10, [*fano().edges(), {7, 8, 9}])
+        res = decide_2_coloring(h)
+        assert res.status is ColorStatus.NOT_COLORABLE
+        return h, res.certificate.to_json()
+
+    def test_accepts_itf2(self, itf2):
+        cert = decide_2_coloring(itf2).certificate.to_json()
+        assert oracles.check_module_certificate(49, list(itf2.edges()), cert) is False
+
+    def test_rejects_non_module(self, itf2):
+        cert = decide_2_coloring(itf2).certificate.to_json()
+        first, second = cert["rounds"][0][:2]
+        first["vertices"][-1], second["vertices"][-1] = second["vertices"][-1], first["vertices"][-1]
+        with pytest.raises(AssertionError, match="not a module"):
+            oracles.check_module_certificate(49, list(itf2.edges()), cert)
+
+    def test_rejects_wrong_verdict(self):
+        h, cert = self.fano_with_isolated_edge()
+        [module] = [m for m in cert["rounds"][0] if m["vertices"] == [7, 8, 9]]
+        assert module["verdict"] == "colorable"
+        oracles.check_module_certificate(10, list(h.edges()), cert)
+        module["verdict"] = "not_colorable"
+        with pytest.raises(AssertionError, match="wrong verdict"):
+            oracles.check_module_certificate(10, list(h.edges()), cert)
+
+    def test_rejects_wrong_quotient_edge(self, itf2):
+        cert = decide_2_coloring(itf2).certificate.to_json()
+        edges = cert["quotient"]["edges"]
+        edges[0] = sorted({*edges[0][:2], next(v for v in range(7) if v not in edges[0])})
+        with pytest.raises(AssertionError, match="wrong quotient edges"):
+            oracles.check_module_certificate(49, list(itf2.edges()), cert)
+
+    def test_rejects_wrong_traces(self, itf2):
+        cert = decide_2_coloring(itf2).certificate.to_json()
+        cert["rounds"][0][3]["traces"].pop()
+        with pytest.raises(AssertionError, match="traces differ"):
+            oracles.check_module_certificate(49, list(itf2.edges()), cert)
+
+
 class TestRandomRefute:
     def test_fano_fraction_one(self, fano_h):
         rep = random_refute(fano_h, trials=2000, seed=11)
@@ -160,7 +325,7 @@ class TestRandomRefute:
     def test_matches_oracle_counts(self):
         h = complete_subsets(5, 3)
         rep = random_refute(h, trials=200, seed=3)
-        rng = random.Random(3)
+        rng = oracles.refute_stream(3)
         edges = list(h.edges())
         total = 0
         mono = 0

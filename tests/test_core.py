@@ -205,6 +205,27 @@ class TestIntersectionSizes:
         assert intersection_sizes(rows, cols[:0]).shape == (len(row_masks), 0)
 
 
+class TestVertexIndex:
+    @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130, 400])
+    def test_rows_list_vertices_padded_with_n(self, n, monkeypatch):
+        rng = random.Random(n)
+        edges = {frozenset(rng.sample(range(n), rng.randint(1, min(n, 9)))) for _ in range(40)}
+        edges.add(frozenset(range(n)))
+        h = Hypergraph(n, sorted(sorted(e) for e in edges))
+        expected = [list(h.edge_vertices(i)) + [n] * (n - len(h.edge_vertices(i))) for i in range(h.num_edges)]
+        # A cap of one byte builds the index one edge at a time.
+        for cap in (1, 4096, core.BLOCK_BYTES):
+            monkeypatch.setattr(core, "BLOCK_BYTES", cap)
+            fresh = Hypergraph(n, h.edges())
+            index = core.vertex_index(fresh)
+            assert index.dtype == np.intp and index.tolist() == expected
+            assert core.vertex_index(fresh) is index and not index.flags.writeable
+
+    def test_no_edges(self):
+        assert core.vertex_index(Hypergraph(0, [])).shape == (0, 1)
+        assert core.vertex_index(Hypergraph(5, [])).shape == (0, 1)
+
+
 class TestLambdas:
     def test_fano_within(self):
         h = Hypergraph(7, FANO_LINES)
