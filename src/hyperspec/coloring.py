@@ -236,73 +236,87 @@ def find_2_coloring(
     return ColorResult(status, witness, budget.spent, budget.elapsed_ms(), budget.tripped)
 
 
-def _candidate_modules(h: Hypergraph) -> list[int]:
-    """Vertex masks that may be modules, in vertex order: each vertex v in
-    some edge with its top-codegree neighbours, if two necessary conditions
-    hold. In a module M = {g ∪ f} with |G| outside parts g, every vertex x
-    outside M has codeg(x, v) = |G_x|·|F_v| and deg(v) = |G|·|F_v|, where
-    |G| divides gcd(deg(v), top codegree); so each nonzero codeg(x, v) is
-    at least deg(v) / gcd(deg(v), top). And codeg(x, v)·deg(b) =
-    codeg(x, b)·deg(v) for v's first top neighbour b. Rows of the codegree
-    product AᵀA over the vertices in some edge count the vertex pairs of
-    each edge, in blocks of rows (and then of the rows of their b) and of
-    edges, so that no temporary but a copy of the edge index exceeds
-    ``BLOCK_BYTES``."""
+def _vertex_edges(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """``(start, edges)``: the edges on vertex v, ascending, are
+    ``edges[start[v]:start[v + 1]]``. A stable sort of the entries of
+    :func:`~hyperspec.core.vertex_index` by vertex."""
     n = h.num_vertices
     index = vertex_index(h)
-    deg = np.bincount(index.ravel(), minlength=n + 1)[:n]
-    active = np.flatnonzero(deg)
-    na = len(active)
-    local = np.full(n + 1, na)
-    local[active] = np.arange(na)
-    edges = local[index]  # active-vertex rows, padded with na
-    edge_step = max(1, BLOCK_BYTES // (8 * edges.shape[1] ** 2))
-    row_step = max(1, BLOCK_BYTES // (8 * (na + 1)) - 1)
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(index.ravel(), minlength=n + 1)[:n], out=start[1:])
+    return start, np.argsort(index.ravel(), kind="stable")[: start[n]] // index.shape[1]
 
-    def codegree(rows: np.ndarray) -> np.ndarray:
-        pos = np.full(na + 1, len(rows))  # other rows and the padding count in a spare row
-        pos[rows] = np.arange(len(rows))
-        out = np.zeros((len(rows) + 1) * (na + 1), dtype=np.int64)
-        for e0 in range(0, len(edges), edge_step):
-            block = edges[e0 : e0 + edge_step]
-            out += np.bincount((pos[block][:, :, None] * (na + 1) + block[:, None, :]).ravel(), minlength=len(out))
-        return out.reshape(len(rows) + 1, na + 1)[:-1, :-1]
 
-    proposals = []
-    for r0 in range(0, na, row_step):
-        rows = np.arange(r0, min(na, r0 + row_step))
-        co = codegree(rows)
-        co[np.arange(len(rows)), rows] = 0
-        top = co.max(axis=1)
-        dv = deg[active[rows]]
+def _candidate_modules(h: Hypergraph, start: np.ndarray, edges: np.ndarray):
+    """Vertex tuples that may be modules, yielded in blocks of vertices in
+    order: each vertex v in some edge with its top-codegree neighbours, if a
+    necessary condition holds. In a module M = {g ∪ f} with |G| outside
+    parts g, every vertex x outside M has codeg(x, v) = |G_x|·|F_v| and
+    deg(v) = |G|·|F_v|, where |G| divides gcd(deg(v), top codegree); so each
+    nonzero codeg(x, v) is at least deg(v) / gcd(deg(v), top). A block's
+    codegrees are counted by sorting the vertex pairs of the edges on its
+    vertices (``start`` and ``edges`` from :func:`_vertex_edges`), so a pass
+    costs about the number of vertex pairs in edges, and no temporary but
+    those the size of the edge index exceeds ``BLOCK_BYTES``."""
+    n = h.num_vertices
+    index = vertex_index(h)
+    w = index.shape[1]
+    deg = np.diff(start)
+    active = np.count_nonzero(deg)
+    step = max(1, BLOCK_BYTES // (8 * w))  # edge incidences per block
+    v0 = 0
+    while v0 < n:
+        v1 = max(v0 + 1, int(np.searchsorted(start, start[v0] + step, side="right")) - 1)
+        # Pair (v, x) is (v - v0)·(n + 1) + x; each v's pairs sort into one
+        # run. Sorting 32-bit keys takes half the time of 64-bit ones.
+        kind = np.int32 if (v1 - v0) * (n + 1) < 2**31 else np.int64
+        pairs = index[edges[start[v0] : start[v1]]].astype(kind)
+        pairs += np.repeat(np.arange(v1 - v0, dtype=kind) * kind(n + 1), deg[v0:v1])[:, None]
+        pairs = np.sort(pairs.ravel())
+        first = np.flatnonzero(np.r_[len(pairs) > 0, pairs[1:] != pairs[:-1]])
+        co = np.diff(first, append=len(pairs))
+        row = np.repeat(np.arange(v0, v1), deg[v0:v1] * w)[first]
+        col = pairs[first] - (row - v0) * (n + 1)
+        v0 = v1
+        real = (col != row) & (col < n)  # drop v itself and the padding
+        row, col, co = row[real], col[real], co[real]
+        first = np.flatnonzero(np.r_[len(row) > 0, row[1:] != row[:-1]])  # each v's codegrees
+        if not len(first):
+            yield []
+            continue
+        top = np.maximum.reduceat(co, first)
+        grp = np.repeat(np.arange(len(first)), np.diff(first, append=len(co)))
+        member = co == top[grp]
+        size = np.bincount(grp[member], minlength=len(first)) + 1
+        dv = deg[row[first]]
         # Outside M_v codegrees are below top: none may lie in [1, deg(v) / gcd).
         least = np.minimum(top, -(-dv // np.gcd(dv, top)))
-        keep = np.flatnonzero((top > 0) & ~((co > 0) & (co < least[:, None])).any(axis=1))
-        if not len(keep):
-            continue
-        b = co[keep].argmax(axis=1)  # the first top neighbour
-        if len(rows) == na:
-            cob = co[b]
-        else:
-            ub, inv = np.unique(b, return_inverse=True)
-            cob = codegree(ub)[inv]
-        co, dv = co[keep], dv[keep]
-        member = co == top[keep, None]
-        member[np.arange(len(keep)), rows[keep]] = True
-        ok = (member | (co * deg[active[b], None] == cob * dv[:, None])).all(axis=1)
-        ok &= member.sum(axis=1) < na
-        proposals.extend(mask_of(active[flags].tolist()) for flags in member[ok])
-    return proposals
+        keep = (np.minimum.reduceat(co, first) >= least) & (size < active)
+        cols = np.split(col[member & keep[grp]], np.cumsum(size[keep] - 1)[:-1])
+        yield [tuple(sorted((v, *c.tolist()))) for v, c in zip(row[first][keep].tolist(), cols)]
 
 
-def _module_traces(h: Hypergraph, module: int) -> Optional[list[int]]:
-    """The traces e ∩ M of the edges e meeting M, ordered by their vertices, if
-    M is a module; else None. The edges meeting M are distinct pairs
-    (e ∖ M, e ∩ M), so M is a module, every outside part with every trace,
-    iff there are as many such edges as outside parts times traces."""
-    meeting = [e for e in h.edge_masks if e & module]
-    traces = {e & module for e in meeting}
-    if len(meeting) != len(traces) * len({e & ~module for e in meeting}):
+def _module_traces(h: Hypergraph, verts: Sequence[int], start: np.ndarray, edges: np.ndarray) -> Optional[list[int]]:
+    """The traces e ∩ M of the edges e meeting M, the set of ``verts``,
+    ordered by their vertices, if M is a module; else None. Only the edges
+    on M are read (``start`` and ``edges`` from :func:`_vertex_edges`). In a
+    module every outside part e ∖ M comes with every trace, so with one on
+    ``verts[0]``; the edges meeting M are distinct pairs (e ∖ M, e ∩ M). So M
+    is a module iff every edge meeting M has an outside part of an edge on
+    ``verts[0]`` and there are as many of them as such parts times traces.
+    The first test stops at the first vertex of M with an edge that fails it."""
+    masks = h.edge_masks
+    module = mask_of(verts)
+    rest = ~module
+    outside = {masks[i] & rest for i in edges[start[verts[0]] : start[verts[0] + 1]].tolist()}
+    meeting: set[int] = set()
+    for v in verts:
+        new = set(edges[start[v] : start[v + 1]].tolist()) - meeting
+        if not outside.issuperset(masks[i] & rest for i in new):
+            return None
+        meeting |= new
+    traces = {masks[i] & module for i in meeting}
+    if len(meeting) != len(traces) * len(outside):
         return None
     return sorted(traces, key=vertices_of)
 
@@ -339,7 +353,9 @@ def decide_2_coloring(
     by them and dropped with every edge on it, any other is contracted to
     one vertex. Rounds repeat on the quotient while modules are found, then
     the quotient is solved. Every solve draws on one shared budget, so
-    ``nodes`` is their sum. A ``COLORABLE`` witness is lifted back through
+    ``nodes`` is their sum; the module search reads the same clock before
+    each exact check and after each block of candidates, so ``budget_ms``
+    bounds the whole call. A ``COLORABLE`` witness is lifted back through
     the modules and re-checked on ``h``. An input without modules gets
     ``find_2_coloring``'s answer with ``method`` "dpll" and no certificate.
     """
@@ -362,12 +378,23 @@ def decide_2_coloring(
     ones = 0  # input vertices colored 1 by the dropped modules
     while True:
         found = []
-        taken = 0
-        for mask in dict.fromkeys(_candidate_modules(current)):
-            traces = None if mask & taken else _module_traces(current, mask)
-            if traces is not None:
-                found.append((mask, traces))
-                taken |= mask
+        taken: set[int] = set()
+        seen = set()
+        start, edges = _vertex_edges(current)
+        for block in _candidate_modules(current, start, edges):
+            for verts in block:
+                if verts in seen or not taken.isdisjoint(verts):
+                    continue
+                if budget.expired():
+                    break
+                seen.add(verts)
+                traces = _module_traces(current, verts, start, edges)
+                if traces is not None:
+                    found.append((mask_of(verts), traces))
+                    taken.update(verts)
+            if budget.expired():
+                method = "modules" if rounds or found else "dpll"
+                return ColorResult(ColorStatus.UNKNOWN, None, budget.spent, budget.elapsed_ms(), budget.tripped, method)
         if not found:
             break
         rep = np.arange(current.num_vertices + 1)

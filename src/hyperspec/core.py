@@ -400,6 +400,14 @@ class Budget:
             None if self.ms is None else self.ms - self.elapsed_ms(),
         )
 
+    def expired(self) -> bool:
+        """True once a limit has run out, without counting a node: the check
+        between the steps of work that is not a search, such as a pass over
+        the input. Sets ``tripped`` to "ms" when the clock has run out."""
+        if self.tripped is None and self.ms is not None and self.elapsed_ms() > self.ms:
+            self.tripped = "ms"
+        return self.tripped is not None
+
     def step(self) -> bool:
         self.spent += 1
         if self.nodes is not None and self.spent > self.nodes:

@@ -1,8 +1,11 @@
 import json
+import time
 
 import pytest
 
 from hyperspec.cli import main
+from hyperspec.constructions import random_uniform
+from hyperspec.core import serialize_hypergraph
 
 import oracles
 
@@ -82,6 +85,19 @@ class TestColor:
             "not_colorable", 32, None, "modules")
         n, edges = oracles.read_hg(path.read_text())
         assert oracles.check_module_certificate(n, edges, payload["certificate"]) is False
+
+    def test_budget_ms_bounds_large_sparse_input(self, tmp_path, capsys):
+        # A 20,000-vertex sparse family, where the module search alone takes
+        # seconds without a limit.
+        path = tmp_path / "sparse.hg"
+        path.write_text(serialize_hypergraph(random_uniform(20000, 3, 20000, seed=5)))
+        started = time.monotonic()
+        code, stdout, _ = run_cli(["color", str(path), "--budget-ms", "50"], capsys)
+        assert code == 0
+        payload = json.loads(stdout)
+        assert (payload["status"], payload["budget_tripped"]) == ("unknown", "ms")
+        assert payload["timings"]["elapsed_ms"] < 1000.0
+        assert time.monotonic() - started < 5.0  # parsing the file included
 
     def test_module_free_input_reports_dpll(self, tmp_path, capsys):
         path = tmp_path / "fano.hg"

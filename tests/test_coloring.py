@@ -245,17 +245,20 @@ class TestDecide2Coloring:
                 assert res.nodes <= budget and res.budget_tripped is None
 
     def test_row_blocks_propose_the_same_modules(self, itf2, monkeypatch):
-        # With a tiny block cap the codegree rows come a few at a time, and the
-        # top neighbours' rows from a second pass.
+        # With a tiny block cap the codegree rows come a few vertices at a time.
         rng = random.Random(73)
         small = [planted_instance(rng) for _ in range(30)]
         large = [itf2, random_uniform(3000, 3, 50, seed=201), random_uniform(400, 8, 600, seed=3)]
 
         def proposals(hs):
-            return [coloring._candidate_modules(new_hypergraph(h.num_vertices, h.edges())) for h in hs]
+            out = []
+            for h in hs:
+                fresh = new_hypergraph(h.num_vertices, h.edges())
+                out.append([p for block in coloring._candidate_modules(fresh, *coloring._vertex_edges(fresh)) for p in block])
+            return out
 
         expected = proposals(small + large)
-        assert [len(set(p)) for p in expected[-3:]] == [7, 51, 0]
+        assert [len(set(p)) for p in expected[-3:]] == [7, 54, 7]
         for cap, hs in ((1, small), (8000, small + large)):
             monkeypatch.setattr(coloring, "BLOCK_BYTES", cap)
             monkeypatch.setattr(core, "BLOCK_BYTES", cap)
