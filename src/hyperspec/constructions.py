@@ -22,6 +22,7 @@ from .errors import (
     SizeCapExceededError,
     TooManyEdgesRequestedError,
 )
+from .rng import distinct_subsets
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
@@ -137,16 +138,7 @@ def random_uniform(
         raise TooManyEdgesRequestedError(f"asked for {m} edges, only C({n},{k})={total} exist")
     if m > size_cap:
         raise SizeCapExceededError(f"{m} edges exceed cap {size_cap}")
-    rng = random.Random(seed)
-    population = range(n)
-    seen: set[tuple[int, ...]] = set()
-    edges: list[tuple[int, ...]] = []
-    while len(edges) < m:
-        edge = tuple(sorted(rng.sample(population, k)))
-        if edge not in seen:
-            seen.add(edge)
-            edges.append(edge)
-    return Hypergraph(n, edges)
+    return Hypergraph(n, distinct_subsets(random.Random(seed), 0, n, k, m))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product, starmap
 from math import comb
-from operator import and_
+from operator import and_, lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -78,6 +78,16 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _raise_first_duplicate(masks: Sequence[int]) -> None:
+    """Raise :class:`DuplicateEdgeError` at the first mask in ``masks`` that
+    repeats an earlier one, if any does."""
+    seen: set[int] = set()
+    for pos, m in enumerate(masks):
+        if m in seen:
+            raise DuplicateEdgeError(f"edge {pos} repeats {list(vertices_of(m))}")
+        seen.add(m)
+
+
 class Hypergraph:
     """An immutable hypergraph: a vertex count plus an ordered edge list.
 
@@ -91,22 +101,25 @@ class Hypergraph:
         if num_vertices < 0:
             raise ValueError("vertex count must be non-negative")
         masks: list[int] = []
-        seen: set[int] = set()
         for pos, edge in enumerate(edges):
-            vs = set(edge)
-            if not vs:
+            if type(edge) is not tuple:
+                edge = tuple(edge)
+            if not edge:
+                _raise_first_duplicate(masks)
                 raise EmptyEdgeError(f"edge {pos} is empty")
-            lo, hi = min(vs), max(vs)
+            lo, hi = min(edge), max(edge)
             if lo < 0 or hi >= num_vertices:
+                _raise_first_duplicate(masks)
                 raise OutOfRangeVertexError(
                     f"edge {pos} uses vertex {hi if hi >= num_vertices else lo}, "
                     f"valid range is [0, {num_vertices})"
                 )
-            m = mask_of(vs)
-            if m in seen:
-                raise DuplicateEdgeError(f"edge {pos} repeats {sorted(vs)}")
-            seen.add(m)
+            m = 0
+            for v in edge:
+                m |= 1 << v
             masks.append(m)
+        if len(set(masks)) != len(masks):
+            _raise_first_duplicate(masks)
         self.num_vertices = num_vertices
         self.edge_masks: tuple[int, ...] = tuple(masks)
         self._cache: dict = {}
@@ -447,10 +460,10 @@ def parse_hypergraph(text: str) -> Hypergraph:
         if len(edges) >= header[1]:
             raise ParseError("more edge lines than the header announced", lineno)
         try:
-            vs = tuple(int(tok) for tok in tokens)
+            vs = tuple(map(int, tokens))
         except ValueError:
             raise ParseError("malformed vertex index", lineno) from None
-        if any(b <= a for a, b in zip(vs, vs[1:])):
+        if not all(map(lt, vs, vs[1:])):
             raise ParseError("vertex indices must be strictly ascending", lineno)
         if vs[0] < 0 or vs[-1] >= header[0]:
             raise ParseError("vertex index out of range", lineno)

@@ -12,14 +12,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional
+from operator import mul
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     Hypergraph,
+    _check_indices,
     is_intersecting,
     is_uniform,
-    lambda_across,
-    lambda_within,
     mask_of,
     pair_size_counts,
     pair_size_total,
@@ -32,12 +32,13 @@ from .errors import (
     NoDisjointEdgeError,
     NonUniformError,
     NotIntersectingError,
+    OverlappingSetsError,
     SizeMismatchError,
     StepOutOfRangeError,
     TooFewEdgesError,
     WitnessViolationError,
 )
-from .rng import substream
+from .rng import distinct_subsets, substream
 
 __all__ = [
     "InequalityReport",
@@ -82,29 +83,40 @@ def check_pair_inequality(fam_a: Hypergraph, fam_b: Hypergraph) -> InequalityRep
     if ell != fam_b.num_edges:
         raise MismatchedEdgeCountError(f"{ell} != {fam_b.num_edges} edges")
 
-    masks_a = list(fam_a.edge_masks)
-    masks_b = list(fam_b.edge_masks)
+    masks_a = fam_a.edge_masks
+    masks_b = fam_b.edge_masks
     within = pair_size_total(masks_a) + pair_size_total(masks_b)
     cross = pair_size_total(masks_a, masks_b)
-    lhs = Fraction(within)
-    rhs = cross - Fraction(ell * (k + kp), 2)
+    sizes = ell * (k + kp)
 
     # Degree-count re-derivation of all three ingredients.
-    n = fam_a.num_vertices
-    deg_within = 0
-    deg_cross = 0
-    deg_sizes = 0
-    for v in range(n):
-        bit = 1 << v
-        a_v = sum(1 for m in masks_a if m & bit)
-        b_v = sum(1 for m in masks_b if m & bit)
-        deg_within += comb(a_v, 2) + comb(b_v, 2)
-        deg_cross += a_v * b_v
-        deg_sizes += a_v + b_v
-    if deg_within != within or deg_cross != cross or deg_sizes != ell * (k + kp):
+    deg_a = _degrees(masks_a, fam_a.num_vertices)
+    deg_b = _degrees(masks_b, fam_a.num_vertices)
+    deg_within = sum(a * (a - 1) + b * (b - 1) for a, b in zip(deg_a, deg_b)) // 2
+    deg_cross = sum(map(mul, deg_a, deg_b))
+    deg_sizes = sum(deg_a) + sum(deg_b)
+    if deg_within != within or deg_cross != cross or deg_sizes != sizes:
         raise AssertionError("pair-sum and degree-count evaluations disagree")
 
-    return InequalityReport(lhs=lhs, rhs=rhs, holds=lhs >= rhs, slack=lhs - rhs)
+    # Both sides over the common denominator 2.
+    lhs2, rhs2 = 2 * within, 2 * cross - sizes
+    return InequalityReport(
+        lhs=Fraction(within),
+        rhs=Fraction(rhs2, 2),
+        holds=lhs2 >= rhs2,
+        slack=Fraction(lhs2 - rhs2, 2),
+    )
+
+
+def _degrees(masks: Sequence[int], n: int) -> list[int]:
+    """Degree of each of the n vertices, counted edge by edge."""
+    deg = [0] * n
+    for m in masks:
+        while m:
+            low = m & -m
+            deg[low.bit_length() - 1] += 1
+            m ^= low
+    return deg
 
 
 def check_average_lambda(
@@ -127,16 +139,33 @@ def check_average_lambda(
     if ell < 2:
         raise TooFewEdgesError("need at least two edges per side")
     w_mask = mask_of(w)
+    masks = h.edge_masks
     for i in s_idx:
-        if h.edge_mask(i) & w_mask != w_mask:
+        if masks[i] & w_mask != w_mask:
             raise WitnessViolationError(f"edge {i} in S misses a common vertex")
     for j in t_idx:
-        if h.edge_mask(j) & w_mask:
+        if masks[j] & w_mask:
             raise WitnessViolationError(f"edge {j} in T touches the common vertex set")
+    _check_indices(h, s_idx)
+    _check_indices(h, t_idx)
+    if s_idx & t_idx:
+        raise OverlappingSetsError(f"sets share edges {sorted(s_idx & t_idx)}")
     x = w_mask.bit_count()
-    lhs = (lambda_within(h, s_idx) + lambda_within(h, t_idx)) / 2
-    rhs = lambda_across(h, s_idx, t_idx) + Fraction(x, 2) - Fraction(k, ell - 1)
-    return InequalityReport(lhs=lhs, rhs=rhs, holds=lhs >= rhs, slack=lhs - rhs)
+    # lambda_S + lambda_T = (P_S + P_T) / C(l, 2) and lambda_{S,T} = P_ST / l^2
+    # for the pair-size totals P; both sides over the denominator 2 l^2 (l - 1).
+    s_masks = [masks[i] for i in sorted(s_idx)]
+    t_masks = [masks[j] for j in sorted(t_idx)]
+    within = pair_size_total(s_masks) + pair_size_total(t_masks)
+    cross = pair_size_total(s_masks, t_masks)
+    denom = 2 * ell * ell * (ell - 1)
+    lhs_num = 2 * ell * within
+    rhs_num = 2 * (ell - 1) * cross + (x * (ell - 1) - 2 * k) * ell * ell
+    return InequalityReport(
+        lhs=Fraction(lhs_num, denom),
+        rhs=Fraction(rhs_num, denom),
+        holds=lhs_num >= rhs_num,
+        slack=Fraction(lhs_num - rhs_num, denom),
+    )
 
 
 @dataclass(frozen=True)
@@ -260,19 +289,6 @@ def validate_lambda_pair(
 # -- randomized suite instances -------------------------------------------
 
 
-def _random_family(
-    rng: random.Random, n: int, k: int, ell: int, forbidden: set[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set(forbidden)
-    while len(out) < ell:
-        edge = tuple(sorted(rng.sample(range(n), k)))
-        if edge not in seen:
-            seen.add(edge)
-            out.append(edge)
-    return out
-
-
 def random_pair_instance(rng: random.Random) -> tuple[Hypergraph, Hypergraph]:
     """Two uniform families on a shared vertex set with equal edge counts."""
     n = rng.randint(5, 12)
@@ -280,8 +296,8 @@ def random_pair_instance(rng: random.Random) -> tuple[Hypergraph, Hypergraph]:
     kp = rng.randint(2, min(5, n))
     cap = min(comb(n, k), comb(n, kp), 15)
     ell = rng.randint(1, cap)
-    fam_a = Hypergraph(n, _random_family(rng, n, k, ell, set()))
-    fam_b = Hypergraph(n, _random_family(rng, n, kp, ell, set()))
+    fam_a = Hypergraph(n, distinct_subsets(rng, 0, n, k, ell))
+    fam_b = Hypergraph(n, distinct_subsets(rng, 0, n, kp, ell))
     return fam_a, fam_b
 
 
@@ -296,22 +312,12 @@ def planted_average_instance(
     # when k - x = 1.
     n = x + k + ell + rng.randint(2, 6)
     w = tuple(range(x))
-    rest = range(x, n)
-    s_edges: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    while len(s_edges) < ell:
-        edge = w + tuple(sorted(rng.sample(rest, k - x)))
-        if edge not in seen:
-            seen.add(edge)
-            s_edges.append(edge)
-    t_edges = _random_family(rng, n - x, k, ell, set())
-    t_edges = [tuple(v + x for v in e) for e in t_edges]
+    s_edges = [w + e for e in distinct_subsets(rng, x, n - x, k - x, ell)]
+    t_edges = distinct_subsets(rng, x, n - x, k, ell)
     if x == 0:
+        seen = set(s_edges)
         while any(e in seen for e in t_edges):
-            t_edges = [
-                tuple(v + x for v in e)
-                for e in _random_family(rng, n - x, k, ell, seen)
-            ]
+            t_edges = distinct_subsets(rng, 0, n, k, ell, seen)
     h = Hypergraph(n, s_edges + t_edges)
     return (
         h,

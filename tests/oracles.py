@@ -11,6 +11,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 
@@ -338,3 +339,61 @@ def sampled_drc_bad(
         sub = rng.sample(members, t)
         bad += len(frozenset.intersection(*(neighbors[v] for v in sub))) < n
     return bad
+
+
+# -- generators drawn one ``random.sample`` call at a time ------------------
+#
+# The package replays these draws inline (``rng.distinct_subsets``); these
+# are the loops it replaces, kept to pin its edges and generator state.
+# Edges are ascending vertex tuples; hypergraphs are (n, edges) pairs.
+
+
+def naive_random_family(
+    rng: random.Random, n: int, k: int, ell: int, forbidden: set[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = []
+    seen = set(forbidden)
+    while len(out) < ell:
+        edge = tuple(sorted(rng.sample(range(n), k)))
+        if edge not in seen:
+            seen.add(edge)
+            out.append(edge)
+    return out
+
+
+def naive_random_uniform(n: int, k: int, m: int, seed: int) -> list[tuple[int, ...]]:
+    return naive_random_family(random.Random(seed), n, k, m, set())
+
+
+def naive_random_pair_instance(rng: random.Random):
+    n = rng.randint(5, 12)
+    k = rng.randint(2, min(5, n))
+    kp = rng.randint(2, min(5, n))
+    cap = min(comb(n, k), comb(n, kp), 15)
+    ell = rng.randint(1, cap)
+    return (n, naive_random_family(rng, n, k, ell, set())), (n, naive_random_family(rng, n, kp, ell, set()))
+
+
+def naive_planted_average_instance(rng: random.Random, x: int):
+    k = rng.randint(max(2, x + 1), x + 5)
+    ell = rng.randint(2, 6)
+    n = x + k + ell + rng.randint(2, 6)
+    w = tuple(range(x))
+    rest = range(x, n)
+    s_edges: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    while len(s_edges) < ell:
+        edge = w + tuple(sorted(rng.sample(rest, k - x)))
+        if edge not in seen:
+            seen.add(edge)
+            s_edges.append(edge)
+    t_edges = [tuple(v + x for v in e) for e in naive_random_family(rng, n - x, k, ell, set())]
+    if x == 0:
+        while any(e in seen for e in t_edges):
+            t_edges = naive_random_family(rng, n, k, ell, seen)
+    return (
+        (n, s_edges + t_edges),
+        frozenset(range(ell)),
+        frozenset(range(ell, 2 * ell)),
+        frozenset(w),
+    )

@@ -61,17 +61,47 @@ class TestConstruction:
         assert h.num_vertices == 7 and h.num_edges == 7
         assert is_uniform(h) == 3
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+            Hypergraph(-1, [])
+
     def test_duplicate_rejected(self):
-        with pytest.raises(DuplicateEdgeError):
-            Hypergraph(3, [{0, 1}, {0, 1}])
+        with pytest.raises(DuplicateEdgeError, match=r"^edge 2 repeats \[0, 1\]$"):
+            Hypergraph(3, [(1, 0), (1, 2), {0, 1}])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(OutOfRangeVertexError):
-            Hypergraph(2, [{0, 5}])
+        with pytest.raises(OutOfRangeVertexError, match=r"^edge 1 uses vertex 5, valid range is \[0, 2\)$"):
+            Hypergraph(2, [(1,), {0, 5}])
+        with pytest.raises(OutOfRangeVertexError, match=r"^edge 0 uses vertex -1, valid range is \[0, 2\)$"):
+            Hypergraph(2, [(-1, 1)])
+        # The high end is named when both ends are out of range.
+        with pytest.raises(OutOfRangeVertexError, match="^edge 0 uses vertex 2,"):
+            Hypergraph(2, [(-1, 2)])
 
     def test_empty_edge_rejected(self):
-        with pytest.raises(EmptyEdgeError):
+        with pytest.raises(EmptyEdgeError, match="^edge 0 is empty$"):
             Hypergraph(3, [set()])
+        with pytest.raises(EmptyEdgeError, match="^edge 1 is empty$"):
+            Hypergraph(3, [(0,), ()])
+
+    def test_first_fault_in_edge_order_is_reported(self):
+        with pytest.raises(DuplicateEdgeError, match="^edge 1 repeats"):
+            Hypergraph(3, [(0, 1), (0, 1), (5,)])
+        with pytest.raises(DuplicateEdgeError, match="^edge 1 repeats"):
+            Hypergraph(3, [(0, 1), (1, 0), ()])
+        with pytest.raises(OutOfRangeVertexError, match="^edge 1 uses"):
+            Hypergraph(3, [(0, 1), (7,), (0, 1)])
+        with pytest.raises(EmptyEdgeError, match="^edge 1 is empty$"):
+            Hypergraph(3, [(0, 1), [], (1, 0)])
+
+    def test_repeated_vertex_in_an_edge_collapses(self):
+        h = Hypergraph(3, [(0, 1, 1), [2, 2]])
+        assert h.edge_vertices(0) == (0, 1) and h.edge_vertices(1) == (2,)
+
+    def test_edge_containers(self):
+        edges = [(2, 0), [1, 2], {0, 1}, frozenset({1}), (v for v in (0, 1, 2))]
+        h = Hypergraph(3, iter(edges))
+        assert h.edge_masks == (0b101, 0b110, 0b011, 0b010, 0b111)
 
     def test_edge_order_stable(self):
         h = Hypergraph(5, [{3, 4}, {0, 1}, {2}])
@@ -356,6 +386,32 @@ class TestTextFormat:
     def test_not_ascending(self):
         with pytest.raises(ParseError):
             parse_hypergraph("3 1\n1 0\n")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("", 1, "missing header"),
+            ("1 2 3\n", 1, "header must be 'num_vertices num_edges'"),
+            ("# c\na b\n", 2, "header fields must be integers"),
+            ("-1 2\n", 1, "header fields must be non-negative"),
+            ("3 1\n1 0\n", 2, "vertex indices must be strictly ascending"),
+            ("3 1\n0 0\n", 2, "vertex indices must be strictly ascending"),
+            ("3 1\n\n0 1 1\n", 3, "vertex indices must be strictly ascending"),
+            ("3 1\n-1 2\n", 2, "vertex index out of range"),
+            ("3 1\n0 3\n", 2, "vertex index out of range"),
+            ("3 1\n0 1\n1 2\n", 3, "more edge lines than the header announced"),
+            ("3 2\n0 1\n", 3, "expected 2 edges, found 1"),
+        ],
+    )
+    def test_parse_error_messages(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+    def test_duplicate_edge_lines(self):
+        with pytest.raises(DuplicateEdgeError, match=r"^edge 1 repeats \[0, 1\]$"):
+            parse_hypergraph("3 2\n0 1\n0 1\n")
 
     def test_out_of_range_index(self):
         with pytest.raises(ParseError):

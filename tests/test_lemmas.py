@@ -18,6 +18,7 @@ from hyperspec.errors import (
     MismatchedEdgeCountError,
     MismatchedVertexCountError,
     NoDisjointEdgeError,
+    OverlappingSetsError,
     SizeMismatchError,
     StepOutOfRangeError,
     TooFewEdgesError,
@@ -108,6 +109,14 @@ class TestAverageLambda:
         with pytest.raises(WitnessViolationError):
             # vertex 0 appears in a T edge
             check_average_lambda(h, [0, 1], [2, 3], [0])
+
+    def test_overlap_and_index_errors(self, fano_h):
+        with pytest.raises(OverlappingSetsError, match=r"^sets share edges \[1\]$"):
+            check_average_lambda(fano_h, [0, 1], [1, 2], [])
+        with pytest.raises(IndexError, match="^edge index -1 out of range"):
+            check_average_lambda(fano_h, [-1, 0], [1, 2], [])
+        with pytest.raises(IndexError):
+            check_average_lambda(fano_h, [0, 1], [2, 9], [])
 
     def test_size_mismatch(self, fano_h):
         with pytest.raises(SizeMismatchError):
@@ -207,3 +216,41 @@ class TestSuiteRunner:
         assert a["pair_inequality"]["fail"] == 0
         assert a["average_lambda"]["fail"] == 0
         assert a["greedy_increase"]["fail"] == 0
+
+    @pytest.mark.parametrize(
+        "seed, instances, pair_worst, average_worst",
+        [(1, 2000, "0", "2/9"), (5, 30, "1/2", "2/5"), (12, 25, "3", "7/10")],
+    )
+    def test_worst_slacks_pinned(self, seed, instances, pair_worst, average_worst):
+        res = run_lemma_suite(seed, instances)
+        assert res["pair_inequality"] == {"pass": instances, "fail": 0, "worst_slack": pair_worst}
+        assert res["average_lambda"] == {"pass": instances, "fail": 0, "worst_slack": average_worst}
+        assert res["greedy_increase"] == {"pass": 4, "fail": 0}
+
+
+class TestGeneratorsMatchOracles:
+    """The inline draws give the edges and generator state of the
+    one-``random.sample``-per-edge loops in ``oracles``."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pair_instances(self, seed):
+        rng = substream(seed, "suite/pair-inequality")
+        naive = substream(seed, "suite/pair-inequality")
+        for _ in range(2000):
+            fams = random_pair_instance(rng)
+            for fam, (n, edges) in zip(fams, oracles.naive_random_pair_instance(naive)):
+                assert fam.num_vertices == n
+                assert list(fam.edges()) == [frozenset(e) for e in edges]
+            assert rng.getstate() == naive.getstate()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_planted_instances(self, seed):
+        rng = substream(seed, "suite/average-lambda")
+        naive = substream(seed, "suite/average-lambda")
+        for i in range(2000):
+            h, s, t, w = planted_average_instance(rng, x=i % 6)
+            (n, edges), s0, t0, w0 = oracles.naive_planted_average_instance(naive, i % 6)
+            assert h.num_vertices == n
+            assert list(h.edges()) == [frozenset(e) for e in edges]
+            assert (s, t, w) == (s0, t0, w0)
+            assert rng.getstate() == naive.getstate()
