@@ -9,6 +9,11 @@ and falls back to a direct qualifying-subset search whenever the dependent
 random choice hypotheses cannot be met; every such fallback is noted in
 the trace. All randomness flows from one seed through named substreams,
 so a run replays bit-exactly from (input, params, seed).
+
+Counting bounds come before both sampled estimates (lambda-small pair
+share; common-neighbor floor), and draws are made only when neither
+decides; the sampled bad-fraction test cannot accept at t >= 5 with the
+default 10^5 draws.
 """
 
 from __future__ import annotations
@@ -183,6 +188,13 @@ def _count_bad_subsets(
     return bad, bad_subsets
 
 
+def _common_neighbor_floor(g: SimpleGraph, members: list[int], t: int) -> int:
+    """A lower bound on the common neighborhood of any t of ``members``:
+    each member misses itself and its m - 1 - deg non-neighbors, so t of
+    them miss at most t * (m - min deg) vertices."""
+    return g.num_vertices - t * (g.num_vertices - min(map(g.degree, members)))
+
+
 def _cleanup_bad_subsets(
     members: list[int], bad_subsets: list[tuple[int, ...]]
 ) -> tuple[list[int], int]:
@@ -217,11 +229,13 @@ def dependent_random_choice(
     at least n common neighbors (bad fraction below (2t)^-t).
 
     Samples t vertices with repetition and takes their common neighborhood.
-    When C(|U|, t) is enumerable the bad subsets are counted exactly and one
-    vertex of each is deleted, leaving no bad subset at all; otherwise the
-    bad fraction is estimated by sampling and accepted only if a three-sigma
-    upper confidence bound (with a rule-of-three floor) clears the target.
-    Returns None if every attempt fails.
+    U is accepted with no bad subset when :func:`_common_neighbor_floor`
+    reaches n. Otherwise, when C(|U|, t) is enumerable the bad subsets are
+    counted exactly and one vertex of each is deleted, leaving no bad
+    subset at all; else the bad fraction is estimated by sampling and
+    accepted only if a three-sigma upper confidence bound (with a
+    rule-of-three floor, 3/sample_size, above (2t)^-t for t >= 5 at 10^5
+    draws) clears the target. Returns None if every attempt fails.
     """
     if t < 1 or n < t:
         raise ValueError("need positive integers t <= n")
@@ -245,6 +259,8 @@ def dependent_random_choice(
         members = list(vertices_of(u_mask))
         if len(members) <= 2 * n:
             continue
+        if _common_neighbor_floor(g, members, t) >= n:
+            return DrcResult(frozenset(members), Fraction(0), True, attempt, 0)
         if comb(len(members), t) <= enum_cap:
             bad, bad_subsets = _count_bad_subsets(g, members, t, n)
             if bad == 0:
@@ -361,22 +377,42 @@ def _lambda_small_fraction(
     return count / sample_size, False
 
 
+def _pool_pair_counts(h: Hypergraph, labels: list[int]) -> dict[int, int]:
+    """Pair count per intersection size over the sorted edge indices
+    ``labels``; the full edge set reads the cached spectrum."""
+    if len(labels) == h.num_edges:
+        spectrum = intersection_spectrum(h)
+        return dict(zip(spectrum.sizes, spectrum.multiplicities))
+    return pair_size_counts([h.edge_masks[i] for i in labels])
+
+
+def _small_pair_share(pair_counts: dict[int, int], lam: int) -> Fraction:
+    """Share of a pool's pairs meeting in fewer than ``lam`` vertices: an
+    upper bound on its lam-small t-subset share, since a uniform pair of a
+    uniform t-subset is a uniform pair of the pool."""
+    small = sum(c for size, c in pair_counts.items() if size < lam)
+    return Fraction(small, sum(pair_counts.values()))
+
+
 def find_lambda_pair_drc(
     h: Hypergraph,
     edge_set: Iterable[int],
     lam: int,
     params: "ExtractionParams",
+    pair_counts: Optional[dict[int, int]] = None,
 ) -> LambdaPair:
     """Dependent-random-choice extractor at threshold ``lam``.
 
     Requires that at most half of the t-subsets of the pool are
-    lam-small. Builds the threshold graph, derives the density and the
-    common-neighbor demand from it, applies dependent random choice, and
-    searches the resulting subset for a t-subset X whose pairwise
-    intersections stay at most lam and whose threshold-graph common
-    neighborhood becomes Y. When the lemma hypotheses are unsatisfiable at
-    the pool's scale the search falls back to the whole pool with a
-    best-effort demand; the fallback is recorded in the pair's notes.
+    lam-small, which only a :func:`_small_pair_share` above 1/2 leaves
+    open (``pair_counts``: the pool's :func:`pair_size_counts`). Builds the
+    threshold graph, derives the density and the common-neighbor demand
+    from it, applies dependent random choice, and searches the resulting
+    subset for a t-subset X whose pairwise intersections stay at most lam
+    and whose threshold-graph common neighborhood becomes Y. When the
+    lemma hypotheses are unsatisfiable at the pool's scale the search falls
+    back to the whole pool with a best-effort demand; the fallback is
+    recorded in the pair's notes.
     """
     labels = sorted(frozenset(edge_set))
     m = len(labels)
@@ -384,13 +420,16 @@ def find_lambda_pair_drc(
     if m < t:
         raise NoQualifyingSubsetError(f"pool of {m} cannot contain a {t}-subset")
     rng = substream(params.seed, f"drc-pair/{lam}")
-    fraction, exact = _lambda_small_fraction(
-        h, labels, lam, t, rng, params.enum_cap, params.sample_size
-    )
-    if fraction > Fraction(1, 2):
-        raise HypothesesViolatedError(
-            f"{fraction} of {t}-subsets are {lam}-small (exact={exact}); need at most 1/2"
+    if pair_counts is None:
+        pair_counts = _pool_pair_counts(h, labels)
+    if _small_pair_share(pair_counts, lam) > Fraction(1, 2):
+        fraction, exact = _lambda_small_fraction(
+            h, labels, lam, t, rng, params.enum_cap, params.sample_size
         )
+        if fraction > Fraction(1, 2):
+            raise HypothesesViolatedError(
+                f"{fraction} of {t}-subsets are {lam}-small (exact={exact}); need at most 1/2"
+            )
     g = threshold_graph(h, labels, lam)
     notes: list[str] = []
     d = params.d if params.d is not None else Fraction(2 * g.num_edges, m * m)
@@ -649,10 +688,6 @@ class IncrementTrace:
         return out
 
 
-def _min_pairwise(h: Hypergraph, members: list[int]) -> int:
-    return min(pair_size_counts([h.edge_masks[i] for i in members]))
-
-
 def _find_small_subset(
     h: Hypergraph, candidates: list[int], lam: int, t: int, cap: int
 ) -> Optional[tuple[int, ...]]:
@@ -711,6 +746,7 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
     budget = Budget(ms=params.budget_ms)
     spectrum = intersection_spectrum(h)
     pool = sorted(range(h.num_edges))
+    counts = _pool_pair_counts(h, pool)  # counted once per pool
     branch_into = "initial"
     max_levels = params.max_levels if params.max_levels is not None else spectrum.r + 1
     prev_lam: Optional[int] = None
@@ -723,7 +759,7 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
             trace.stop_reason = "no progress: pool has fewer than two edges"
             return trace
         level_start = time.monotonic()
-        lam_i = spectrum.sizes[0] if len(pool) == h.num_edges else _min_pairwise(h, pool)
+        lam_i = min(counts)
         if prev_lam is not None and lam_i <= prev_lam:
             trace.stop_reason = "no progress: minimum intersection did not increase"
             return trace
@@ -731,7 +767,7 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
         pair: Optional[LambdaPair] = None
         extractor = ""
         try:
-            pair = find_lambda_pair_drc(h, pool, lam_i, params)
+            pair = find_lambda_pair_drc(h, pool, lam_i, params, counts)
             extractor = "drc"
         except (HypothesesViolatedError, NoQualifyingSubsetError, DrcFailedError) as exc:
             trace.notes.append(f"drc extractor failed at lambda={lam_i}: {exc}")
@@ -860,7 +896,7 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
                 )
                 core = best_xi
                 containing = sorted(edges_containing(h, core))
-                if len(containing) >= 2 and _min_pairwise(h, containing) > pair.lam:
+                if len(containing) >= 2 and min(_pool_pair_counts(h, containing)) > pair.lam:
                     next_core = core
                 else:
                     steps = pair.lam + 1 - len(core)
@@ -882,10 +918,11 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
             if len(next_pool) < 2:
                 trace.stop_reason = "no progress: next pool has fewer than two edges"
                 return trace
-            if _min_pairwise(h, next_pool) <= pair.lam:
+            next_counts = _pool_pair_counts(h, next_pool)
+            if min(next_counts) <= pair.lam:
                 trace.stop_reason = "no progress: next pool does not increase lambda"
                 return trace
-            pool = next_pool
+            pool, counts = next_pool, next_counts
         finally:
             trace.levels[-1] = replace(
                 level,

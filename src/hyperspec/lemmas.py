@@ -138,6 +138,8 @@ def check_average_lambda(
     ell = len(s_idx)
     if ell < 2:
         raise TooFewEdgesError("need at least two edges per side")
+    _check_indices(h, s_idx)
+    _check_indices(h, t_idx)
     w_mask = mask_of(w)
     masks = h.edge_masks
     for i in s_idx:
@@ -146,8 +148,6 @@ def check_average_lambda(
     for j in t_idx:
         if masks[j] & w_mask:
             raise WitnessViolationError(f"edge {j} in T touches the common vertex set")
-    _check_indices(h, s_idx)
-    _check_indices(h, t_idx)
     if s_idx & t_idx:
         raise OverlappingSetsError(f"sets share edges {sorted(s_idx & t_idx)}")
     x = w_mask.bit_count()

@@ -350,22 +350,28 @@ def clique_with_pendants(seed, q, core=300, sparse=100):
 
 
 def drc_oracle(g, t, n, seed, retries, sample_size):
-    """The sampled-branch dependent random choice one draw at a time, on
-    neighbor frozensets: (U, estimate, attempt) or None, and the generator."""
+    """Dependent random choice one draw at a time, on neighbor frozensets:
+    (U, bad fraction, attempt) or None, whether U was decided without
+    draws, and the generator. U is accepted with no draw when each member
+    misses (itself included) few enough vertices that any t members keep n
+    common neighbors; otherwise the sampled branch estimates the bad share."""
     m = g.num_vertices
+    everyone = frozenset(range(m))
     neighbors = [frozenset(v for v in range(m) if g.has_edge(u, v)) for u in range(m)]
     rng = substream(seed, "drc")
     target = Fraction(1, (2 * t) ** t)
     for attempt in range(1, retries + 1):
         sample = [rng.randrange(m) for _ in range(t)]
-        members = sorted(frozenset(range(m)).intersection(*(neighbors[v] for v in sample)))
+        members = sorted(everyone.intersection(*(neighbors[v] for v in sample)))
         if len(members) <= 2 * n:
             continue
+        if m - t * max(len(everyone - neighbors[v]) for v in members) >= n:
+            return (frozenset(members), Fraction(0), attempt), True, rng
         est = oracles.sampled_drc_bad(neighbors, members, t, n, rng, sample_size) / sample_size
         margin = max(3.0 * sqrt(est * (1.0 - est) / sample_size), 3.0 / sample_size)
         if est + margin < target:
-            return (frozenset(members), est, attempt), rng
-    return None, rng
+            return (frozenset(members), est, attempt), False, rng
+    return None, None, rng
 
 
 class TestSampledLoopsMatchPerDrawOracles:
@@ -392,6 +398,8 @@ class TestSampledLoopsMatchPerDrawOracles:
         assert 0 < expected < 1
 
     # q = 0.15 gives sampled estimates above 0, q = 0.05 repeated attempts.
+    # The common-neighbor bound decides some seeds without draws; on q = 0.05
+    # the first sampled seed with a retry is seed 15.
     @pytest.mark.parametrize("q, shows", [(0.15, "bad"), (0.05, "retry")])
     def test_dependent_random_choice(self, q, shows, monkeypatch):
         g = clique_with_pendants(1, q)
@@ -400,16 +408,138 @@ class TestSampledLoopsMatchPerDrawOracles:
             extraction, "substream", lambda *key: made.append(substream(*key)) or made[-1]
         )
         results = []
-        for seed in range(12):
+        for seed in range(16):
             res = dependent_random_choice(
                 g, Fraction(1, 2), 2, 12, seed, retries=3, enum_cap=0, sample_size=3000
             )
-            expected, expected_rng = drc_oracle(g, 2, 12, seed, 3, 3000)
-            assert res is not None and not res.exhaustive
+            expected, decided, expected_rng = drc_oracle(g, 2, 12, seed, 3, 3000)
+            assert res is not None
             assert (res.u, res.bad_fraction, res.attempts) == expected
+            assert res.exhaustive == decided
             assert made[-1].getstate() == expected_rng.getstate()
             results.append(res)
+        sampled = [res for res in results if not res.exhaustive]
         if shows == "bad":
             assert any(res.bad_fraction > 0 for res in results)
+            assert any(res.bad_fraction > 0 for res in sampled)
         else:
             assert any(res.attempts > 1 for res in results)
+            assert any(res.attempts > 1 for res in sampled)
+
+
+def clique_minus_matching(m, seed):
+    """K_m with a random matching removed: every vertex misses at most
+    itself and its partner, so any t vertices keep m - 2t common neighbors."""
+    order = list(range(m))
+    random.Random(seed).shuffle(order)
+    partner = {}
+    for a, b in zip(order[::2], order[1::2]):
+        partner[a], partner[b] = b, a
+    return SimpleGraph(m, [(i, j) for i in range(m) for j in range(i + 1, m) if partner.get(i) != j])
+
+
+class TestExactBoundsBeforeSampling:
+    """The counting bounds that settle dependent random choice and the
+    lambda-small check without draws are sound against enumeration."""
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_common_neighbor_floor_is_sound(self, t):
+        graphs = []
+        for seed in range(4):
+            graphs.append(gnp_random_graph(24, 0.9 + 0.02 * seed, seed=seed))
+            graphs.append(clique_with_pendants(seed, 0.5, core=18, sparse=6))
+            graphs.append(clique_minus_matching(22 + seed, seed))
+        decided = 0
+        for i, g in enumerate(graphs):
+            m = g.num_vertices
+            neighbors = [frozenset(v for v in range(m) if g.has_edge(u, v)) for u in range(m)]
+            rng = random.Random(i)
+            for _ in range(3):
+                members = sorted(rng.sample(range(m), rng.randrange(t, min(m, 20) + 1)))
+                floor = extraction._common_neighbor_floor(g, members, t)
+                fewest = min(
+                    len(frozenset.intersection(*(neighbors[v] for v in sub)))
+                    for sub in combinations(members, t)
+                )
+                assert floor <= fewest
+                if floor >= 1:
+                    # The bound decides every demand n <= floor: no bad subset.
+                    decided += 1
+                    assert extraction._count_bad_subsets(g, members, t, floor)[0] == 0
+        assert decided >= 12
+
+    def test_floor_is_tight_without_matched_members(self):
+        # Members that are pairwise unmatched miss exactly themselves and
+        # their partners, so some t of them have exactly m - 2t common
+        # neighbors: the floor decides n = m - 2t, and n + 1 leaves bad sets.
+        g = clique_minus_matching(20, 3)
+        t = 3
+        members = []
+        for v in range(20):
+            if all(g.has_edge(v, u) for u in members):
+                members.append(v)
+        assert len(members) == 10
+        floor = extraction._common_neighbor_floor(g, members, t)
+        assert floor == 20 - 2 * t
+        assert extraction._count_bad_subsets(g, members, t, floor)[0] == 0
+        assert extraction._count_bad_subsets(g, members, t, floor + 1)[0] > 0
+
+    def test_pair_share_bounds_small_fraction(self):
+        shares = set()
+        for seed in range(12):
+            h = random_uniform(10, 4, 24, seed=seed)
+            edges = [frozenset(e) for e in h.edges()]
+            rng = random.Random(seed)
+            pools = [list(range(24))] + [
+                sorted(rng.sample(range(24), rng.randrange(4, 15))) for _ in range(3)
+            ]
+            for pool in pools:
+                counts = extraction._pool_pair_counts(h, pool)
+                assert counts == oracles.naive_spectrum([edges[i] for i in pool])
+                # A t-subset is lam-small iff its largest pair size is below lam.
+                largest = {
+                    t: [
+                        max(len(edges[a] & edges[b]) for a, b in combinations(sub, 2))
+                        for sub in combinations(pool, t)
+                    ]
+                    for t in (2, 3, 4)
+                }
+                for lam in range(1, 5):
+                    p = extraction._small_pair_share(counts, lam)
+                    for t, sizes in largest.items():
+                        fraction = Fraction(sum(size < lam for size in sizes), len(sizes))
+                        assert fraction <= p
+                        if t == 2:
+                            assert fraction == p
+                        if p <= Fraction(1, 2):
+                            assert fraction <= Fraction(1, 2)
+                        if p == 0:
+                            assert fraction == 0
+                    shares.add("zero" if p == 0 else "half" if p <= Fraction(1, 2) else "above")
+        assert shares == {"zero", "half", "above"}
+
+    def test_share_above_half_still_checks(self, monkeypatch):
+        # Disjoint pairs only: the share is 1, so the fraction is counted and
+        # the hypotheses fail; with every pair meeting, nothing is counted.
+        calls = []
+        real = extraction._lambda_small_fraction
+        monkeypatch.setattr(
+            extraction, "_lambda_small_fraction", lambda *a: calls.append(a) or real(*a)
+        )
+        h = new_hypergraph(8, [{0, 1}, {2, 3}, {4, 5}, {6, 7}])
+        with pytest.raises(HypothesesViolatedError):
+            find_lambda_pair_drc(h, range(4), 1, ExtractionParams(t=2, x=1, seed=0))
+        assert len(calls) == 1
+        find_lambda_pair_drc(fano(), range(7), 1, ExtractionParams(t=2, x=1, seed=0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_itf2_extraction_makes_no_sampled_draws(self, itf2, t, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("sampled draws on itf2")
+
+        monkeypatch.setattr(extraction, "sample_rows", no_draws)
+        for seed in range(3):
+            trace = density_increment_run(itf2, ExtractionParams(t=t, x=4, seed=seed))
+            assert trace.lambdas() == [1, 7]
+            assert trace.levels[0].notes[0].startswith("drc accepted")

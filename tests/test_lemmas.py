@@ -115,6 +115,10 @@ class TestAverageLambda:
             check_average_lambda(fano_h, [0, 1], [1, 2], [])
         with pytest.raises(IndexError, match="^edge index -1 out of range"):
             check_average_lambda(fano_h, [-1, 0], [1, 2], [])
+        # The indices are checked before the witness reads any edge.
+        for w in ([0], [1]):
+            with pytest.raises(IndexError, match="^edge index -1 out of range"):
+                check_average_lambda(fano_h, [-1, 0], [1, 2], w)
         with pytest.raises(IndexError):
             check_average_lambda(fano_h, [0, 1], [2, 9], [])
 
