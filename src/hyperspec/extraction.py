@@ -10,10 +10,9 @@ random choice hypotheses cannot be met; every such fallback is noted in
 the trace. All randomness flows from one seed through named substreams,
 so a run replays bit-exactly from (input, params, seed).
 
-Counting bounds come before both sampled estimates (lambda-small pair
-share; common-neighbor floor), and draws are made only when neither
-decides; the sampled bad-fraction test cannot accept at t >= 5 with the
-default 10^5 draws.
+Both counting questions (the bad t-subsets of a dependent random choice,
+the lambda-small t-subsets of a pool) are settled by a counting bound or
+by enumerating at most ``ENUM_CAP`` t-subsets, or else left undecided.
 """
 
 from __future__ import annotations
@@ -25,10 +24,7 @@ from itertools import combinations
 from math import comb, isqrt, sqrt
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .core import (
-    BLOCK_BYTES,
     Budget,
     Hypergraph,
     edges_containing,
@@ -37,7 +33,6 @@ from .core import (
     lambda_across,
     lambda_within,
     mask_of,
-    pack_words,
     pair_adjacency,
     pair_size_counts,
     vertices_of,
@@ -58,7 +53,7 @@ from .lemmas import (
     greedy_increase,
     validate_lambda_pair,
 )
-from .rng import DEFAULT_SEED, sample_rows, substream
+from .rng import DEFAULT_SEED, substream
 
 __all__ = [
     "SimpleGraph",
@@ -76,6 +71,13 @@ __all__ = [
     "build_triple_family",
     "density_increment_run",
 ]
+
+DRC_RETRIES = 20
+# Most t-subsets either counting question enumerates before it is undecided.
+ENUM_CAP = 10**6
+# Most candidate t-subsets the lambda-pair search tries, and most pair
+# checks in the spread-case subset search.
+SEARCH_TRIES = 4000
 
 
 class SimpleGraph:
@@ -162,18 +164,14 @@ def threshold_graph(h: Hypergraph, edge_set: Iterable[int], lam: int) -> SimpleG
 
 @dataclass(frozen=True)
 class DrcResult:
+    """An accepted set U, its exact bad fraction, and the attempt that
+    found it. ``exhaustive`` is always True: every U is decided exactly."""
+
     u: frozenset[int]
-    bad_fraction: Fraction | float
+    bad_fraction: Fraction
     exhaustive: bool
     attempts: int
     removed: int
-
-
-def _sampled_rows(rng, n: int, t: int, count: int, row_words: int):
-    """:func:`sample_rows` blocks for a predicate holding ``row_words`` uint64
-    temporaries per row, sized to about ``BLOCK_BYTES`` with the raw draw
-    (some 64 bytes per index: two 32-bit outputs as an int, bytes and arrays)."""
-    return sample_rows(rng, n, t, count, max(1, BLOCK_BYTES // (64 * t + 8 * row_words)))
 
 
 def _count_bad_subsets(
@@ -221,21 +219,17 @@ def dependent_random_choice(
     t: int,
     n: int,
     seed: int,
-    retries: int = 20,
-    enum_cap: int = 10**6,
-    sample_size: int = 10**5,
+    retries: int = DRC_RETRIES,
 ) -> Optional[DrcResult]:
     """Find a vertex set U with |U| > 2n in which almost every t-subset has
     at least n common neighbors (bad fraction below (2t)^-t).
 
-    Samples t vertices with repetition and takes their common neighborhood.
+    Draws t vertices with repetition and takes their common neighborhood.
     U is accepted with no bad subset when :func:`_common_neighbor_floor`
-    reaches n. Otherwise, when C(|U|, t) is enumerable the bad subsets are
-    counted exactly and one vertex of each is deleted, leaving no bad
-    subset at all; else the bad fraction is estimated by sampling and
-    accepted only if a three-sigma upper confidence bound (with a
-    rule-of-three floor, 3/sample_size, above (2t)^-t for t >= 5 at 10^5
-    draws) clears the target. Returns None if every attempt fails.
+    reaches n. Otherwise, when C(|U|, t) is at most ``ENUM_CAP`` the bad
+    subsets are counted exactly and one vertex of each is deleted, leaving
+    no bad subset at all; else the attempt is undecided and fails. Returns
+    None if every attempt fails.
     """
     if t < 1 or n < t:
         raise ValueError("need positive integers t <= n")
@@ -261,29 +255,18 @@ def dependent_random_choice(
             continue
         if _common_neighbor_floor(g, members, t) >= n:
             return DrcResult(frozenset(members), Fraction(0), True, attempt, 0)
-        if comb(len(members), t) <= enum_cap:
-            bad, bad_subsets = _count_bad_subsets(g, members, t, n)
-            if bad == 0:
-                return DrcResult(frozenset(members), Fraction(0), True, attempt, 0)
-            kept, removed = _cleanup_bad_subsets(members, bad_subsets)
-            if len(kept) > 2 * n:
-                # Every bad subset lost a member, so none survives in kept.
-                return DrcResult(frozenset(kept), Fraction(0), True, attempt, removed)
-            fraction = Fraction(bad, comb(len(members), t))
-            if fraction < target:
-                return DrcResult(frozenset(members), fraction, True, attempt, 0)
-            continue
-        adj = pack_words([g.adj[v] for v in members], m)
-        bad = 0
-        for rows in _sampled_rows(rng, len(members), t, sample_size, 2 * adj.shape[1]):
-            common = adj[rows[:, 0]]
-            for col in rows.T[1:]:
-                common &= adj[col]
-            bad += int((np.bitwise_count(common).sum(axis=1) < n).sum())
-        est = bad / sample_size
-        margin = max(3.0 * sqrt(est * (1.0 - est) / sample_size), 3.0 / sample_size)
-        if est + margin < target:
-            return DrcResult(frozenset(members), est, False, attempt, 0)
+        if comb(len(members), t) > ENUM_CAP:
+            continue  # undecided
+        bad, bad_subsets = _count_bad_subsets(g, members, t, n)
+        if bad == 0:
+            return DrcResult(frozenset(members), Fraction(0), True, attempt, 0)
+        kept, removed = _cleanup_bad_subsets(members, bad_subsets)
+        if len(kept) > 2 * n:
+            # Every bad subset lost a member, so none survives in kept.
+            return DrcResult(frozenset(kept), Fraction(0), True, attempt, removed)
+        fraction = Fraction(bad, comb(len(members), t))
+        if fraction < target:
+            return DrcResult(frozenset(members), fraction, True, attempt, 0)
     return None
 
 
@@ -342,16 +325,10 @@ def find_lambda_pair_ramsey(
 
 
 def _lambda_small_fraction(
-    h: Hypergraph,
-    members: list[int],
-    lam: int,
-    t: int,
-    rng,
-    enum_cap: int,
-    sample_size: int,
-) -> tuple[Fraction | float, bool]:
+    h: Hypergraph, members: list[int], lam: int, t: int
+) -> Optional[Fraction]:
     """Fraction of t-subsets whose pairwise intersections all fall below
-    ``lam``; exact when enumerable, sampled otherwise."""
+    ``lam``, or None (undecided) above ``ENUM_CAP`` t-subsets."""
     masks = h.edge_masks
 
     def small(sub: tuple[int, ...]) -> bool:
@@ -363,18 +340,9 @@ def _lambda_small_fraction(
         return True
 
     total = comb(len(members), t)
-    if total <= enum_cap:
-        count = sum(1 for sub in combinations(members, t) if small(sub))
-        return Fraction(count, total), True
-    words = pack_words([masks[i] for i in members], h.num_vertices)
-    first, second = np.triu_indices(t, 1)
-    row_words = (t + len(first)) * words.shape[1]
-    count = 0
-    for rows in _sampled_rows(rng, len(members), t, sample_size, row_words):
-        sub = words[rows]
-        sizes = np.bitwise_count(sub[:, first] & sub[:, second]).sum(axis=2)
-        count += int((sizes < lam).all(axis=1).sum())
-    return count / sample_size, False
+    if total > ENUM_CAP:
+        return None
+    return Fraction(sum(1 for sub in combinations(members, t) if small(sub)), total)
 
 
 def _pool_pair_counts(h: Hypergraph, labels: list[int]) -> dict[int, int]:
@@ -405,7 +373,8 @@ def find_lambda_pair_drc(
 
     Requires that at most half of the t-subsets of the pool are
     lam-small, which only a :func:`_small_pair_share` above 1/2 leaves
-    open (``pair_counts``: the pool's :func:`pair_size_counts`). Builds the
+    open (``pair_counts``: the pool's :func:`pair_size_counts`); a share
+    too large to count is noted as undecided. Builds the
     threshold graph, derives the density and the common-neighbor demand
     from it, applies dependent random choice, and searches the resulting
     subset for a t-subset X whose pairwise intersections stay at most lam
@@ -422,16 +391,16 @@ def find_lambda_pair_drc(
     rng = substream(params.seed, f"drc-pair/{lam}")
     if pair_counts is None:
         pair_counts = _pool_pair_counts(h, labels)
+    notes: list[str] = []
     if _small_pair_share(pair_counts, lam) > Fraction(1, 2):
-        fraction, exact = _lambda_small_fraction(
-            h, labels, lam, t, rng, params.enum_cap, params.sample_size
-        )
-        if fraction > Fraction(1, 2):
+        fraction = _lambda_small_fraction(h, labels, lam, t)
+        if fraction is None:
+            notes.append(f"{lam}-small share of {t}-subsets undecided; proceeding")
+        elif fraction > Fraction(1, 2):
             raise HypothesesViolatedError(
-                f"{fraction} of {t}-subsets are {lam}-small (exact={exact}); need at most 1/2"
+                f"{fraction} of {t}-subsets are {lam}-small; need at most 1/2"
             )
     g = threshold_graph(h, labels, lam)
-    notes: list[str] = []
     d = params.d if params.d is not None else Fraction(2 * g.num_edges, m * m)
     candidates_mask: Optional[int] = None
     demand = 0
@@ -439,16 +408,7 @@ def find_lambda_pair_drc(
         n_target = int(m * d**t / (5 * t))
         if n_target >= t and m > 4 * t * d**-t * n_target:
             try:
-                res = dependent_random_choice(
-                    g,
-                    d,
-                    t,
-                    n_target,
-                    params.seed,
-                    retries=params.drc_retries,
-                    enum_cap=params.enum_cap,
-                    sample_size=params.sample_size,
-                )
+                res = dependent_random_choice(g, d, t, n_target, params.seed)
             except HypothesesViolatedError:
                 res = None
             if res is not None:
@@ -474,7 +434,7 @@ def find_lambda_pair_drc(
         return True
 
     best: Optional[tuple[int, tuple[int, ...], int]] = None
-    tries = min(params.search_tries, comb(len(members), t))
+    tries = min(SEARCH_TRIES, comb(len(members), t))
     enumerated = comb(len(members), t) <= tries
     candidates = (
         combinations(members, t)
@@ -594,12 +554,7 @@ class ExtractionParams:
     x: int = 4
     d: Optional[Fraction] = None  # None: measured threshold-graph density
     seed: int = DEFAULT_SEED
-    max_levels: Optional[int] = None
     budget_ms: Optional[float] = None
-    drc_retries: int = 20
-    enum_cap: int = 10**6
-    sample_size: int = 10**5
-    search_tries: int = 4000
     paper_constants: bool = False
 
     def __post_init__(self):
@@ -689,12 +644,12 @@ class IncrementTrace:
 
 
 def _find_small_subset(
-    h: Hypergraph, candidates: list[int], lam: int, t: int, cap: int
+    h: Hypergraph, candidates: list[int], lam: int, t: int
 ) -> Optional[tuple[int, ...]]:
     """A t-subset with pairwise sizes <= lam, or None.
 
     Greedy accretion from each start point in index order; deterministic,
-    with the total number of pair checks capped.
+    with the total number of pair checks capped at ``SEARCH_TRIES``.
     """
     masks = h.edge_masks
     cands = sorted(candidates)
@@ -703,7 +658,7 @@ def _find_small_subset(
         sub = [cands[start]]
         for c in cands[start + 1 :]:
             checks += 1
-            if checks > cap:
+            if checks > SEARCH_TRIES:
                 return None
             if all((masks[c] & masks[s]).bit_count() <= lam for s in sub):
                 sub.append(c)
@@ -748,10 +703,9 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
     pool = sorted(range(h.num_edges))
     counts = _pool_pair_counts(h, pool)  # counted once per pool
     branch_into = "initial"
-    max_levels = params.max_levels if params.max_levels is not None else spectrum.r + 1
     prev_lam: Optional[int] = None
 
-    while len(trace.levels) < max_levels:
+    while len(trace.levels) < spectrum.r + 1:
         if not budget.step():
             trace.stop_reason = "budget exhausted"
             return trace
@@ -855,8 +809,8 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
                 if len(group) >= t and t % 2 == 0 and t >= 4:
                     a_side = [a for a, _ in group]
                     b_side = [b for _, b in group]
-                    s_full = _find_small_subset(h, a_side, pair.lam, t, params.search_tries)
-                    t_full = _find_small_subset(h, b_side, pair.lam, t, params.search_tries)
+                    s_full = _find_small_subset(h, a_side, pair.lam, t)
+                    t_full = _find_small_subset(h, b_side, pair.lam, t)
                     if s_full is not None and t_full is not None:
                         half = t // 2
                         s_half = s_full[:half]

@@ -306,41 +306,6 @@ def brute_min_spectrum(k: int, n: int) -> Optional[int]:
     return best
 
 
-def sampled_small_fraction(
-    edges: Sequence[Iterable[int]],
-    members: Sequence[int],
-    lam: int,
-    t: int,
-    rng: random.Random,
-    sample_size: int,
-) -> float:
-    """Share of ``sample_size`` draws ``rng.sample(members, t)`` whose edges
-    pairwise meet in fewer than ``lam`` vertices, one draw at a time."""
-    sets = [frozenset(e) for e in edges]
-    small = 0
-    for _ in range(sample_size):
-        sub = rng.sample(members, t)
-        small += all(len(sets[a] & sets[b]) < lam for a, b in combinations(sub, 2))
-    return small / sample_size
-
-
-def sampled_drc_bad(
-    neighbors: Sequence[frozenset[int]],
-    members: Sequence[int],
-    t: int,
-    n: int,
-    rng: random.Random,
-    sample_size: int,
-) -> int:
-    """Number of ``sample_size`` draws ``rng.sample(members, t)`` whose
-    common neighborhood has fewer than ``n`` vertices, one draw at a time."""
-    bad = 0
-    for _ in range(sample_size):
-        sub = rng.sample(members, t)
-        bad += len(frozenset.intersection(*(neighbors[v] for v in sub))) < n
-    return bad
-
-
 # -- generators drawn one ``random.sample`` call at a time ------------------
 #
 # The package replays these draws inline (``rng.distinct_subsets``); these

@@ -150,8 +150,7 @@ class TestExtract:
         [("4", "drc accepted |U|=2397 with demand n=119"), ("5", "drc accepted |U|=2396 with demand n=95")],
     )
     def test_itf2_drc_accepted(self, tmp_path, capsys, t, note):
-        # The common-neighbor bound accepts U at t = 5 too, where the sampled
-        # test's rule-of-three floor lies above the target (2t)^-t.
+        # The common-neighbor bound accepts U at t = 4 and t = 5 alike.
         path = tmp_path / "itf2.hg"
         run_cli(["construct", "--family", "iterated-fano", "--param", "m=2", "-o", str(path)], capsys)
         code, stdout, _ = run_cli(["extract", str(path), "--seed", "1", "--t", t], capsys)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, sqrt
+from math import comb
 
 import pytest
 
@@ -29,10 +29,10 @@ from hyperspec.errors import (
     WidthTooLargeError,
 )
 from hyperspec import extraction
+from hyperspec.core import vertices_of
 from hyperspec.extraction import (
     ExtractionParams,
     SimpleGraph,
-    _lambda_small_fraction,
     gnp_random_graph,
 )
 from hyperspec.rng import substream
@@ -167,6 +167,26 @@ class TestDependentRandomChoice:
         rebad, _ = _count_bad_subsets(g, kept, 2, n)
         assert rebad == 0
 
+    def test_undecided_attempts_fail(self, monkeypatch):
+        # Each attempt's U is large, the floor leaves it open and C(|U|, 5)
+        # exceeds ENUM_CAP, so both attempts are undecided: None after
+        # exactly 2 * 5 vertex draws.
+        g = gnp_random_graph(1200, 0.8, seed=3)
+        t, n = 5, 12
+        expected = substream(1, "drc")
+        for _ in range(2):
+            draws = [expected.randrange(1200) for _ in range(t)]
+            members = list(vertices_of(g.common_neighbors_mask(draws)))
+            assert len(members) > 2 * n
+            assert extraction._common_neighbor_floor(g, members, t) < n
+            assert comb(len(members), t) > extraction.ENUM_CAP
+        made = []
+        monkeypatch.setattr(
+            extraction, "substream", lambda *key: made.append(substream(*key)) or made[-1]
+        )
+        assert dependent_random_choice(g, Fraction(79, 100), t, n, seed=1, retries=2) is None
+        assert made[-1].getstate() == expected.getstate()
+
 
 class TestRamseyPair:
     def test_fano_two(self, fano_h):
@@ -209,8 +229,12 @@ class TestDrcPair:
             find_lambda_pair_drc(h, range(4), 1, params)
 
     def test_iterated_fano_lambda_three(self, itf2):
+        # Most pairs meet in one vertex, and C(2401, 4) is too many 4-subsets
+        # to count, so the 3-small share is undecided and the search goes on.
         params = ExtractionParams(t=4, x=4, seed=0)
         pair = find_lambda_pair_drc(itf2, range(2401), 3, params)
+        assert pair.notes[0] == "3-small share of 4-subsets undecided; proceeding"
+        assert (sorted(pair.x), len(pair.y)) == ([735, 1893, 2011, 2080], 48)
         check = validate_lambda_pair(itf2, pair.x, pair.y, 3, 4)
         assert check.valid
         assert check.cross_min >= 3
@@ -338,93 +362,15 @@ class TestDensityIncrementRun:
         assert trace.notes  # documentation mode flagged
 
 
-def clique_with_pendants(seed, q, core=300, sparse=100):
+def clique_with_pendants(seed, q, core, sparse):
     """A clique on ``core`` vertices plus ``sparse`` vertices, each joined
     to every clique vertex with probability q. Few edges touch the sparse
-    vertices, so they make dependent random choice retry (a sampled sparse
-    vertex leaves a small U) and make some sampled t-subsets bad."""
+    vertices, so they pull the common-neighbor floor down and make some
+    t-subsets bad."""
     rng = random.Random(seed)
     edges = [(i, j) for i in range(core) for j in range(i + 1, core)]
     edges += [(c, s) for s in range(core, core + sparse) for c in range(core) if rng.random() < q]
     return SimpleGraph(core + sparse, edges)
-
-
-def drc_oracle(g, t, n, seed, retries, sample_size):
-    """Dependent random choice one draw at a time, on neighbor frozensets:
-    (U, bad fraction, attempt) or None, whether U was decided without
-    draws, and the generator. U is accepted with no draw when each member
-    misses (itself included) few enough vertices that any t members keep n
-    common neighbors; otherwise the sampled branch estimates the bad share."""
-    m = g.num_vertices
-    everyone = frozenset(range(m))
-    neighbors = [frozenset(v for v in range(m) if g.has_edge(u, v)) for u in range(m)]
-    rng = substream(seed, "drc")
-    target = Fraction(1, (2 * t) ** t)
-    for attempt in range(1, retries + 1):
-        sample = [rng.randrange(m) for _ in range(t)]
-        members = sorted(everyone.intersection(*(neighbors[v] for v in sample)))
-        if len(members) <= 2 * n:
-            continue
-        if m - t * max(len(everyone - neighbors[v]) for v in members) >= n:
-            return (frozenset(members), Fraction(0), attempt), True, rng
-        est = oracles.sampled_drc_bad(neighbors, members, t, n, rng, sample_size) / sample_size
-        margin = max(3.0 * sqrt(est * (1.0 - est) / sample_size), 3.0 / sample_size)
-        if est + margin < target:
-            return (frozenset(members), est, attempt), False, rng
-    return None, None, rng
-
-
-class TestSampledLoopsMatchPerDrawOracles:
-    """The batched sampled branches (``enum_cap`` set low so they run) give
-    the value, and leave the generator state, of one ``random.sample`` call
-    per draw."""
-
-    @pytest.mark.parametrize(
-        "t, pool, seed",
-        [(2, 150, 1), (3, 150, 2), (4, 150, 3), (5, 120, 4), (6, 90, 5), (6, 80, 6), (6, 40, 7)],
-    )
-    def test_lambda_small_fraction(self, t, pool, seed):
-        # 100 vertices: masks span two 64-bit words. t = 6 with at most 85
-        # members runs random.sample's pool branch.
-        h = random_uniform(100, 10, 150, seed=seed)
-        members = sorted(random.Random(seed).sample(range(150), pool))
-        edges = [sorted(e) for e in h.edges()]
-        for lam in (1, 2, 3):
-            expected_rng, rng = substream(seed, "small"), substream(seed, "small")
-            expected = oracles.sampled_small_fraction(edges, members, lam, t, expected_rng, 3000)
-            value, exact = _lambda_small_fraction(h, members, lam, t, rng, 0, 3000)
-            assert (value, exact) == (expected, False)
-            assert rng.getstate() == expected_rng.getstate()
-        assert 0 < expected < 1
-
-    # q = 0.15 gives sampled estimates above 0, q = 0.05 repeated attempts.
-    # The common-neighbor bound decides some seeds without draws; on q = 0.05
-    # the first sampled seed with a retry is seed 15.
-    @pytest.mark.parametrize("q, shows", [(0.15, "bad"), (0.05, "retry")])
-    def test_dependent_random_choice(self, q, shows, monkeypatch):
-        g = clique_with_pendants(1, q)
-        made = []
-        monkeypatch.setattr(
-            extraction, "substream", lambda *key: made.append(substream(*key)) or made[-1]
-        )
-        results = []
-        for seed in range(16):
-            res = dependent_random_choice(
-                g, Fraction(1, 2), 2, 12, seed, retries=3, enum_cap=0, sample_size=3000
-            )
-            expected, decided, expected_rng = drc_oracle(g, 2, 12, seed, 3, 3000)
-            assert res is not None
-            assert (res.u, res.bad_fraction, res.attempts) == expected
-            assert res.exhaustive == decided
-            assert made[-1].getstate() == expected_rng.getstate()
-            results.append(res)
-        sampled = [res for res in results if not res.exhaustive]
-        if shows == "bad":
-            assert any(res.bad_fraction > 0 for res in results)
-            assert any(res.bad_fraction > 0 for res in sampled)
-        else:
-            assert any(res.attempts > 1 for res in results)
-            assert any(res.attempts > 1 for res in sampled)
 
 
 def clique_minus_matching(m, seed):
@@ -440,7 +386,7 @@ def clique_minus_matching(m, seed):
 
 class TestExactBoundsBeforeSampling:
     """The counting bounds that settle dependent random choice and the
-    lambda-small check without draws are sound against enumeration."""
+    lambda-small check before enumeration are sound against it."""
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_common_neighbor_floor_is_sound(self, t):
@@ -518,6 +464,25 @@ class TestExactBoundsBeforeSampling:
                     shares.add("zero" if p == 0 else "half" if p <= Fraction(1, 2) else "above")
         assert shares == {"zero", "half", "above"}
 
+    def test_small_fraction_exact_or_undecided(self, monkeypatch):
+        # Counted exactly up to ENUM_CAP t-subsets, undecided one beyond.
+        h = random_uniform(10, 4, 24, seed=0)
+        edges = [frozenset(e) for e in h.edges()]
+        members = list(range(3, 15))
+        mixed = 0
+        for t in (2, 3, 4):
+            subs = list(combinations(members, t))
+            for lam in (1, 2, 3):
+                small = sum(
+                    all(len(edges[a] & edges[b]) < lam for a, b in combinations(sub, 2)) for sub in subs
+                )
+                mixed += 0 < small < len(subs)
+                monkeypatch.setattr(extraction, "ENUM_CAP", len(subs))
+                assert extraction._lambda_small_fraction(h, members, lam, t) == Fraction(small, len(subs))
+                monkeypatch.setattr(extraction, "ENUM_CAP", len(subs) - 1)
+                assert extraction._lambda_small_fraction(h, members, lam, t) is None
+        assert mixed  # some fractions lie strictly between 0 and 1
+
     def test_share_above_half_still_checks(self, monkeypatch):
         # Disjoint pairs only: the share is 1, so the fraction is counted and
         # the hypotheses fail; with every pair meeting, nothing is counted.
@@ -534,12 +499,10 @@ class TestExactBoundsBeforeSampling:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5])
-    def test_itf2_extraction_makes_no_sampled_draws(self, itf2, t, monkeypatch):
-        def no_draws(*args):
-            raise AssertionError("sampled draws on itf2")
-
-        monkeypatch.setattr(extraction, "sample_rows", no_draws)
+    def test_itf2_extraction_makes_no_sampled_draws(self, itf2, t):
+        # Every counting question on itf2 is decided: no level is undecided.
         for seed in range(3):
             trace = density_increment_run(itf2, ExtractionParams(t=t, x=4, seed=seed))
             assert trace.lambdas() == [1, 7]
             assert trace.levels[0].notes[0].startswith("drc accepted")
+            assert not any("undecided" in note for lvl in trace.levels for note in lvl.notes)
