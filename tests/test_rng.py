@@ -56,6 +56,33 @@ def test_distinct_subsets_skip_forbidden(n, k):
     assert len(forbidden) == 20
 
 
+# Both sides of random.sample's set-size switch (21 for t <= 5, 85 for
+# t = 6) and populations at bit-length edges.
+POPULATIONS = (21, 22, 63, 64, 65, 85, 86, 2401, 70000)
+
+
+@pytest.mark.parametrize("t", range(2, 7))
+@pytest.mark.parametrize("n", POPULATIONS)
+def test_rows_and_state_match_random_sample(n, t):
+    for seed in (0, 1, 2):
+        for count in (0, 1, 7, 200):
+            expected, actual = random.Random(seed), random.Random(seed)
+            rows = sample_loop(expected, 0, n, t, count)
+            assert distinct_subsets(actual, 0, n, t, count) == rows, (seed, count)
+            assert actual.getstate() == expected.getstate()
+            assert actual.random() == expected.random()
+
+
+def test_rows_follow_other_draws():
+    expected, actual = random.Random(5), random.Random(5)
+    for rng in (expected, actual):
+        rng.randrange(1000)
+        rng.random()
+    want = sample_loop(expected, 0, 500, 3, 40)
+    assert distinct_subsets(actual, 0, 500, 3, 40) == want
+    assert actual.randrange(1000) == expected.randrange(1000)
+
+
 def test_distinct_subsets_reject_oversized_sample():
     with pytest.raises(ValueError):
         distinct_subsets(random.Random(0), 0, 3, 4, 1)
