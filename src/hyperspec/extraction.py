@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt, sqrt
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     Budget,
@@ -310,18 +310,18 @@ def find_lambda_pair_ramsey(
         mine = pulls_by_color.setdefault(majority, [])
         mine.append(e)
         if len(mine) == t:
-            pair = LambdaPair(
-                x=frozenset(mine),
-                y=frozenset(pool),
-                lam=majority,
-                validated=False,
-                notes=(f"majority rounds: {rounds}",),
-            )
-            check = validate_lambda_pair(h, pair.x, pair.y, pair.lam, t)
-            return replace(pair, validated=check.valid)
+            x, y = frozenset(mine), frozenset(pool)
+            valid = validate_lambda_pair(h, x, y, majority, t).valid
+            return LambdaPair(x, y, majority, valid, (f"majority rounds: {rounds}",))
     raise PoolExhaustedError(
         f"pool emptied after {rounds} pulls before {t} shared a majority size"
     )
+
+
+def _pairwise_at_most(masks: Sequence[int], sub: Iterable[int], c: int) -> bool:
+    """True iff every two of the edges ``sub`` (indices into ``masks``)
+    meet in at most ``c`` vertices."""
+    return all((masks[a] & masks[b]).bit_count() <= c for a, b in combinations(sub, 2))
 
 
 def _lambda_small_fraction(
@@ -329,20 +329,11 @@ def _lambda_small_fraction(
 ) -> Optional[Fraction]:
     """Fraction of t-subsets whose pairwise intersections all fall below
     ``lam``, or None (undecided) above ``ENUM_CAP`` t-subsets."""
-    masks = h.edge_masks
-
-    def small(sub: tuple[int, ...]) -> bool:
-        for i, a in enumerate(sub[:-1]):
-            ma = masks[a]
-            for b in sub[i + 1 :]:
-                if (ma & masks[b]).bit_count() >= lam:
-                    return False
-        return True
-
     total = comb(len(members), t)
     if total > ENUM_CAP:
         return None
-    return Fraction(sum(1 for sub in combinations(members, t) if small(sub)), total)
+    small = sum(_pairwise_at_most(h.edge_masks, sub, lam - 1) for sub in combinations(members, t))
+    return Fraction(small, total)
 
 
 def _pool_pair_counts(h: Hypergraph, labels: list[int]) -> dict[int, int]:
@@ -423,16 +414,7 @@ def find_lambda_pair_drc(
     if len(members) < t:
         raise DrcFailedError("dependent random choice left fewer vertices than t")
 
-    masks = h.edge_masks
-
-    def pairwise_ok(sub: tuple[int, ...]) -> bool:
-        for i, a in enumerate(sub[:-1]):
-            ma = masks[labels[a]]
-            for b in sub[i + 1 :]:
-                if (ma & masks[labels[b]]).bit_count() > lam:
-                    return False
-        return True
-
+    pool_masks = [h.edge_masks[i] for i in labels]
     best: Optional[tuple[int, tuple[int, ...], int]] = None
     tries = min(SEARCH_TRIES, comb(len(members), t))
     enumerated = comb(len(members), t) <= tries
@@ -442,7 +424,7 @@ def find_lambda_pair_drc(
         else (tuple(sorted(rng.sample(members, t))) for _ in range(tries))
     )
     for sub in candidates:
-        if not pairwise_ok(sub):
+        if not _pairwise_at_most(pool_masks, sub, lam):
             continue
         common = g.common_neighbors_mask(sub)
         for v in sub:
@@ -462,9 +444,7 @@ def find_lambda_pair_drc(
         notes.append(f"common neighborhood {score} below demand {demand}; best effort")
     x = frozenset(labels[i] for i in sub)
     y = frozenset(labels[i] for i in vertices_of(common))
-    pair = LambdaPair(x=x, y=y, lam=lam, validated=False, notes=tuple(notes))
-    check = validate_lambda_pair(h, x, y, lam, t)
-    return replace(pair, validated=check.valid)
+    return LambdaPair(x, y, lam, validate_lambda_pair(h, x, y, lam, t).valid, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -526,17 +506,9 @@ def build_triple_family(
                 triples.append((a, b, xi))
                 break
 
-    certified = True
     unused = [e for e in members if e not in used]
-    for a in unused:
-        if (masks[a] & u_mask).bit_count() < x:
-            continue
-        for b in unused:
-            if b != a and admissible(a, b) is not None:
-                certified = False
-                break
-        if not certified:
-            break
+    wide = [a for a in unused if (masks[a] & u_mask).bit_count() >= x]
+    certified = not any(admissible(a, b) is not None for a in wide for b in unused if b != a)
     return TripleFamily(anchor, tuple(triples), x, certified)
 
 
@@ -576,19 +548,15 @@ class ExtractionParams:
 
 @dataclass(frozen=True)
 class TraceLevel:
-    """One driver level. Times in ms: ``elapsed_ms`` is the lambda-pair
+    """One driver level; its lambda, X, Y, validation and notes are those
+    of ``pair``. Times in ms: ``elapsed_ms`` is the lambda-pair
     extraction, then the triple family and the growth (branch, core growth,
     next pool); these two stay 0 when the level stops before them."""
 
-    lam: int
     pair: LambdaPair
     branch: str  # how this level's pool was reached
     pool_size: int
-    x_size: int
-    y_size: int
-    validated: bool
     extractor: str
-    notes: tuple[str, ...]
     elapsed_ms: float
     triple_family_ms: float = 0.0
     growth_ms: float = 0.0
@@ -604,27 +572,28 @@ class IncrementTrace:
     witness_coloring: Optional[tuple[int, ...]] = None
 
     def lambdas(self) -> list[int]:
-        return [lvl.lam for lvl in self.levels]
+        return [lvl.pair.lam for lvl in self.levels]
 
     def to_json(self, include_timings: bool = True) -> dict:
         levels = []
         for lvl in self.levels:
+            pair = lvl.pair
             row = {
-                "lambda": lvl.lam,
+                "lambda": pair.lam,
                 "branch": lvl.branch,
                 "pool_size": lvl.pool_size,
-                "x_size": lvl.x_size,
-                "y_size": lvl.y_size,
-                "validated": lvl.validated,
+                "x_size": len(pair.x),
+                "y_size": len(pair.y),
+                "validated": pair.validated,
                 "extractor": lvl.extractor,
-                "notes": list(lvl.notes),
+                "notes": list(pair.notes),
             }
             if include_timings:
                 row["timings"] = {
                     k: getattr(lvl, k) for k in ("elapsed_ms", "triple_family_ms", "growth_ms")
                 }
             levels.append(row)
-        out = {
+        return {
             "params": {
                 "t": self.params.t,
                 "x": self.params.x,
@@ -640,7 +609,6 @@ class IncrementTrace:
             if self.witness_coloring is not None
             else None,
         }
-        return out
 
 
 def _find_small_subset(
@@ -660,30 +628,182 @@ def _find_small_subset(
             checks += 1
             if checks > SEARCH_TRIES:
                 return None
-            if all((masks[c] & masks[s]).bit_count() <= lam for s in sub):
+            if _pairwise_at_most(masks, (*sub, c), lam):
                 sub.append(c)
                 if len(sub) == t:
                     return tuple(sub)
     return None
 
 
+class _Stop(Exception):
+    """Ends a driver run; the message is the trace's stop reason."""
+
+
+def _pool_through(h: Hypergraph, core: Iterable[int]) -> tuple[list[int], dict[int, int]]:
+    """The edges containing ``core`` and their pair counts."""
+    pool = sorted(edges_containing(h, core))
+    return pool, _pool_pair_counts(h, pool)
+
+
+def _same_intersection_step(
+    h: Hypergraph, k: int, pair: LambdaPair, family: TripleFamily
+) -> tuple[list[int], dict[int, int]]:
+    """Concentrated route: take the most popular core of the anchor's
+    overlap with the first Y edge outside ``family`` and grow it greedily
+    until the common set is larger than the current lambda. Returns the
+    edges containing the grown set and their pair counts; a missing
+    disjoint edge raises :class:`NoDisjointEdgeError` with its witness."""
+    used = {e for a, b, _ in family.triples for e in (a, b)}
+    # Fewer than |Y|/4 triples use fewer than |Y|/2 edges, so one is left.
+    first = min(e for e in pair.y if e not in used)
+    overlap = h.edge_masks[first] & h.edge_masks[family.anchor]
+    x_width = family.x
+    core: frozenset[int] = frozenset()
+    if pair.lam >= x_width and overlap.bit_count() > x_width:
+        subsets = combinations(vertices_of(overlap), overlap.bit_count() - x_width)
+        core = frozenset(max(subsets, key=lambda sub: len(edges_containing(h, sub))))
+    # first lies in Y and the anchor in X, so they meet in at most k - 1
+    # vertices and at least one vertex is left to grow.
+    grown = greedy_increase(h, core, min(x_width + 1, k - len(core)))
+    return _pool_through(h, grown.final_set)
+
+
+def _certify_spread(
+    h: Hypergraph, k: int, lam: int, xi: frozenset[int], group: list[tuple[int, int]], t: int,
+    trace: IncrementTrace,
+) -> None:
+    """Record the averaging identity and the exclusive-common-vertex
+    inequality of the same-X' ``group`` in ``trace``, or note why not."""
+    # The split needs two edges per side, so certification requires
+    # an even t of at least 4 and a group of at least t triples.
+    if len(group) < t or t % 2 or t < 4:
+        trace.notes.append(f"spread group too small for certification at lambda={lam}")
+        return
+    s_full = _find_small_subset(h, [a for a, _ in group], lam, t)
+    t_full = _find_small_subset(h, [b for _, b in group], lam, t)
+    if s_full is None or t_full is None:
+        trace.notes.append(
+            f"spread group at lambda={lam} had no small {t}-subsets; certification skipped"
+        )
+        return
+    half = t // 2
+    s_half, t_half = s_full[:half], t_full[:half]
+    lam_s = lambda_within(h, s_half)
+    lam_t = lambda_within(h, t_half)
+    lam_st = lambda_across(h, s_half, t_half)
+    lam_union = lambda_within(h, s_half + t_half)
+    lhs = comb(half, 2) * (lam_s + lam_t) + half * half * lam_st
+    rhs = comb(2 * half, 2) * lam_union
+    avg = check_average_lambda(h, s_half, t_half, xi)
+    trace.identity_checks.append(
+        {
+            "level_lambda": lam,
+            "union_identity_lhs": str(lhs),
+            "union_identity_rhs": str(rhs),
+            "union_identity_holds": lhs == rhs,
+            "average_lambda_holds": avg.holds,
+            "average_lambda_slack": str(avg.slack),
+            "lambda_union": str(lam_union),
+            "separation_target": f"{lam} - 2*sqrt({k})",
+            "separation_value": float(lam_union) - (lam - 2 * sqrt(k)),
+        }
+    )
+
+
+def _spread_out_step(
+    h: Hypergraph, k: int, pair: LambdaPair, family: TripleFamily, t: int, trace: IncrementTrace
+) -> tuple[list[int], dict[int, int]]:
+    """Spread route: certify the largest same-X' group of ``family`` (see
+    :func:`_certify_spread`), then return the edges containing X' and their
+    pair counts, growing X' greedily first when those edges do not raise
+    lambda."""
+    groups: dict[frozenset[int], list[tuple[int, int]]] = {}
+    for a, b, xi in family.triples:
+        groups.setdefault(xi, []).append((a, b))
+    core = max(sorted(groups, key=sorted), key=lambda key: len(groups[key]))
+    _certify_spread(h, k, pair.lam, core, groups[core], t, trace)
+    trace.notes.append(
+        "spread case certified numerically; advancing via the popular "
+        "anchor-subset superset route"
+    )
+    pool, counts = _pool_through(h, core)
+    if len(pool) >= 2 and min(counts) > pair.lam:
+        return pool, counts
+    steps = pair.lam + 1 - len(core)
+    if steps <= 0 or len(core) + steps > k:
+        raise _Stop("no progress: spread core cannot be grown")
+    return _pool_through(h, greedy_increase(h, core, steps).final_set)
+
+
+def _level(
+    h: Hypergraph, k: int, params: ExtractionParams, trace: IncrementTrace,
+    pool: list[int], counts: dict[int, int], branch: str,
+) -> tuple[list[int], dict[int, int], str]:
+    """One driver level: extract and record a lambda-pair at the minimum
+    intersection of ``pool`` (reached by ``branch``), build the triple
+    family and take one branch step. Returns the next pool, its pair
+    counts and the branch that reached it; raises :class:`_Stop` when the
+    run ends here."""
+    start = time.monotonic()
+    lam = min(counts)
+    try:
+        pair, extractor = find_lambda_pair_drc(h, pool, lam, params, counts), "drc"
+    except (HypothesesViolatedError, NoQualifyingSubsetError, DrcFailedError) as exc:
+        trace.notes.append(f"drc extractor failed at lambda={lam}: {exc}")
+        try:
+            pair, extractor = find_lambda_pair_ramsey(h, pool, params.t, params.seed), "ramsey"
+        except PoolExhaustedError as exc2:
+            raise _Stop(f"no progress: extractors exhausted ({exc2})")
+    # Both extractors return a lambda of at least the pool's minimum, and
+    # the previous level only admitted a pool whose minimum exceeds its own.
+    assert not trace.levels or pair.lam > trace.levels[-1].pair.lam
+    level = TraceLevel(pair, branch, len(pool), extractor, (time.monotonic() - start) * 1000.0)
+    trace.levels.append(level)
+    if not pair.validated:
+        raise _Stop("extracted pair failed validation")
+    if not pair.y:
+        raise _Stop("no progress: empty companion set")
+    family_start = time.monotonic()
+    family = build_triple_family(h, pair.y, min(pair.x), min(params.x, k))
+    growth_start = time.monotonic()
+    try:
+        if len(family.triples) < len(pair.y) / 4:
+            branch = "same-intersection"
+            pool, counts = _same_intersection_step(h, k, pair, family)
+        else:
+            branch = "spread-out"
+            pool, counts = _spread_out_step(h, k, pair, family, params.t, trace)
+        if len(pool) < 2:
+            raise _Stop("no progress: next pool has fewer than two edges")
+        if min(counts) <= pair.lam:
+            raise _Stop("no progress: next pool does not increase lambda")
+        return pool, counts, branch
+    finally:
+        trace.levels[-1] = replace(
+            level,
+            triple_family_ms=(growth_start - family_start) * 1000.0,
+            growth_ms=(time.monotonic() - growth_start) * 1000.0,
+        )
+
+
 def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementTrace:
     """Run the density-increment loop at desk scale.
 
-    Per level: extract a validated lambda-pair (dependent random choice
-    first, the majority-filter extractor as fallback), anchor an edge of X,
-    build the greedy maximal triple family over Y, then branch. A small
-    family (< |Y|/4) follows the concentrated route: take the popular
-    anchor-overlap core among the untouched Y edges and grow it greedily
-    until the common set is larger than the current lambda, recursing on
-    the edges that contain it. A large family follows the spread route:
-    the largest same-X' group yields S and T whose averaging identity and
-    exclusive-common-vertex inequality are certified exactly, and the
-    driver advances through the edges containing X'. In the source
-    argument the spread case ends in a contradiction rather than a
-    construction; the executable driver records the certified inequalities
-    as evidence and continues via the concentrated-style superset route,
-    which is flagged in every trace.
+    Per level (:func:`_level`): extract a validated lambda-pair (dependent
+    random choice first, the majority-filter extractor as fallback), anchor
+    an edge of X, build the greedy maximal triple family over Y, then
+    branch. A small family (< |Y|/4) follows the concentrated route
+    (:func:`_same_intersection_step`): take the popular anchor-overlap core
+    among the untouched Y edges and grow it greedily until the common set
+    is larger than the current lambda, recursing on the edges that contain
+    it. A large family follows the spread route
+    (:func:`_spread_out_step`): the largest same-X' group yields S and T
+    whose averaging identity and exclusive-common-vertex inequality are
+    certified exactly, and the driver advances through the edges
+    containing X'. In the source argument the spread case ends in a
+    contradiction rather than a construction; the executable driver
+    records the certified inequalities as evidence and continues via the
+    concentrated-style superset route, which is flagged in every trace.
 
     Levels stop on budget exhaustion or when no strictly larger
     intersection size is reachable; a missing disjoint edge during greedy
@@ -699,190 +819,19 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
     else:
         trace.notes.append("asymptotic constants requested; demands are documentation only")
     budget = Budget(ms=params.budget_ms)
-    spectrum = intersection_spectrum(h)
-    pool = sorted(range(h.num_edges))
+    level_cap = intersection_spectrum(h).r + 1
+    pool = list(range(h.num_edges))
     counts = _pool_pair_counts(h, pool)  # counted once per pool
-    branch_into = "initial"
-    prev_lam: Optional[int] = None
-
-    while len(trace.levels) < spectrum.r + 1:
-        if not budget.step():
-            trace.stop_reason = "budget exhausted"
-            return trace
-        if len(pool) < 2:
-            trace.stop_reason = "no progress: pool has fewer than two edges"
-            return trace
-        level_start = time.monotonic()
-        lam_i = min(counts)
-        if prev_lam is not None and lam_i <= prev_lam:
-            trace.stop_reason = "no progress: minimum intersection did not increase"
-            return trace
-
-        pair: Optional[LambdaPair] = None
-        extractor = ""
-        try:
-            pair = find_lambda_pair_drc(h, pool, lam_i, params, counts)
-            extractor = "drc"
-        except (HypothesesViolatedError, NoQualifyingSubsetError, DrcFailedError) as exc:
-            trace.notes.append(f"drc extractor failed at lambda={lam_i}: {exc}")
-            try:
-                pair = find_lambda_pair_ramsey(h, pool, params.t, params.seed)
-                extractor = "ramsey"
-            except PoolExhaustedError as exc2:
-                trace.stop_reason = f"no progress: extractors exhausted ({exc2})"
-                return trace
-        assert pair is not None
-        if prev_lam is not None and pair.lam <= prev_lam:
-            trace.stop_reason = "no progress: extracted pair does not increase lambda"
-            return trace
-        level = TraceLevel(
-            lam=pair.lam,
-            pair=pair,
-            branch=branch_into,
-            pool_size=len(pool),
-            x_size=len(pair.x),
-            y_size=len(pair.y),
-            validated=pair.validated,
-            extractor=extractor,
-            notes=pair.notes,
-            elapsed_ms=(time.monotonic() - level_start) * 1000.0,
-        )
-        trace.levels.append(level)
-        prev_lam = pair.lam
-        if not pair.validated:
-            trace.stop_reason = "extracted pair failed validation"
-            return trace
-        if not pair.y:
-            trace.stop_reason = "no progress: empty companion set"
-            return trace
-
-        anchor = min(pair.x)
-        x_width = min(params.x, k)
-        family_start = time.monotonic()
-        family = build_triple_family(h, pair.y, anchor, x_width)
-        growth_start = time.monotonic()
-        try:
-            next_core: Optional[frozenset[int]] = None
-            if len(family.triples) < len(pair.y) / 4:
-                branch_into = "same-intersection"
-                used = {e for a, b, _ in family.triples for e in (a, b)}
-                survivors = [e for e in sorted(pair.y) if e not in used]
-                if not survivors:
-                    trace.stop_reason = "no progress: every companion edge joined the family"
-                    return trace
-                first = survivors[0]
-                overlap = h.edge_mask(first) & h.edge_mask(anchor)
-                if pair.lam >= x_width and overlap.bit_count() > x_width:
-                    core_size = overlap.bit_count() - x_width
-                    best_core: Optional[tuple[int, frozenset[int]]] = None
-                    for sub in combinations(vertices_of(overlap), core_size):
-                        popularity = len(edges_containing(h, sub))
-                        if best_core is None or popularity > best_core[0]:
-                            best_core = (popularity, frozenset(sub))
-                    assert best_core is not None
-                    core = best_core[1]
-                else:
-                    core = frozenset()
-                steps = min(x_width + 1, k - len(core))
-                if steps <= 0:
-                    trace.stop_reason = "no progress: core already spans an edge"
-                    return trace
-                try:
-                    grown = greedy_increase(h, core, steps)
-                except NoDisjointEdgeError as exc:
-                    trace.witness_coloring = exc.witness_coloring
-                    trace.stop_reason = (
-                        "no progress: no disjoint edge; 2-coloring witness recorded"
-                    )
-                    return trace
-                next_core = grown.final_set
-            else:
-                branch_into = "spread-out"
-                groups: dict[frozenset[int], list[tuple[int, int]]] = {}
-                for a, b, xi in family.triples:
-                    groups.setdefault(xi, []).append((a, b))
-                best_xi = max(sorted(groups, key=sorted), key=lambda key: len(groups[key]))
-                group = groups[best_xi]
-                t = params.t
-                # The split needs two edges per side, so certification requires
-                # an even t of at least 4 and a group of at least t triples.
-                if len(group) >= t and t % 2 == 0 and t >= 4:
-                    a_side = [a for a, _ in group]
-                    b_side = [b for _, b in group]
-                    s_full = _find_small_subset(h, a_side, pair.lam, t)
-                    t_full = _find_small_subset(h, b_side, pair.lam, t)
-                    if s_full is not None and t_full is not None:
-                        half = t // 2
-                        s_half = s_full[:half]
-                        t_half = t_full[:half]
-                        lam_s = lambda_within(h, s_half)
-                        lam_t = lambda_within(h, t_half)
-                        lam_st = lambda_across(h, s_half, t_half)
-                        lam_union = lambda_within(h, s_half + t_half)
-                        lhs = comb(half, 2) * (lam_s + lam_t) + half * half * lam_st
-                        rhs = comb(2 * half, 2) * lam_union
-                        avg = check_average_lambda(h, s_half, t_half, best_xi)
-                        trace.identity_checks.append(
-                            {
-                                "level_lambda": pair.lam,
-                                "union_identity_lhs": str(lhs),
-                                "union_identity_rhs": str(rhs),
-                                "union_identity_holds": lhs == rhs,
-                                "average_lambda_holds": avg.holds,
-                                "average_lambda_slack": str(avg.slack),
-                                "lambda_union": str(lam_union),
-                                "separation_target": f"{pair.lam} - 2*sqrt({k})",
-                                "separation_value": float(lam_union) - (pair.lam - 2 * sqrt(k)),
-                            }
-                        )
-                    else:
-                        trace.notes.append(
-                            f"spread group at lambda={pair.lam} had no small {t}-subsets; "
-                            "certification skipped"
-                        )
-                else:
-                    trace.notes.append(
-                        f"spread group too small for certification at lambda={pair.lam}"
-                    )
-                trace.notes.append(
-                    "spread case certified numerically; advancing via the popular "
-                    "anchor-subset superset route"
-                )
-                core = best_xi
-                containing = sorted(edges_containing(h, core))
-                if len(containing) >= 2 and min(_pool_pair_counts(h, containing)) > pair.lam:
-                    next_core = core
-                else:
-                    steps = pair.lam + 1 - len(core)
-                    if steps <= 0 or len(core) + steps > k:
-                        trace.stop_reason = "no progress: spread core cannot be grown"
-                        return trace
-                    try:
-                        grown = greedy_increase(h, core, steps)
-                    except NoDisjointEdgeError as exc:
-                        trace.witness_coloring = exc.witness_coloring
-                        trace.stop_reason = (
-                            "no progress: no disjoint edge; 2-coloring witness recorded"
-                        )
-                        return trace
-                    next_core = grown.final_set
-
-            assert next_core is not None
-            next_pool = sorted(edges_containing(h, next_core))
-            if len(next_pool) < 2:
-                trace.stop_reason = "no progress: next pool has fewer than two edges"
-                return trace
-            next_counts = _pool_pair_counts(h, next_pool)
-            if min(next_counts) <= pair.lam:
-                trace.stop_reason = "no progress: next pool does not increase lambda"
-                return trace
-            pool, counts = next_pool, next_counts
-        finally:
-            trace.levels[-1] = replace(
-                level,
-                triple_family_ms=(growth_start - family_start) * 1000.0,
-                growth_ms=(time.monotonic() - growth_start) * 1000.0,
-            )
-
-    trace.stop_reason = "level cap reached"
+    branch = "initial"
+    try:
+        while len(trace.levels) < level_cap:
+            if not budget.step():
+                raise _Stop("budget exhausted")
+            pool, counts, branch = _level(h, k, params, trace, pool, counts, branch)
+        trace.stop_reason = "level cap reached"
+    except _Stop as stop:
+        trace.stop_reason = str(stop)
+    except NoDisjointEdgeError as exc:
+        trace.witness_coloring = exc.witness_coloring
+        trace.stop_reason = "no progress: no disjoint edge; 2-coloring witness recorded"
     return trace

@@ -10,12 +10,15 @@ import oracles
 from hyperspec import (
     build_triple_family,
     complete_subsets,
+    compose,
     density_increment_run,
     dependent_random_choice,
     fano,
     find_lambda_pair_drc,
     find_lambda_pair_ramsey,
     intersection_spectrum,
+    iterated_fano,
+    monochromatic_edge,
     new_hypergraph,
     random_uniform,
     threshold_graph,
@@ -24,6 +27,7 @@ from hyperspec import (
 from hyperspec.errors import (
     EmptySetError,
     HypothesesViolatedError,
+    NoDisjointEdgeError,
     PoolExhaustedError,
     TooFewEdgesError,
     WidthTooLargeError,
@@ -293,7 +297,7 @@ class TestDensityIncrementRun:
     def test_fano_single_level(self, fano_h):
         trace = density_increment_run(fano_h, ExtractionParams(t=2, x=1, seed=0))
         assert trace.lambdas() == [1]
-        assert trace.levels[0].validated
+        assert trace.levels[0].pair.validated
         assert "no progress" in trace.stop_reason
 
     def test_iterated_fano_reaches_two_levels(self, itf2):
@@ -303,7 +307,7 @@ class TestDensityIncrementRun:
         assert lams == sorted(set(lams))
         spectrum = set(intersection_spectrum(itf2).sizes)
         assert all(lam in spectrum for lam in lams)
-        assert all(level.validated for level in trace.levels)
+        assert all(level.pair.validated for level in trace.levels)
         assert trace.levels[0].branch == "initial"
         assert trace.levels[1].branch in {"same-intersection", "spread-out"}
 
@@ -325,8 +329,6 @@ class TestDensityIncrementRun:
         )
         trace = density_increment_run(star, ExtractionParams(t=2, x=2, seed=0))
         assert trace.witness_coloring is not None
-        from hyperspec import monochromatic_edge
-
         assert monochromatic_edge(star, trace.witness_coloring) is None
         assert "witness" in trace.stop_reason
 
@@ -360,6 +362,94 @@ class TestDensityIncrementRun:
         assert params.t == 4 and params.x == 40 and params.d == Fraction(1, 24)
         trace = density_increment_run(fano_h, params)
         assert trace.notes  # documentation mode flagged
+
+    @pytest.mark.parametrize(
+        "build, params, lambdas, branches, extractors, stop",
+        [
+            (
+                lambda: iterated_fano(2),
+                ExtractionParams(t=3, x=2, seed=0),
+                [1, 3, 5, 7],
+                ["initial", "spread-out", "same-intersection", "spread-out"],
+                ["drc"] * 4,
+                "no progress: next pool has fewer than two edges",
+            ),
+            (
+                lambda: compose(fano(), complete_subsets(5, 3)),
+                ExtractionParams(t=3, x=2, seed=0),
+                [1, 2, 6, 7],
+                ["initial", "spread-out", "spread-out", "spread-out"],
+                ["drc", "drc", "ramsey", "drc"],
+                "no progress: next pool has fewer than two edges",
+            ),
+            (
+                lambda: compose(fano(), complete_subsets(5, 3)),
+                ExtractionParams(t=3, x=2, seed=1),
+                [1, 2, 3, 7],
+                ["initial", "spread-out", "spread-out", "same-intersection"],
+                ["drc", "drc", "drc", "ramsey"],
+                "no progress: extractors exhausted "
+                "(pool emptied after 3 pulls before 3 shared a majority size)",
+            ),
+            (
+                lambda: complete_subsets(11, 6),
+                ExtractionParams(t=4, x=4, seed=0),
+                [3, 5],
+                ["initial", "same-intersection"],
+                ["ramsey", "drc"],
+                "no progress: next pool has fewer than two edges",
+            ),
+        ],
+        ids=["itf2-t3", "fano-k53-seed0", "fano-k53-seed1", "k11-6-t4"],
+    )
+    def test_lambda_chain(self, build, params, lambdas, branches, extractors, stop):
+        # Each level's lambda is an intersection size and the chain rises, so
+        # its length is a lower bound on the spectrum size.
+        h = build()
+        trace = density_increment_run(h, params)
+        assert trace.lambdas() == lambdas
+        assert [lvl.branch for lvl in trace.levels] == branches
+        assert [lvl.extractor for lvl in trace.levels] == extractors
+        assert trace.stop_reason == stop
+        assert set(lambdas) <= set(intersection_spectrum(h).sizes)
+
+
+class TestDriverSteps:
+    """Each branch step of the driver, run on its own from a first-level
+    lambda-pair and triple family."""
+
+    @staticmethod
+    def first_level(h, t, x):
+        pair = find_lambda_pair_drc(h, range(h.num_edges), 1, ExtractionParams(t=t, x=x, seed=0))
+        return pair, build_triple_family(h, pair.y, min(pair.x), x)
+
+    def test_same_intersection_step(self, itf2):
+        pair, family = self.first_level(itf2, 4, 4)
+        assert len(family.triples) < len(pair.y) / 4
+        pool, counts = extraction._same_intersection_step(itf2, 9, pair, family)
+        assert pool == list(range(7))
+        assert counts == {7: 21}
+
+    def test_spread_out_step(self):
+        h = spread_case_instance()
+        pair, family = self.first_level(h, 4, 1)
+        assert len(family.triples) >= len(pair.y) / 4
+        trace = extraction.IncrementTrace(ExtractionParams(t=4, x=1, seed=0))
+        pool, counts = extraction._spread_out_step(h, 9, pair, family, 4, trace)
+        # The core vertex lies only in the petals the family did not use.
+        assert (pool, counts) == ([0], {})
+        [check] = trace.identity_checks
+        assert check["union_identity_holds"] and check["average_lambda_holds"]
+        assert check["union_identity_lhs"] == check["union_identity_rhs"] == "6"
+
+    def test_same_intersection_step_star_witness(self):
+        star = new_hypergraph(9, [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {0, 7, 8}])
+        pair, family = self.first_level(star, 2, 2)
+        assert not family.triples
+        with pytest.raises(NoDisjointEdgeError) as info:
+            extraction._same_intersection_step(star, 3, pair, family)
+        assert info.value.witness_coloring == (0, 1, 1, 1, 1, 1, 1, 1, 1)
+        assert monochromatic_edge(star, info.value.witness_coloring) is None
 
 
 def clique_with_pendants(seed, q, core, sparse):
@@ -504,5 +594,5 @@ class TestExactBoundsBeforeSampling:
         for seed in range(3):
             trace = density_increment_run(itf2, ExtractionParams(t=t, x=4, seed=seed))
             assert trace.lambdas() == [1, 7]
-            assert trace.levels[0].notes[0].startswith("drc accepted")
-            assert not any("undecided" in note for lvl in trace.levels for note in lvl.notes)
+            assert trace.levels[0].pair.notes[0].startswith("drc accepted")
+            assert not any("undecided" in note for lvl in trace.levels for note in lvl.pair.notes)
