@@ -334,7 +334,7 @@ def _quotient(h: Hypergraph, rep: np.ndarray, gone: np.ndarray, origins: list[in
     first = np.ones(len(rows), dtype=bool)  # the first of each run of equal rows
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     rows = rows[first]
-    used = np.unique(rows[rows < n])
+    used = np.flatnonzero(np.bincount(rows[rows < n], minlength=n))  # np.unique imports numpy.ma
     rank = np.full(n + 1, n)
     rank[used] = np.arange(len(used))
     quotient = Hypergraph(len(used), (row[row < n].tolist() for row in rank[rows]))

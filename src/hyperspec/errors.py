@@ -133,10 +133,6 @@ class PoolExhaustedError(HypergraphError):
     """The majority-filter pool emptied before enough pulls shared a color."""
 
 
-class DrcFailedError(HypergraphError):
-    """Dependent random choice found no acceptable vertex subset."""
-
-
 class NoQualifyingSubsetError(HypergraphError):
     """No candidate edge subset met the pair-extraction conditions."""
 

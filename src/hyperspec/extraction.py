@@ -32,13 +32,11 @@ from .core import (
     is_uniform,
     lambda_across,
     lambda_within,
-    mask_of,
     pair_adjacency,
     pair_size_counts,
     vertices_of,
 )
 from .errors import (
-    DrcFailedError,
     EmptySetError,
     HypothesesViolatedError,
     InvalidParameterError,
@@ -258,8 +256,6 @@ def dependent_random_choice(
         if comb(len(members), t) > ENUM_CAP:
             continue  # undecided
         bad, bad_subsets = _count_bad_subsets(g, members, t, n)
-        if bad == 0:
-            return DrcResult(frozenset(members), Fraction(0), True, attempt, 0)
         kept, removed = _cleanup_bad_subsets(members, bad_subsets)
         if len(kept) > 2 * n:
             # Every bad subset lost a member, so none survives in kept.
@@ -393,35 +389,25 @@ def find_lambda_pair_drc(
             )
     g = threshold_graph(h, labels, lam)
     d = params.d if params.d is not None else Fraction(2 * g.num_edges, m * m)
-    candidates_mask: Optional[int] = None
-    demand = 0
-    if d > 0:
-        n_target = int(m * d**t / (5 * t))
-        if n_target >= t and m > 4 * t * d**-t * n_target:
-            try:
-                res = dependent_random_choice(g, d, t, n_target, params.seed)
-            except HypothesesViolatedError:
-                res = None
-            if res is not None:
-                candidates_mask = mask_of(res.u)
-                demand = n_target
-                notes.append(f"drc accepted |U|={len(res.u)} with demand n={n_target}")
-    if candidates_mask is None:
-        candidates_mask = (1 << m) - 1
-        demand = 1
-        notes.append("drc hypotheses unsatisfiable at this scale; direct search over the pool")
-    members = list(vertices_of(candidates_mask))
-    if len(members) < t:
-        raise DrcFailedError("dependent random choice left fewer vertices than t")
+    n_target = int(m * d**t / (5 * t))
+    members, demand = list(range(m)), 1
+    note = "drc hypotheses unsatisfiable at this scale; direct search over the pool"
+    # The DRC checks its own hypotheses; 4*t*d^-t*n_target <= 4m/5 < m always.
+    try:
+        res = dependent_random_choice(g, d, t, n_target, params.seed) if n_target >= t else None
+    except HypothesesViolatedError:
+        res = None
+    if res is not None:
+        members, demand = sorted(res.u), n_target
+        note = f"drc accepted |U|={len(res.u)} with demand n={n_target}"
+    notes.append(note)
 
     pool_masks = [h.edge_masks[i] for i in labels]
     best: Optional[tuple[int, tuple[int, ...], int]] = None
-    tries = min(SEARCH_TRIES, comb(len(members), t))
-    enumerated = comb(len(members), t) <= tries
     candidates = (
         combinations(members, t)
-        if enumerated
-        else (tuple(sorted(rng.sample(members, t))) for _ in range(tries))
+        if comb(len(members), t) <= SEARCH_TRIES
+        else (tuple(sorted(rng.sample(members, t))) for _ in range(SEARCH_TRIES))
     )
     for sub in candidates:
         if not _pairwise_at_most(pool_masks, sub, lam):
@@ -663,7 +649,8 @@ def _same_intersection_step(
         subsets = combinations(vertices_of(overlap), overlap.bit_count() - x_width)
         core = frozenset(max(subsets, key=lambda sub: len(edges_containing(h, sub))))
     # first lies in Y and the anchor in X, so they meet in at most k - 1
-    # vertices and at least one vertex is left to grow.
+    # vertices and at least one vertex is left to grow. The grown set has
+    # min(|overlap| + 1, k) or min(x + 1, k) > lam vertices (|overlap| >= lam).
     grown = greedy_increase(h, core, min(x_width + 1, k - len(core)))
     return _pool_through(h, grown.final_set)
 
@@ -715,8 +702,8 @@ def _spread_out_step(
 ) -> tuple[list[int], dict[int, int]]:
     """Spread route: certify the largest same-X' group of ``family`` (see
     :func:`_certify_spread`), then return the edges containing X' and their
-    pair counts, growing X' greedily first when those edges do not raise
-    lambda."""
+    pair counts. X' lies in an A and the anchor, so those edges raise lambda
+    when |X'| > lambda; when they do not, X' first grows to lambda + 1 <= k."""
     groups: dict[frozenset[int], list[tuple[int, int]]] = {}
     for a, b, xi in family.triples:
         groups.setdefault(xi, []).append((a, b))
@@ -729,10 +716,7 @@ def _spread_out_step(
     pool, counts = _pool_through(h, core)
     if len(pool) >= 2 and min(counts) > pair.lam:
         return pool, counts
-    steps = pair.lam + 1 - len(core)
-    if steps <= 0 or len(core) + steps > k:
-        raise _Stop("no progress: spread core cannot be grown")
-    return _pool_through(h, greedy_increase(h, core, steps).final_set)
+    return _pool_through(h, greedy_increase(h, core, pair.lam + 1 - len(core)).final_set)
 
 
 def _level(
@@ -748,21 +732,20 @@ def _level(
     lam = min(counts)
     try:
         pair, extractor = find_lambda_pair_drc(h, pool, lam, params, counts), "drc"
-    except (HypothesesViolatedError, NoQualifyingSubsetError, DrcFailedError) as exc:
+    except NoQualifyingSubsetError as exc:  # lam is the minimum: no pair is lam-small
         trace.notes.append(f"drc extractor failed at lambda={lam}: {exc}")
         try:
             pair, extractor = find_lambda_pair_ramsey(h, pool, params.t, params.seed), "ramsey"
         except PoolExhaustedError as exc2:
             raise _Stop(f"no progress: extractors exhausted ({exc2})")
-    # Both extractors return a lambda of at least the pool's minimum, and
-    # the previous level only admitted a pool whose minimum exceeds its own.
-    assert not trace.levels or pair.lam > trace.levels[-1].pair.lam
+    # Extractors return lambda >= the pool's minimum, which exceeds the last
+    # lambda. Y is nonempty: the DRC's best common neighborhood has a member,
+    # and the majority filter's Y is its last nonempty bucket.
+    assert pair.y and (not trace.levels or pair.lam > trace.levels[-1].pair.lam)
     level = TraceLevel(pair, branch, len(pool), extractor, (time.monotonic() - start) * 1000.0)
     trace.levels.append(level)
     if not pair.validated:
         raise _Stop("extracted pair failed validation")
-    if not pair.y:
-        raise _Stop("no progress: empty companion set")
     family_start = time.monotonic()
     family = build_triple_family(h, pair.y, min(pair.x), min(params.x, k))
     growth_start = time.monotonic()
@@ -775,8 +758,6 @@ def _level(
             pool, counts = _spread_out_step(h, k, pair, family, params.t, trace)
         if len(pool) < 2:
             raise _Stop("no progress: next pool has fewer than two edges")
-        if min(counts) <= pair.lam:
-            raise _Stop("no progress: next pool does not increase lambda")
         return pool, counts, branch
     finally:
         trace.levels[-1] = replace(
@@ -805,9 +786,11 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
     records the certified inequalities as evidence and continues via the
     concentrated-style superset route, which is flagged in every trace.
 
-    Levels stop on budget exhaustion or when no strictly larger
-    intersection size is reachable; a missing disjoint edge during greedy
-    growth 2-colors the hypergraph and the witness is recorded.
+    Each lambda is an intersection size of ``h`` and strictly rises, so a
+    run has at most |I(H)| levels. It stops on the input check (uniform,
+    two edges), budget exhausted, extractors exhausted, a pair failing
+    validation (a self-check), a next pool of fewer than two edges, or no
+    disjoint edge in greedy growth, which 2-colors ``h`` (witness kept).
     """
     trace = IncrementTrace(params=params)
     k = is_uniform(h)
@@ -819,16 +802,13 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
     else:
         trace.notes.append("asymptotic constants requested; demands are documentation only")
     budget = Budget(ms=params.budget_ms)
-    level_cap = intersection_spectrum(h).r + 1
     pool = list(range(h.num_edges))
     counts = _pool_pair_counts(h, pool)  # counted once per pool
     branch = "initial"
     try:
-        while len(trace.levels) < level_cap:
-            if not budget.step():
-                raise _Stop("budget exhausted")
+        while budget.step():
             pool, counts, branch = _level(h, k, params, trace, pool, counts, branch)
-        trace.stop_reason = "level cap reached"
+        trace.stop_reason = "budget exhausted"
     except _Stop as stop:
         trace.stop_reason = str(stop)
     except NoDisjointEdgeError as exc:

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 from math import comb
 
@@ -179,6 +182,20 @@ class TestDecide2Coloring:
         assert [len(r) for r in cert["rounds"]] == [7]
         assert all(m["verdict"] == "not_colorable" for m in cert["rounds"][0])
         assert oracles.check_module_certificate(49, list(itf2.edges()), cert) is False
+
+    def test_does_not_import_numpy_ma(self):
+        # np.unique loads numpy.ma, which numpy 2.x otherwise imports lazily;
+        # the quotient must not need it.
+        script = (
+            "import sys\n"
+            "from hyperspec import decide_2_coloring, iterated_fano\n"
+            "eager = 'numpy.ma' in sys.modules\n"
+            "assert decide_2_coloring(iterated_fano(2)).method == 'modules'\n"
+            "assert eager or 'numpy.ma' not in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(coloring.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path}, check=True, timeout=120)
 
     def test_budget_shared_by_sub_solves(self, itf2):
         # The second copy's solve trips the 5-node budget on the 6th node.

@@ -191,6 +191,22 @@ class TestDependentRandomChoice:
         assert dependent_random_choice(g, Fraction(79, 100), t, n, seed=1, retries=2) is None
         assert made[-1].getstate() == expected.getstate()
 
+    def test_enumeration_without_bad_subsets_keeps_u(self, monkeypatch):
+        # With the floor disabled, K_40's U is enumerated, has no bad pair and
+        # goes through the cleanup unchanged: the same result as the floor's.
+        g = SimpleGraph(40, [(i, j) for i in range(40) for j in range(i + 1, 40)])
+        floor_res = dependent_random_choice(g, Fraction(9, 10), 2, 2, seed=0)
+        counted = []
+        real = extraction._count_bad_subsets
+        monkeypatch.setattr(extraction, "_common_neighbor_floor", lambda *a: -1)
+        monkeypatch.setattr(
+            extraction, "_count_bad_subsets", lambda *a: counted.append(real(*a)) or counted[-1]
+        )
+        res = dependent_random_choice(g, Fraction(9, 10), 2, 2, seed=0)
+        assert [bad for bad, _ in counted] == [0]
+        assert res == floor_res
+        assert (len(res.u), res.bad_fraction, res.removed, res.attempts) == (38, 0, 0, 1)
+
 
 class TestRamseyPair:
     def test_fano_two(self, fano_h):
@@ -220,6 +236,8 @@ class TestRamseyPair:
 
 
 class TestDrcPair:
+    FALLBACK = "drc hypotheses unsatisfiable at this scale; direct search over the pool"
+
     def test_fano_degenerate(self, fano_h):
         params = ExtractionParams(t=2, x=1, seed=0)
         pair = find_lambda_pair_drc(fano_h, range(7), 1, params)
@@ -242,6 +260,38 @@ class TestDrcPair:
         check = validate_lambda_pair(itf2, pair.x, pair.y, 3, 4)
         assert check.valid
         assert check.cross_min >= 3
+
+    @pytest.mark.parametrize(
+        "d, raised, note, x",
+        [
+            # d = 1: the complete threshold graph has fewer than m^2/2 edges.
+            (Fraction(1), True, FALLBACK, [817, 1092, 1359, 2248]),
+            (Fraction(1, 2), False, "drc accepted |U|=2397 with demand n=7", [147, 1393, 1430, 2258]),
+            # The demand m*d^t/(5t) falls below t, so the DRC is not called.
+            (Fraction(1, 100), None, FALLBACK, [817, 1092, 1359, 2248]),
+            (Fraction(-1, 2), True, FALLBACK, [817, 1092, 1359, 2248]),
+        ],
+    )
+    def test_hypotheses_checked_by_drc(self, itf2, monkeypatch, d, raised, note, x):
+        # find_lambda_pair_drc leaves the density and vertex-count hypotheses
+        # to dependent_random_choice and falls back when it raises.
+        outcomes = []
+        real = extraction.dependent_random_choice
+
+        def spy(*args):
+            try:
+                res = real(*args)
+            except HypothesesViolatedError:
+                outcomes.append(True)
+                raise
+            outcomes.append(False)
+            return res
+
+        monkeypatch.setattr(extraction, "dependent_random_choice", spy)
+        pair = find_lambda_pair_drc(itf2, range(2401), 1, ExtractionParams(t=4, x=4, d=d, seed=0))
+        assert outcomes == ([] if raised is None else [raised])
+        assert pair.notes == (note,)
+        assert (sorted(pair.x), len(pair.y), pair.validated) == (x, 2397, True)
 
     def test_iterated_fano_lambda_one_uses_drc(self, itf2):
         params = ExtractionParams(t=4, x=4, seed=0)
