@@ -18,7 +18,7 @@ extraction
     Threshold graphs, dependent random choice, lambda-pair extractors,
     triple families, and the density-increment driver.
 search
-    Exhaustive and local search for minimum-spectrum witnesses.
+    Exhaustive search for minimum-spectrum witnesses.
 """
 
 from .core import (

@@ -793,8 +793,9 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
     disjoint edge in greedy growth, which 2-colors ``h`` (witness kept).
     """
     trace = IncrementTrace(params=params)
-    k = is_uniform(h)
-    if k is None or h.num_edges < 2:
+    # The edge count comes first: is_uniform raises on a 0-edge input.
+    k = is_uniform(h) if h.num_edges >= 2 else None
+    if k is None:
         trace.stop_reason = "input must be uniform with at least two edges"
         return trace
     if not params.paper_constants:

@@ -1,15 +1,17 @@
 """Small-scale search for uniform, intersecting, non-2-colorable
 hypergraphs minimizing the number of distinct intersection sizes.
 
-The exhaustive path enumerates families in lexicographic edge order inside
-an iterative-deepening loop over the spectrum-size target. Adding an edge
+The search enumerates families in lexicographic edge order inside an
+iterative-deepening loop over the spectrum-size target. Adding an edge
 can only grow the set of intersection sizes, so every family whose final
 spectrum fits the target survives the per-prefix cap, and a completed pass
 covers all of them. Witnesses are canonicalized up to vertex relabeling:
 in the minimum-lexicographic representative the first edge is
 {0, ..., k-1} and new vertices appear consecutively, which the enumeration
-enforces. The first witness found at the lowest feasible target therefore
-proves the minimum over the whole space.
+enforces at every vertex count. The first witness found at the lowest
+feasible target therefore proves the minimum over the whole space. A run
+either completes (``exhaustive``) or names the budget limit that stopped
+it; the candidate edge space is capped at ``EDGE_SPACE_CAP`` edges.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from math import comb
 from typing import Optional
 
 from .coloring import ColorStatus, find_2_coloring
-from .core import Budget, Hypergraph, intersection_sizes, intersection_spectrum, is_intersecting, pack_words
+from .core import Budget, Hypergraph, intersection_sizes, intersection_spectrum, pack_words
 from .core import pair_size_counts, row_masks, vertices_of
 from .errors import InvalidParameterError
-from .rng import DEFAULT_SEED, substream
+from .rng import DEFAULT_SEED
 
 __all__ = [
     "SearchReport",
@@ -34,6 +36,11 @@ __all__ = [
 ]
 
 _CANONICAL_VERTEX_CAP = 9
+
+# The per-edge size masks take about C(n, k)^2 bytes: peak RSS is about
+# 60 MB at 2,000 candidate edges, and at C(16, 8) = 12,870 the size matrix
+# alone would take 166 MB.
+EDGE_SPACE_CAP = 2048
 
 
 def canonical_form(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
@@ -119,17 +126,22 @@ def min_spectrum_search(
     """Minimize the spectrum size over intersecting k-uniform
     non-2-colorable hypergraphs on at most ``max_vertices`` vertices.
 
-    Exhaustive (iterative deepening over the spectrum-size target) up to 10
-    vertices; beyond that a seeded randomized local search over edge swaps
-    reports a best-effort witness with ``exhaustive=False``. Both count
-    nodes on one :class:`~hyperspec.core.Budget`: a search-tree node in the
-    exhaustive path, a restart in the local search.
+    Iterative deepening over the spectrum-size target at every size, one
+    search-tree node per :class:`~hyperspec.core.Budget` step. The report is
+    exhaustive unless the node or millisecond limit trips, which
+    ``budget_tripped`` names. The search keeps per-edge masks over all
+    C(max_vertices, k) candidate edges, so its memory grows as the square of
+    that count; above ``EDGE_SPACE_CAP`` candidates it raises
+    :class:`~hyperspec.errors.InvalidParameterError`. ``seed`` is only
+    echoed in the report: the search draws nothing.
     """
     if k < 2 or max_vertices < k:
         raise InvalidParameterError("need k >= 2 and max_vertices >= k")
-    if max_vertices <= 10:
-        return _exhaustive_search(k, max_vertices, Budget(budget_nodes, budget_ms), seed)
-    return _local_search(k, max_vertices, budget_ms, Budget(budget_nodes), seed)
+    if comb(max_vertices, k) > EDGE_SPACE_CAP:
+        raise InvalidParameterError(
+            f"C({max_vertices}, {k}) = {comb(max_vertices, k)} candidate edges exceeds the cap of {EDGE_SPACE_CAP}"
+        )
+    return _exhaustive_search(k, max_vertices, Budget(budget_nodes, budget_ms), seed)
 
 
 def _exhaustive_search(k: int, max_vertices: int, budget: Budget, seed: int) -> SearchReport:
@@ -220,85 +232,6 @@ def _exhaustive_search(k: int, max_vertices: int, budget: Budget, seed: int) -> 
         nodes=budget.spent,
         elapsed_ms=budget.elapsed_ms(),
         method="iterative-deepening",
-        seed=seed,
-        budget_tripped=budget.tripped,
-    )
-
-
-def _local_search(
-    k: int,
-    max_vertices: int,
-    budget_ms: Optional[float],
-    budget: Budget,
-    seed: int,
-) -> SearchReport:
-    # The restart count is derived from the budget value, not the clock,
-    # so identical (flags, seed) runs produce identical reports.
-    rng = substream(seed, "local-search")
-    restarts = max(1, int((budget_ms if budget_ms is not None else 2000.0) / 20.0))
-    best: Optional[Hypergraph] = None
-    best_r: Optional[int] = None
-
-    def random_intersecting_family() -> Optional[Hypergraph]:
-        edges: list[tuple[int, ...]] = []
-        masks: list[int] = []
-        attempts = 0
-        goal = 3 * 2 ** (k - 1)
-        while len(edges) < goal and attempts < 40 * goal:
-            attempts += 1
-            edge = tuple(sorted(rng.sample(range(max_vertices), k)))
-            mask = sum(1 << v for v in edge)
-            if edge in edges or any(not (mask & m) for m in masks):
-                continue
-            edges.append(edge)
-            masks.append(mask)
-        if len(edges) < 2 ** (k - 1):
-            return None
-        return Hypergraph(max_vertices, edges)
-
-    for _ in range(restarts):
-        if not budget.step():
-            break
-        candidate = random_intersecting_family()
-        if candidate is None:
-            continue
-        result = find_2_coloring(candidate, budget_nodes=200_000)
-        if result.status is not ColorStatus.NOT_COLORABLE:
-            continue
-        r = intersection_spectrum(candidate).r
-        if best_r is None or r < best_r:
-            best, best_r = candidate, r
-        # Edge-swap descent: drop one edge, try a replacement that keeps
-        # the family intersecting and non-2-colorable with a smaller
-        # spectrum.
-        for _ in range(20):
-            edges = [tuple(sorted(e)) for e in best.edges()]
-            i = rng.randrange(len(edges))
-            replacement = tuple(sorted(rng.sample(range(max_vertices), k)))
-            if replacement in edges:
-                continue
-            trial_edges = edges[:i] + [replacement] + edges[i + 1 :]
-            trial = Hypergraph(max_vertices, trial_edges)
-            if not is_intersecting(trial):
-                continue
-            res = find_2_coloring(trial, budget_nodes=200_000)
-            if res.status is not ColorStatus.NOT_COLORABLE:
-                continue
-            r = intersection_spectrum(trial).r
-            if best_r is None or r < best_r:
-                best, best_r = trial, r
-
-    return SearchReport(
-        k=k,
-        max_vertices=max_vertices,
-        edge_space=comb(max_vertices, k),
-        best_spectrum_size=best_r,
-        witness=best,
-        m_tilde_estimate=best.num_edges if best else None,
-        exhaustive=False,
-        nodes=budget.spent,
-        elapsed_ms=budget.elapsed_ms(),
-        method="local-search",
         seed=seed,
         budget_tripped=budget.tripped,
     )

@@ -159,6 +159,15 @@ class TestExtract:
         assert [lvl["lambda"] for lvl in payload["levels"]] == [1, 7]
         assert payload["levels"][0]["notes"] == [note]
 
+    @pytest.mark.parametrize("text", ["3 0\n", "3 1\n0 1 2\n"], ids=["no-edges", "one-edge"])
+    def test_too_few_edges_trace(self, tmp_path, capsys, text):
+        path = tmp_path / "few.hg"
+        path.write_text(text)
+        code, stdout, _ = run_cli(["extract", str(path)], capsys)
+        assert code == 0
+        payload = json.loads(stdout)
+        assert (payload["levels"], payload["stop_reason"]) == ([], "input must be uniform with at least two edges")
+
 
 class TestSearch:
     def test_triangle(self, tmp_path, capsys):
@@ -210,10 +219,11 @@ class TestErrorsAndUsage:
             ["construct", "--family", "iterated-fano"],
             ["construct", "--family", "complete-subsets", "--param", "n=3", "--param", "k=5"],
             ["search", "--k", "1", "--max-vertices", "3"],
+            ["search", "--k", "8", "--max-vertices", "16"],
             ["extract", "FANO", "--t", "1"],
             ["color", "FANO", "--trials", "-3"],
         ],
-        ids=["missing-param", "k-above-n", "search-k1", "extract-t1", "negative-trials"],
+        ids=["missing-param", "k-above-n", "search-k1", "search-edge-space-cap", "extract-t1", "negative-trials"],
     )
     def test_bad_parameter_is_domain_error(self, args, tmp_path, capsys):
         path = tmp_path / "fano.hg"

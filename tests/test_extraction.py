@@ -395,6 +395,14 @@ class TestDensityIncrementRun:
         assert rows[0]["timings"]["growth_ms"] > 0
         assert all("timings" not in row for row in trace.to_json(include_timings=False)["levels"])
 
+    @pytest.mark.parametrize(
+        "edges", [[], [{0, 1, 2}], [{0, 1, 2}, {0, 3}]], ids=["no-edges", "one-edge", "non-uniform"]
+    )
+    def test_input_check_trace(self, edges):
+        # The edge count is checked before uniformity, which needs an edge.
+        trace = density_increment_run(new_hypergraph(4, edges), ExtractionParams(t=2, x=1, seed=0))
+        assert (trace.levels, trace.stop_reason) == ([], "input must be uniform with at least two edges")
+
     def test_trace_json_round_trip(self, fano_h):
         import json
 

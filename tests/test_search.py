@@ -1,4 +1,6 @@
+import time
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -16,6 +18,7 @@ from hyperspec import (
 )
 from hyperspec import search
 from hyperspec.coloring import ColorStatus
+from hyperspec.errors import InvalidParameterError
 from hyperspec.search import invariant_signature
 
 import oracles
@@ -89,7 +92,9 @@ class TestExhaustiveSearch:
         rep = min_spectrum_search(4, 8, budget_nodes=5000)
         assert (rep.exhaustive, rep.nodes, rep.budget_tripped) == (False, 5001, "nodes")
 
-    @pytest.mark.parametrize("k,n", [(k, n) for k in range(2, 6) for n in range(k, 10)])
+    @pytest.mark.parametrize(
+        "k,n", [(k, n) for k in range(2, 6) for n in range(k, 10)] + [(3, 10), (3, 11), (3, 12), (4, 11), (5, 11)]
+    )
     def test_matches_recursive_oracle(self, k, n):
         # The unbudgeted tree is small enough for the oracle only here.
         budgets = (None, 1, 3, 50, 700) if k <= 3 or n <= k + 1 else (1, 3, 50, 700)
@@ -128,20 +133,27 @@ class TestExhaustiveSearch:
             min_spectrum_search(3, 2)
 
 
-class TestLocalSearch:
-    def test_budget_nodes_caps_restarts(self):
-        # budget_ms=100 allows 5 restarts; one node each.
-        free = min_spectrum_search(3, 12, budget_ms=100.0)
-        assert (free.nodes, free.budget_tripped) == (5, None)
-        capped = min_spectrum_search(3, 12, budget_ms=100.0, budget_nodes=1)
-        assert (capped.nodes, capped.budget_tripped) == (2, "nodes")
+class TestBeyondTenVertices:
+    """The exact search runs at every vertex count up to the edge-space cap."""
 
-    def test_runs_and_is_deterministic(self):
-        a = min_spectrum_search(3, 12, budget_ms=300.0, seed=4)
-        b = min_spectrum_search(3, 12, budget_ms=300.0, seed=4)
-        assert a.method == "local-search"
-        assert not a.exhaustive
-        assert a.best_spectrum_size == b.best_spectrum_size
-        if a.witness is not None:
-            assert is_intersecting(a.witness)
-            assert find_2_coloring(a.witness).status is ColorStatus.NOT_COLORABLE
+    def test_fano_proved_on_twelve_vertices(self):
+        rep = min_spectrum_search(3, 12, budget_ms=100.0)
+        assert (rep.exhaustive, rep.best_spectrum_size, rep.nodes, rep.budget_tripped) == (True, 1, 31, None)
+        assert rep.method == "iterative-deepening"
+        edges = list(rep.witness.edges())
+        assert len(edges) == 7
+        assert all(len(e) == 3 for e in edges)
+        assert oracles.naive_is_intersecting(edges)
+        assert oracles.exhaustive_two_coloring(rep.witness.num_vertices, edges) is None
+        assert len(oracles.naive_spectrum(edges)) == 1
+
+    def test_budget_ms_is_a_clock_limit(self):
+        start = time.perf_counter()
+        rep = min_spectrum_search(4, 12, budget_ms=50)
+        assert time.perf_counter() - start < 5.0
+        assert (rep.exhaustive, rep.budget_tripped) == (False, "ms")
+
+    def test_edge_space_cap(self):
+        assert comb(16, 8) > search.EDGE_SPACE_CAP >= comb(12, 4)
+        with pytest.raises(InvalidParameterError):
+            min_spectrum_search(8, 16)
