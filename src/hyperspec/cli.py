@@ -26,7 +26,7 @@ from .core import (
     parse_hypergraph,
     serialize_hypergraph,
 )
-from .errors import HypergraphError
+from .errors import HypergraphError, InvalidParameterError
 from .extraction import ExtractionParams, density_increment_run
 from .lemmas import run_lemma_suite
 from .rng import DEFAULT_SEED
@@ -82,18 +82,13 @@ _density.__name__ = "Fraction"  # argparse names the type in its messages
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    inputs = ()
-    if args.family == "compose":
-        if not (args.left and args.right):
-            raise HypergraphError("compose needs --left and --right input files")
-        inputs = (_load(args.left), _load(args.right))
-    spec = constructions.ConstructionSpec(
-        family=args.family,
-        params=_parse_kv(args.param),
+    h = constructions.build_construction(
+        args.family,
+        _parse_kv(args.param),
         seed=args.seed,
-        inputs=inputs,
+        inputs=tuple(_load(path) for path in (args.left, args.right) if path),
+        size_cap=args.size_cap,
     )
-    h = constructions.build_construction(spec, size_cap=args.size_cap)
     text = serialize_hypergraph(h)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -157,19 +152,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_extract(args: argparse.Namespace) -> int:
     h = _load(args.file)
     started = time.monotonic()
-    if args.paper_constants:
-        k = is_uniform(h)
-        if k is None:
-            raise HypergraphError("asymptotic constants need a uniform input")
-        params = ExtractionParams.paper_scale(k, seed=args.seed, budget_ms=args.budget_ms)
-    else:
-        params = ExtractionParams(
-            t=args.t,
-            x=args.x,
-            d=args.density,
-            seed=args.seed,
-            budget_ms=args.budget_ms,
-        )
+    # --t, --x and --density default to SUPPRESS, so only the given ones are set.
+    tuning = {key: getattr(args, key) for key in ("t", "x", "d") if hasattr(args, key)}
+    if args.paper_constants and tuning:
+        raise InvalidParameterError("--paper-constants excludes --t, --x and --density")
+    params = ExtractionParams(
+        **tuning, seed=args.seed, budget_ms=args.budget_ms, paper_constants=args.paper_constants
+    )
     trace = density_increment_run(h, params)
     payload = {"schema": SCHEMA, **trace.to_json(include_timings=True)}
     payload["timings"] = {"elapsed_ms": (time.monotonic() - started) * 1000.0}
@@ -201,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="generate a named hypergraph family as .hg text")
-    p.add_argument("--family", required=True, choices=constructions.ConstructionSpec._FAMILIES)
+    p.add_argument("--family", required=True, choices=constructions.FAMILY_PARAMS)
     p.add_argument("--param", action="append", default=[], metavar="K=V")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--size-cap", type=_at_least(1), default=constructions.DEFAULT_SIZE_CAP)
@@ -230,9 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="run the density-increment driver on a .hg file")
     p.add_argument("file")
-    p.add_argument("--t", type=int, default=4)
-    p.add_argument("--x", type=int, default=4)
-    p.add_argument("--density", type=_density, default=None, help="override the measured density (a fraction like 1/72)")
+    p.add_argument("--t", type=int, default=argparse.SUPPRESS, help="default 4")
+    p.add_argument("--x", type=int, default=argparse.SUPPRESS, help="default 4")
+    p.add_argument(
+        "--density", dest="d", metavar="DENSITY", type=_density, default=argparse.SUPPRESS,
+        help="override the measured density (a fraction like 1/72)",
+    )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget-ms", type=_at_least(0, float), default=None)
     p.add_argument("--paper-constants", action="store_true", help="use the asymptotic tuning constants")

@@ -115,7 +115,6 @@ class ColorResult:
     status: ColorStatus
     coloring: Optional[tuple[int, ...]]
     nodes: int
-    elapsed_ms: float
     budget_tripped: Optional[str]  # "nodes" or "ms" when UNKNOWN, else None
     method: str = "dpll"  # "modules" when decide_2_coloring found a module
     certificate: Optional[ModuleCertificate] = None
@@ -233,7 +232,7 @@ def find_2_coloring(
         witness = tuple(1 if col[1] & b else 0 for b in bits)
         if monochromatic_edge(h, witness) is not None:
             raise AssertionError("solver produced an improper coloring")
-    return ColorResult(status, witness, budget.spent, budget.elapsed_ms(), budget.tripped)
+    return ColorResult(status, witness, budget.spent, budget.tripped)
 
 
 def _vertex_edges(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
@@ -394,7 +393,7 @@ def decide_2_coloring(
                     taken.update(verts)
             if budget.expired():
                 method = "modules" if rounds or found else "dpll"
-                return ColorResult(ColorStatus.UNKNOWN, None, budget.spent, budget.elapsed_ms(), budget.tripped, method)
+                return ColorResult(ColorStatus.UNKNOWN, None, budget.spent, budget.tripped, method)
         if not found:
             break
         rep = np.arange(current.num_vertices + 1)
@@ -406,7 +405,7 @@ def decide_2_coloring(
             local = {v: i for i, v in enumerate(verts)}
             res = solve(Hypergraph(len(verts), [[local[v] for v in vertices_of(f)] for f in traces]))
             if res.status is ColorStatus.UNKNOWN:
-                return ColorResult(res.status, None, budget.spent, budget.elapsed_ms(), budget.tripped, "modules")
+                return ColorResult(res.status, None, budget.spent, budget.tripped, "modules")
             colorable = res.status is ColorStatus.COLORABLE
             modules.append(Module(union(mask), tuple(map(union, traces)), colorable))
             if colorable:
@@ -421,7 +420,7 @@ def decide_2_coloring(
     res = solve(current)
     if not rounds or res.status is ColorStatus.UNKNOWN:
         method = "modules" if rounds else "dpll"
-        return ColorResult(res.status, res.coloring, budget.spent, budget.elapsed_ms(), budget.tripped, method)
+        return ColorResult(res.status, res.coloring, budget.spent, budget.tripped, method)
     witness = None
     if res.status is ColorStatus.COLORABLE:
         ones |= union(mask_of(v for v, c in enumerate(res.coloring) if c))
@@ -429,7 +428,7 @@ def decide_2_coloring(
         if monochromatic_edge(h, witness) is not None:
             raise AssertionError("module lift produced an improper coloring")
     certificate = ModuleCertificate(tuple(rounds), current, origins)
-    return ColorResult(res.status, witness, budget.spent, budget.elapsed_ms(), None, "modules", certificate)
+    return ColorResult(res.status, witness, budget.spent, None, "modules", certificate)
 
 
 def random_refute(h: Hypergraph, trials: int, seed: int) -> RefuteReport:

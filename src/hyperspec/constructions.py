@@ -10,7 +10,6 @@ whose spectrum is the odd numbers up to 3^m - 2.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
 from typing import Optional
@@ -26,7 +25,7 @@ from .rng import distinct_subsets
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
-    "ConstructionSpec",
+    "FAMILY_PARAMS",
     "fano",
     "compose",
     "iterated_fano",
@@ -39,6 +38,16 @@ __all__ = [
 # Blocks accidental iterate-once-more explosions (7^13 edges) while leaving
 # every desk-scale family comfortable.
 DEFAULT_SIZE_CAP = 10**7
+
+# The --param keys each family reads, in its generator's argument order.
+FAMILY_PARAMS = {
+    "fano": (),
+    "iterated-fano": ("m",),
+    "complete-subsets": ("n", "k"),
+    "ramsey-clique": ("n", "k"),
+    "random-uniform": ("n", "k", "m"),
+    "compose": (),
+}
 
 
 def fano() -> Hypergraph:
@@ -141,50 +150,43 @@ def random_uniform(
     return Hypergraph(n, distinct_subsets(random.Random(seed), 0, n, k, m))
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """CLI-facing description of a construction request."""
+def build_construction(
+    family: str,
+    params: dict[str, int],
+    seed: Optional[int] = None,
+    inputs: tuple[Hypergraph, ...] = (),
+    size_cap: int = DEFAULT_SIZE_CAP,
+) -> Hypergraph:
+    """Build ``family`` from its ``FAMILY_PARAMS`` keys in ``params``.
 
-    family: str
-    params: dict[str, int] = field(default_factory=dict)
-    seed: Optional[int] = None
-    inputs: tuple[Hypergraph, ...] = ()
-
-    _FAMILIES = (
-        "fano",
-        "iterated-fano",
-        "complete-subsets",
-        "ramsey-clique",
-        "random-uniform",
-        "compose",
-    )
-
-
-def build_construction(spec: ConstructionSpec, size_cap: int = DEFAULT_SIZE_CAP) -> Hypergraph:
-    """Dispatch a :class:`ConstructionSpec` to its generator."""
-    fam = spec.family
-
-    def p(key: str) -> int:
-        if key not in spec.params:
-            raise InvalidParameterError(f"family {fam!r} needs --param {key}=<int>")
-        return spec.params[key]
-
-    if fam == "fano":
+    A key the family does not read, or input hypergraphs given to any
+    family but ``compose``, raise :class:`InvalidParameterError`.
+    """
+    if family not in FAMILY_PARAMS:
+        raise InvalidParameterError(f"unknown family {family!r}; choose from {tuple(FAMILY_PARAMS)}")
+    unread = sorted(params.keys() - FAMILY_PARAMS[family])
+    if unread:
+        raise InvalidParameterError(f"family {family!r} reads no --param {', '.join(unread)}")
+    for key in FAMILY_PARAMS[family]:
+        if key not in params:
+            raise InvalidParameterError(f"family {family!r} needs --param {key}=<int>")
+    args = [params[key] for key in FAMILY_PARAMS[family]]
+    if family == "compose":
+        if len(inputs) != 2:
+            raise InvalidParameterError("compose needs --left and --right input files")
+        return compose(*inputs, size_cap=size_cap)
+    if inputs:
+        raise InvalidParameterError(f"family {family!r} reads no input files; only compose does")
+    if family == "fano":
         if size_cap < 7:
             raise SizeCapExceededError(f"the Fano plane has 7 edges, cap is {size_cap}")
         return fano()
-    if fam == "iterated-fano":
-        return iterated_fano(p("m"), size_cap=size_cap)
-    if fam == "complete-subsets":
-        return complete_subsets(p("n"), p("k"), size_cap=size_cap)
-    if fam == "ramsey-clique":
-        return ramsey_clique_hypergraph(p("n"), p("k"), size_cap=size_cap)
-    if fam == "random-uniform":
-        if spec.seed is None:
-            raise InvalidParameterError("random-uniform needs a seed")
-        return random_uniform(p("n"), p("k"), p("m"), spec.seed, size_cap=size_cap)
-    if fam == "compose":
-        if len(spec.inputs) != 2:
-            raise InvalidParameterError("compose needs exactly two input hypergraphs")
-        return compose(spec.inputs[0], spec.inputs[1], size_cap=size_cap)
-    raise InvalidParameterError(f"unknown family {fam!r}; choose from {ConstructionSpec._FAMILIES}")
+    if family == "iterated-fano":
+        return iterated_fano(*args, size_cap=size_cap)
+    if family == "complete-subsets":
+        return complete_subsets(*args, size_cap=size_cap)
+    if family == "ramsey-clique":
+        return ramsey_clique_hypergraph(*args, size_cap=size_cap)
+    if seed is None:
+        raise InvalidParameterError("random-uniform needs a seed")
+    return random_uniform(*args, seed, size_cap=size_cap)

@@ -505,7 +505,9 @@ class ExtractionParams:
     Desk-scale defaults keep every procedure's postcondition checkable on
     instances with a few thousand edges; ``paper_scale`` builds the
     asymptotic constants (t = 2*ceil(sqrt(k)), x = 10t, d = 1/(8k)) for
-    documentation runs.
+    documentation runs. With ``paper_constants`` set, :func:`density_increment_run`
+    replaces the params, locally and on its trace, with ``paper_scale(k, seed=...,
+    budget_ms=...)`` right after its input check.
     """
 
     t: int = 4
@@ -798,10 +800,11 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
     if k is None:
         trace.stop_reason = "input must be uniform with at least two edges"
         return trace
-    if not params.paper_constants:
-        trace.notes.append("desk-scale thresholds: measured density, fraction-based demands")
-    else:
+    if params.paper_constants:
+        trace.params = params = ExtractionParams.paper_scale(k, seed=params.seed, budget_ms=params.budget_ms)
         trace.notes.append("asymptotic constants requested; demands are documentation only")
+    else:
+        trace.notes.append("desk-scale thresholds: measured density, fraction-based demands")
     budget = Budget(ms=params.budget_ms)
     pool = list(range(h.num_edges))
     counts = _pool_pair_counts(h, pool)  # counted once per pool

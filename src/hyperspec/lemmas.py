@@ -26,6 +26,7 @@ from .core import (
     vertices_of,
 )
 from .coloring import monochromatic_edge
+from .constructions import fano
 from .errors import (
     MismatchedEdgeCountError,
     MismatchedVertexCountError,
@@ -330,37 +331,20 @@ def planted_average_instance(
 def run_lemma_suite(seed: int, instances: int) -> dict:
     """Randomized pass/fail summary for the two inequality checkers plus a
     greedy growth spot check. Worst slacks are reported exactly."""
-    rng_pairs = substream(seed, "suite/pair-inequality")
-    rng_avg = substream(seed, "suite/average-lambda")
     results: dict = {"seed": seed, "instances": instances}
-
-    worst: Optional[Fraction] = None
-    passes = 0
-    for _ in range(instances):
-        fam_a, fam_b = random_pair_instance(rng_pairs)
-        report = check_pair_inequality(fam_a, fam_b)
-        passes += report.holds
-        worst = report.slack if worst is None else min(worst, report.slack)
-    results["pair_inequality"] = {
-        "pass": passes,
-        "fail": instances - passes,
-        "worst_slack": str(worst),
-    }
-
-    worst = None
-    passes = 0
-    for i in range(instances):
-        h, s, t, w = planted_average_instance(rng_avg, x=i % 6)
-        report = check_average_lambda(h, s, t, w)
-        passes += report.holds
-        worst = report.slack if worst is None else min(worst, report.slack)
-    results["average_lambda"] = {
-        "pass": passes,
-        "fail": instances - passes,
-        "worst_slack": str(worst),
-    }
-
-    from .constructions import fano  # local import to avoid a cycle
+    suites = (
+        ("pair_inequality", check_pair_inequality, lambda rng, i: random_pair_instance(rng)),
+        ("average_lambda", check_average_lambda, lambda rng, i: planted_average_instance(rng, x=i % 6)),
+    )
+    for name, checker, draw in suites:
+        rng = substream(seed, "suite/" + name.replace("_", "-"))  # "suite/pair-inequality", ...
+        worst: Optional[Fraction] = None
+        passes = 0
+        for i in range(instances):
+            report = checker(*draw(rng, i))
+            passes += report.holds
+            worst = report.slack if worst is None else min(worst, report.slack)
+        results[name] = {"pass": passes, "fail": instances - passes, "worst_slack": str(worst)}
 
     h = fano()
     greedy_ok = 0

@@ -141,10 +141,7 @@ def min_spectrum_search(
         raise InvalidParameterError(
             f"C({max_vertices}, {k}) = {comb(max_vertices, k)} candidate edges exceeds the cap of {EDGE_SPACE_CAP}"
         )
-    return _exhaustive_search(k, max_vertices, Budget(budget_nodes, budget_ms), seed)
-
-
-def _exhaustive_search(k: int, max_vertices: int, budget: Budget, seed: int) -> SearchReport:
+    budget = Budget(budget_nodes, budget_ms)
     all_edges = list(combinations(range(max_vertices), k))
     edge_masks = [sum(1 << v for v in e) for e in all_edges]
     min_edges_needed = 2 ** (k - 1)  # below this a random coloring works

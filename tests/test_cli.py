@@ -159,11 +159,21 @@ class TestExtract:
         assert [lvl["lambda"] for lvl in payload["levels"]] == [1, 7]
         assert payload["levels"][0]["notes"] == [note]
 
-    @pytest.mark.parametrize("text", ["3 0\n", "3 1\n0 1 2\n"], ids=["no-edges", "one-edge"])
-    def test_too_few_edges_trace(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            pytest.param("3 0\n", [], id="no-edges"),
+            pytest.param("3 1\n0 1 2\n", [], id="one-edge"),
+            # --paper-constants accepts every input the driver accepts.
+            pytest.param("3 0\n", ["--paper-constants"], id="paper-constants-no-edges"),
+            pytest.param("3 1\n0 1 2\n", ["--paper-constants"], id="paper-constants-one-edge"),
+            pytest.param("4 2\n0 1 2\n0 3\n", ["--paper-constants"], id="paper-constants-non-uniform"),
+        ],
+    )
+    def test_too_few_edges_trace(self, tmp_path, capsys, text, flags):
         path = tmp_path / "few.hg"
         path.write_text(text)
-        code, stdout, _ = run_cli(["extract", str(path)], capsys)
+        code, stdout, _ = run_cli(["extract", str(path), *flags], capsys)
         assert code == 0
         payload = json.loads(stdout)
         assert (payload["levels"], payload["stop_reason"]) == ([], "input must be uniform with at least two edges")
@@ -222,8 +232,29 @@ class TestErrorsAndUsage:
             ["search", "--k", "8", "--max-vertices", "16"],
             ["extract", "FANO", "--t", "1"],
             ["color", "FANO", "--trials", "-3"],
+            ["construct", "--family", "fano", "--param", "m=9"],
+            ["construct", "--family", "fano", "--left", "FANO"],
+            ["construct", "--family", "complete-subsets", "--param", "n=5", "--param", "k=3", "--param", "m=2"],
+            ["construct", "--family", "compose", "--left", "FANO", "--right", "FANO", "--param", "m=1"],
+            ["extract", "FANO", "--paper-constants", "--t", "3"],
+            ["extract", "FANO", "--paper-constants", "--x", "2"],
+            ["extract", "FANO", "--paper-constants", "--density", "1/2"],
         ],
-        ids=["missing-param", "k-above-n", "search-k1", "search-edge-space-cap", "extract-t1", "negative-trials"],
+        ids=[
+            "missing-param",
+            "k-above-n",
+            "search-k1",
+            "search-edge-space-cap",
+            "extract-t1",
+            "negative-trials",
+            "fano-unread-param",
+            "fano-unread-left",
+            "complete-subsets-unread-param",
+            "compose-unread-param",
+            "paper-constants-with-t",
+            "paper-constants-with-x",
+            "paper-constants-with-density",
+        ],
     )
     def test_bad_parameter_is_domain_error(self, args, tmp_path, capsys):
         path = tmp_path / "fano.hg"

@@ -14,8 +14,9 @@ from hyperspec import (
     random_uniform,
 )
 from hyperspec.coloring import ColorStatus
-from hyperspec.constructions import ConstructionSpec, build_construction
+from hyperspec.constructions import build_construction
 from hyperspec.errors import (
+    InvalidParameterError,
     NonUniformError,
     SizeCapExceededError,
     TooManyEdgesRequestedError,
@@ -179,12 +180,36 @@ class TestRandomUniform:
 
 class TestBuildConstruction:
     def test_dispatch(self, fano_h):
-        assert build_construction(ConstructionSpec("fano")) == fano_h
-        h = build_construction(ConstructionSpec("complete-subsets", {"n": 5, "k": 3}))
+        assert build_construction("fano", {}) == fano_h
+        h = build_construction("complete-subsets", {"n": 5, "k": 3})
         assert h.num_edges == 10
-        h = build_construction(ConstructionSpec("random-uniform", {"n": 6, "k": 3, "m": 4}, seed=3))
+        h = build_construction("random-uniform", {"n": 6, "k": 3, "m": 4}, seed=3)
         assert h.num_edges == 4
+        assert build_construction("compose", {}, inputs=(fano_h, fano_h)).num_edges == 2401
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            build_construction(ConstructionSpec("unknown"))
+            build_construction("unknown", {})
+
+    @pytest.mark.parametrize(
+        "family, params, inputs, message",
+        [
+            ("fano", {"m": 9}, 0, "reads no --param m"),
+            ("complete-subsets", {"n": 5, "k": 3, "m": 2}, 0, "reads no --param m"),
+            ("compose", {"m": 1}, 2, "reads no --param m"),
+            ("fano", {}, 1, "reads no input files"),
+            ("iterated-fano", {"m": 1}, 2, "reads no input files"),
+            ("compose", {}, 1, "compose needs --left and --right"),
+        ],
+        ids=[
+            "fano-param",
+            "complete-subsets-param",
+            "compose-param",
+            "fano-input",
+            "iterated-fano-inputs",
+            "compose-one-input",
+        ],
+    )
+    def test_refuses_unread_input(self, fano_h, family, params, inputs, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            build_construction(family, params, seed=0, inputs=(fano_h,) * inputs)

@@ -421,6 +421,16 @@ class TestDensityIncrementRun:
         trace = density_increment_run(fano_h, params)
         assert trace.notes  # documentation mode flagged
 
+    @pytest.mark.parametrize("fixture, k", [("fano_h", 3), ("itf2", 9)], ids=["fano", "itf2"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_paper_constants_flag_scales_to_input(self, request, fixture, k, seed):
+        # The flag alone is enough: the driver derives the constants from k.
+        h = request.getfixturevalue(fixture)
+        flagged = density_increment_run(h, ExtractionParams(paper_constants=True, seed=seed))
+        scaled = density_increment_run(h, ExtractionParams.paper_scale(k, seed=seed))
+        assert flagged.params == scaled.params
+        assert flagged.to_json(include_timings=False) == scaled.to_json(include_timings=False)
+
     @pytest.mark.parametrize(
         "build, params, lambdas, branches, extractors, stop",
         [
