@@ -47,13 +47,15 @@ def _load(path: str) -> Hypergraph:
 def _parse_kv(pairs: Sequence[str]) -> dict[str, int]:
     out: dict[str, int] = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise HypergraphError(f"--param expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
+        key, eq, value = pair.partition("=")
+        if not eq:
+            raise InvalidParameterError(f"--param expects key=value, got {pair!r}")
+        if key in out:
+            raise InvalidParameterError(f"--param {key} given more than once")
         try:
             out[key] = int(value)
         except ValueError:
-            raise HypergraphError(f"--param value for {key!r} must be an integer") from None
+            raise InvalidParameterError(f"--param value for {key!r} must be an integer") from None
     return out
 
 
@@ -139,10 +141,7 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    if args.suite == "lemmas":
-        results = run_lemma_suite(args.seed, args.instances)
-    else:
-        raise HypergraphError(f"unknown suite {args.suite!r}")
+    results = run_lemma_suite(args.seed, args.instances)
     payload = {"schema": SCHEMA, "suite": args.suite, **results}
     payload["timings"] = {"elapsed_ms": (time.monotonic() - started) * 1000.0}
     _emit(payload)
@@ -207,12 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--budget-nodes", type=_at_least(0), default=DEFAULT_NODE_BUDGET)
     p.add_argument("--budget-ms", type=_at_least(0, float), default=None)
-    p.add_argument("--trials", type=int, default=0)
+    p.add_argument("--trials", type=_at_least(0), default=0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("verify", help="run a randomized inequality suite")
-    p.add_argument("--suite", default="lemmas")
+    p.add_argument("--suite", choices=("lemmas",), default="lemmas")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--instances", type=_at_least(1), default=200)
     p.set_defaults(func=cmd_verify)

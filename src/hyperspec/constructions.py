@@ -9,7 +9,6 @@ whose spectrum is the odd numbers up to 3^m - 2.
 
 from __future__ import annotations
 
-import random
 from itertools import combinations, product
 from math import comb
 from typing import Optional
@@ -21,7 +20,7 @@ from .errors import (
     SizeCapExceededError,
     TooManyEdgesRequestedError,
 )
-from .rng import distinct_subsets
+from .rng import distinct_subsets, substream
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
@@ -139,7 +138,8 @@ def ramsey_clique_hypergraph(n: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -
 def random_uniform(
     n: int, k: int, m: int, seed: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> Hypergraph:
-    """m distinct uniformly random k-subsets of [n]; deterministic per seed."""
+    """m distinct uniformly random k-subsets of [n], drawn from the
+    ``"random-uniform"`` substream of ``seed``."""
     if not 1 <= k <= n:
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     total = comb(n, k)
@@ -147,7 +147,7 @@ def random_uniform(
         raise TooManyEdgesRequestedError(f"asked for {m} edges, only C({n},{k})={total} exist")
     if m > size_cap:
         raise SizeCapExceededError(f"{m} edges exceed cap {size_cap}")
-    return Hypergraph(n, distinct_subsets(random.Random(seed), 0, n, k, m))
+    return Hypergraph(n, distinct_subsets(substream(seed, "random-uniform"), 0, n, k, m))
 
 
 def build_construction(

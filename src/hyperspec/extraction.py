@@ -76,6 +76,7 @@ ENUM_CAP = 10**6
 # Most candidate t-subsets the lambda-pair search tries, and most pair
 # checks in the spread-case subset search.
 SEARCH_TRIES = 4000
+INPUT_CHECK_STOP = "input must be uniform with at least two edges"
 
 
 class SimpleGraph:
@@ -581,13 +582,17 @@ class IncrementTrace:
                     k: getattr(lvl, k) for k in ("elapsed_ms", "triple_family_ms", "growth_ms")
                 }
             levels.append(row)
+        p = self.params
+        # A paper-constants run stopped by the input check never learns k,
+        # so it has no t, x or d.
+        unscaled = p.paper_constants and self.stop_reason == INPUT_CHECK_STOP
         return {
             "params": {
-                "t": self.params.t,
-                "x": self.params.x,
-                "d": str(self.params.d) if self.params.d is not None else None,
-                "seed": self.params.seed,
-                "paper_constants": self.params.paper_constants,
+                "t": None if unscaled else p.t,
+                "x": None if unscaled else p.x,
+                "d": None if unscaled or p.d is None else str(p.d),
+                "seed": p.seed,
+                "paper_constants": p.paper_constants,
             },
             "levels": levels,
             "identity_checks": self.identity_checks,
@@ -798,7 +803,7 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
     # The edge count comes first: is_uniform raises on a 0-edge input.
     k = is_uniform(h) if h.num_edges >= 2 else None
     if k is None:
-        trace.stop_reason = "input must be uniform with at least two edges"
+        trace.stop_reason = INPUT_CHECK_STOP
         return trace
     if params.paper_constants:
         trace.params = params = ExtractionParams.paper_scale(k, seed=params.seed, budget_ms=params.budget_ms)

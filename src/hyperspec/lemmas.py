@@ -314,11 +314,9 @@ def planted_average_instance(
     n = x + k + ell + rng.randint(2, 6)
     w = tuple(range(x))
     s_edges = [w + e for e in distinct_subsets(rng, x, n - x, k - x, ell)]
-    t_edges = distinct_subsets(rng, x, n - x, k, ell)
-    if x == 0:
-        seen = set(s_edges)
-        while any(e in seen for e in t_edges):
-            t_edges = distinct_subsets(rng, 0, n, k, ell, seen)
+    # For x > 0 no T edge can equal an S edge; for x = 0 the S edges are
+    # forbidden outright.
+    t_edges = distinct_subsets(rng, x, n - x, k, ell, s_edges)
     h = Hypergraph(n, s_edges + t_edges)
     return (
         h,

@@ -306,11 +306,24 @@ def brute_min_spectrum(k: int, n: int) -> Optional[int]:
     return best
 
 
-# -- generators drawn one ``random.sample`` call at a time ------------------
+# -- generators drawn one subset at a time ----------------------------------
 #
-# The package replays these draws inline (``rng.distinct_subsets``); these
-# are the loops it replaces, kept to pin its edges and generator state.
-# Edges are ascending vertex tuples; hypergraphs are (n, edges) pairs.
+# The package draws these subsets in ``rng.distinct_subsets``; these loops
+# spell out its rule one subset at a time, to pin its edges and generator
+# state. Edges are ascending vertex tuples; hypergraphs are (n, edges) pairs.
+
+
+def naive_random_subset(rng: random.Random, population: Sequence[int], k: int) -> tuple[int, ...]:
+    """k distinct members of ``population``, ascending: redraw
+    ``getrandbits(len(population).bit_length())`` until k distinct values
+    below the length are collected."""
+    n = len(population)
+    picked: list[int] = []
+    while len(picked) < k:
+        j = rng.getrandbits(n.bit_length())
+        if j < n and population[j] not in picked:
+            picked.append(population[j])
+    return tuple(sorted(picked))
 
 
 def naive_random_family(
@@ -319,7 +332,7 @@ def naive_random_family(
     out: list[tuple[int, ...]] = []
     seen = set(forbidden)
     while len(out) < ell:
-        edge = tuple(sorted(rng.sample(range(n), k)))
+        edge = naive_random_subset(rng, range(n), k)
         if edge not in seen:
             seen.add(edge)
             out.append(edge)
@@ -327,7 +340,8 @@ def naive_random_family(
 
 
 def naive_random_uniform(n: int, k: int, m: int, seed: int) -> list[tuple[int, ...]]:
-    return naive_random_family(random.Random(seed), n, k, m, set())
+    rng = random.Random(f"{seed:#x}/random-uniform")
+    return naive_random_family(rng, n, k, m, set())
 
 
 def naive_random_pair_instance(rng: random.Random):
@@ -348,14 +362,16 @@ def naive_planted_average_instance(rng: random.Random, x: int):
     s_edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     while len(s_edges) < ell:
-        edge = w + tuple(sorted(rng.sample(rest, k - x)))
+        edge = w + naive_random_subset(rng, rest, k - x)
         if edge not in seen:
             seen.add(edge)
             s_edges.append(edge)
-    t_edges = [tuple(v + x for v in e) for e in naive_random_family(rng, n - x, k, ell, set())]
-    if x == 0:
-        while any(e in seen for e in t_edges):
-            t_edges = naive_random_family(rng, n, k, ell, seen)
+    t_edges: list[tuple[int, ...]] = []
+    while len(t_edges) < ell:
+        edge = naive_random_subset(rng, rest, k)
+        if edge not in seen:
+            seen.add(edge)
+            t_edges.append(edge)
     return (
         (n, s_edges + t_edges),
         frozenset(range(ell)),

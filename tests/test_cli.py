@@ -128,9 +128,10 @@ class TestVerify:
         assert a["pair_inequality"]["fail"] == 0
 
     def test_unknown_suite(self, capsys):
-        code, _, err = run_cli(["verify", "--suite", "bogus"], capsys)
-        assert code == 1
-        assert json.loads(err)["error"]["type"] == "HypergraphError"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 class TestExtract:
@@ -177,6 +178,9 @@ class TestExtract:
         assert code == 0
         payload = json.loads(stdout)
         assert (payload["levels"], payload["stop_reason"]) == ([], "input must be uniform with at least two edges")
+        # A paper-constants run stops before it knows k, so it reports no t, x or d.
+        tuning = {"t": None, "x": None, "d": None} if flags else {"t": 4, "x": 4, "d": None}
+        assert {key: payload["params"][key] for key in tuning} == tuning
 
 
 class TestSearch:
@@ -231,7 +235,6 @@ class TestErrorsAndUsage:
             ["search", "--k", "1", "--max-vertices", "3"],
             ["search", "--k", "8", "--max-vertices", "16"],
             ["extract", "FANO", "--t", "1"],
-            ["color", "FANO", "--trials", "-3"],
             ["construct", "--family", "fano", "--param", "m=9"],
             ["construct", "--family", "fano", "--left", "FANO"],
             ["construct", "--family", "complete-subsets", "--param", "n=5", "--param", "k=3", "--param", "m=2"],
@@ -239,6 +242,9 @@ class TestErrorsAndUsage:
             ["extract", "FANO", "--paper-constants", "--t", "3"],
             ["extract", "FANO", "--paper-constants", "--x", "2"],
             ["extract", "FANO", "--paper-constants", "--density", "1/2"],
+            ["construct", "--family", "iterated-fano", "--param", "m=3", "--param", "m=1"],
+            ["construct", "--family", "iterated-fano", "--param", "m"],
+            ["construct", "--family", "iterated-fano", "--param", "m=x"],
         ],
         ids=[
             "missing-param",
@@ -246,7 +252,6 @@ class TestErrorsAndUsage:
             "search-k1",
             "search-edge-space-cap",
             "extract-t1",
-            "negative-trials",
             "fano-unread-param",
             "fano-unread-left",
             "complete-subsets-unread-param",
@@ -254,6 +259,9 @@ class TestErrorsAndUsage:
             "paper-constants-with-t",
             "paper-constants-with-x",
             "paper-constants-with-density",
+            "repeated-param",
+            "malformed-param",
+            "non-integer-param",
         ],
     )
     def test_bad_parameter_is_domain_error(self, args, tmp_path, capsys):
@@ -279,6 +287,7 @@ class TestErrorsAndUsage:
             ["extract", "FANO", "--t", "2", "--x", "1", "--density", "0"],
             ["extract", "FANO", "--t", "2", "--x", "1", "--density=-1/2"],
             ["extract", "FANO", "--t", "2", "--x", "1", "--density", "5"],
+            ["color", "FANO", "--trials", "-3"],
         ],
         ids=[
             "instances-0",
@@ -294,6 +303,7 @@ class TestErrorsAndUsage:
             "density-0",
             "density-neg",
             "density-above-1",
+            "trials-neg",
         ],
     )
     def test_out_of_range_number_exits_2(self, args, tmp_path, capsys):

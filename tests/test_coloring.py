@@ -275,7 +275,7 @@ class TestDecide2Coloring:
             return out
 
         expected = proposals(small + large)
-        assert [len(set(p)) for p in expected[-3:]] == [7, 54, 7]
+        assert [len(set(p)) for p in expected[-3:]] == [7, 55, 5]
         for cap, hs in ((1, small), (8000, small + large)):
             monkeypatch.setattr(coloring, "BLOCK_BYTES", cap)
             monkeypatch.setattr(core, "BLOCK_BYTES", cap)

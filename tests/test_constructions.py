@@ -170,7 +170,7 @@ class TestRandomUniform:
             random_uniform(60, 30, 10**15, seed=0, size_cap=10)
         assert random_uniform(10, 4, 12, seed=5, size_cap=12).num_edges == 12
 
-    # Both sides of random.sample's set-size switch (21 for k <= 5, 85 for k = 6).
+    # Small and large populations for k = 3 and k = 6.
     @pytest.mark.parametrize("n, k, m", [(7, 3, 20), (21, 3, 60), (22, 3, 60), (3000, 3, 50), (85, 6, 40), (86, 6, 40)])
     @pytest.mark.parametrize("seed", (0, 7))
     def test_edges_match_sample_oracle(self, n, k, m, seed):

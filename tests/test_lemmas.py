@@ -223,7 +223,7 @@ class TestSuiteRunner:
 
     @pytest.mark.parametrize(
         "seed, instances, pair_worst, average_worst",
-        [(1, 2000, "0", "2/9"), (5, 30, "1/2", "2/5"), (12, 25, "3", "7/10")],
+        [(1, 2000, "0", "5/36"), (5, 30, "0", "11/30"), (12, 25, "1", "83/100")],
     )
     def test_worst_slacks_pinned(self, seed, instances, pair_worst, average_worst):
         res = run_lemma_suite(seed, instances)
@@ -233,8 +233,8 @@ class TestSuiteRunner:
 
 
 class TestGeneratorsMatchOracles:
-    """The inline draws give the edges and generator state of the
-    one-``random.sample``-per-edge loops in ``oracles``."""
+    """The generators give the edges and generator state of the
+    one-subset-at-a-time loops in ``oracles``."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pair_instances(self, seed):

@@ -1,31 +1,37 @@
-"""Differential tests of the distinct-subset helper against
-``random.sample``.
+"""Tests of the distinct-subset helper against a reference loop that
+spells out its rule one subset at a time, plus literal pins.
 
-These call ``random.Random.sample`` itself, so they tie
-``distinct_subsets`` to the interpreter's algorithm: a change to how
-CPython draws samples fails here, on the interpreter that made it.
+The pins fail by name if CPython changes how it seeds from a string or
+what ``getrandbits`` returns; the reference tests do not depend on either.
 """
 
 import random
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
 
+import oracles
 from hyperspec.rng import distinct_subsets, substream
+
+
+def random_sample(rng, lo, n, k):
+    """One ascending k-subset of ``range(lo, lo + n)`` by the rule."""
+    return oracles.naive_random_subset(rng, range(lo, lo + n), k)
 
 
 def sample_loop(rng, lo, n, k, count, forbidden=()):
     seen, out = set(forbidden), []
     while len(out) < count:
-        edge = tuple(sorted(rng.sample(range(lo, lo + n), k)))
+        edge = random_sample(rng, lo, n, k)
         if edge not in seen:
             seen.add(edge)
             out.append(edge)
     return out
 
 
-# Sizes on both sides of the set-size switch: 21 for k <= 5, 85 for
-# 6 <= k <= 21 and 277 for k = 22.
+# Subset sizes from 0 to 22, the largest close to the population at small n.
 SUBSET_SIZES = (0, 1, 2, 3, 5, 6, 7, 10, 22)
 
 
@@ -56,8 +62,7 @@ def test_distinct_subsets_skip_forbidden(n, k):
     assert len(forbidden) == 20
 
 
-# Both sides of random.sample's set-size switch (21 for t <= 5, 85 for
-# t = 6) and populations at bit-length edges.
+# Small populations, and populations at bit-length edges (63, 64, 65).
 POPULATIONS = (21, 22, 63, 64, 65, 85, 86, 2401, 70000)
 
 
@@ -86,3 +91,21 @@ def test_rows_follow_other_draws():
 def test_distinct_subsets_reject_oversized_sample():
     with pytest.raises(ValueError):
         distinct_subsets(random.Random(0), 0, 3, 4, 1)
+
+
+def test_every_subset_equally_likely():
+    # 20,000 single draws over the C(6, 3) = 20 subsets: every subset
+    # appears, and Pearson's statistic is below the 0.999 quantile of
+    # chi-square with 19 degrees of freedom (43.82).
+    rng = substream(0, "uniformity")
+    counts = Counter(distinct_subsets(rng, 0, 6, 3, 1)[0] for _ in range(20000))
+    assert set(counts) == set(combinations(range(6), 3))
+    chi2 = sum((c - 1000) ** 2 for c in counts.values()) / 1000
+    assert chi2 < 43.82, chi2
+
+
+def test_pinned_draws():
+    # Literal values: a change to CPython's string seeding or getrandbits
+    # fails here by name.
+    assert substream(1, "pin").getrandbits(64) == 3839885859374723289
+    assert distinct_subsets(substream(1, "pin"), 0, 10, 3, 4) == [(3, 4, 7), (3, 4, 6), (1, 5, 6), (3, 5, 8)]
