@@ -585,12 +585,11 @@ def certificate_mono_edge(h: Hypergraph, certificate: ModuleCertificate, colorin
     for vertices, trace in reversed(chosen):
         if edge & vertices:
             edge = edge & ~vertices | trace
-    idx = h.index_of(vertices_of(edge))
-    if idx is None:
+    if edge not in h.edge_masks:
         raise CompositionWitnessError("assembled edge is not an edge of the hypergraph")
     if edge & given not in (0, edge):
         raise AssertionError("assembled edge is not monochromatic")
-    return idx
+    return h.edge_masks.index(edge)
 
 
 def compositional_mono_edge(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import comb
+from operator import lshift
 from typing import Optional
 
 from .core import Hypergraph, is_uniform, vertices_of
@@ -72,19 +73,13 @@ def compose(outer: Hypergraph, inner: Hypergraph, size_cap: int = DEFAULT_SIZE_C
             f"composition would have {expected} edges, cap is {size_cap}"
         )
     n2 = inner.num_vertices
-    inner_edges = [vertices_of(m) for m in inner.edge_masks]
-    edges: list[tuple[int, ...]] = []
+    masks: list[int] = []
     for outer_mask in outer.edge_masks:
-        copies = vertices_of(outer_mask)
-        for choice in product(inner_edges, repeat=k1):
-            # Copies are ascending and disjoint, so concatenation is sorted.
-            edge: list[int] = []
-            for a, inner_edge in zip(copies, choice):
-                base = a * n2
-                edge.extend(base + b for b in inner_edge)
-            edges.append(tuple(edge))
-    edges.sort()
-    return Hypergraph(outer.num_vertices * n2, edges)
+        # Copy a holds bits a * n2 to a * n2 + n2 - 1; the copies are disjoint, so the sum is the union.
+        shifts = [a * n2 for a in vertices_of(outer_mask)]
+        masks.extend(sum(map(lshift, choice, shifts)) for choice in product(inner.edge_masks, repeat=k1))
+    masks.sort(key=vertices_of)
+    return Hypergraph.from_masks(outer.num_vertices * n2, masks)
 
 
 def iterated_fano(m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Hypergraph:
@@ -147,7 +142,7 @@ def random_uniform(
         raise TooManyEdgesRequestedError(f"asked for {m} edges, only C({n},{k})={total} exist")
     if m > size_cap:
         raise SizeCapExceededError(f"{m} edges exceed cap {size_cap}")
-    return Hypergraph(n, distinct_subsets(substream(seed, "random-uniform"), 0, n, k, m))
+    return Hypergraph.from_masks(n, distinct_subsets(substream(seed, "random-uniform"), 0, n, k, m))
 
 
 def build_construction(

@@ -7,8 +7,10 @@ else ``np.bitwise_count`` over ``uint64`` word rows, one word and row block at a
 All averaging is exact (``fractions.Fraction``), never floating point.
 
 Edge-index sets and vertex sets are plain iterables of ints; functions
-normalize them internally. Hypergraphs are immutable after construction
-and safe to share between threads.
+normalize them internally. :meth:`Hypergraph.from_masks` builds a hypergraph
+from edge bitmasks, with the errors of the vertex-list constructor.
+Hypergraphs are immutable after construction and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def vertices_of(mask: int) -> tuple[int, ...]:
     """Unpack a bitmask into an ascending vertex tuple."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask} has no finite vertex set")
     out = []
     while mask:
         low = mask & -mask
@@ -78,13 +82,29 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _raise_first_duplicate(masks: Sequence[int]) -> None:
-    """Raise :class:`DuplicateEdgeError` at the first mask in ``masks`` that
-    repeats an earlier one, if any does."""
+def _edge_fault(pos: int, edge: tuple[int, ...], num_vertices: int) -> Exception:
+    """The error for the empty or out-of-range vertex tuple ``edge`` at ``pos``."""
+    if not edge:
+        return EmptyEdgeError(f"edge {pos} is empty")
+    lo, hi = min(edge), max(edge)
+    v = hi if hi >= num_vertices else lo
+    return OutOfRangeVertexError(f"edge {pos} uses vertex {v}, valid range is [0, {num_vertices})")
+
+
+def _raise_first_fault(num_vertices: int, masks: Sequence[int]) -> None:
+    """Raise at the first mask in edge order that repeats an earlier one, is
+    0 or holds a vertex outside ``[0, num_vertices)``, if any does. A negative
+    mask is read as cut off just above its lowest vertex at or above
+    ``num_vertices``, so that the message names that vertex."""
     seen: set[int] = set()
     for pos, m in enumerate(masks):
         if m in seen:
             raise DuplicateEdgeError(f"edge {pos} repeats {list(vertices_of(m))}")
+        if m <= 0 or m >> num_vertices:
+            if m < 0:
+                high = m >> num_vertices
+                m &= (1 << (num_vertices + (high & -high).bit_length())) - 1
+            raise _edge_fault(pos, vertices_of(m), num_vertices)
         seen.add(m)
 
 
@@ -104,24 +124,30 @@ class Hypergraph:
         for pos, edge in enumerate(edges):
             if type(edge) is not tuple:
                 edge = tuple(edge)
-            if not edge:
-                _raise_first_duplicate(masks)
-                raise EmptyEdgeError(f"edge {pos} is empty")
-            lo, hi = min(edge), max(edge)
-            if lo < 0 or hi >= num_vertices:
-                _raise_first_duplicate(masks)
-                raise OutOfRangeVertexError(
-                    f"edge {pos} uses vertex {hi if hi >= num_vertices else lo}, "
-                    f"valid range is [0, {num_vertices})"
-                )
+            if not edge or min(edge) < 0 or max(edge) >= num_vertices:
+                _raise_first_fault(num_vertices, masks)  # a repeat before this edge comes first
+                raise _edge_fault(pos, edge, num_vertices)
             m = 0
             for v in edge:
                 m |= 1 << v
             masks.append(m)
-        if len(set(masks)) != len(masks):
-            _raise_first_duplicate(masks)
+        self._adopt(num_vertices, tuple(masks))
+
+    @classmethod
+    def from_masks(cls, num_vertices: int, masks: Iterable[int]) -> Hypergraph:
+        """Build from edge bitmasks, raising what ``Hypergraph(num_vertices,
+        map(vertices_of, masks))`` raises, in the same first-fault order."""
+        if num_vertices < 0:
+            raise ValueError("vertex count must be non-negative")
+        h = cls.__new__(cls)
+        h._adopt(num_vertices, tuple(masks))
+        return h
+
+    def _adopt(self, num_vertices: int, masks: tuple[int, ...]) -> None:
+        if masks and (min(masks) <= 0 or max(masks) >> num_vertices or len(set(masks)) != len(masks)):
+            _raise_first_fault(num_vertices, masks)
         self.num_vertices = num_vertices
-        self.edge_masks: tuple[int, ...] = tuple(masks)
+        self.edge_masks = masks
         self._cache: dict = {}
 
     # -- basic accessors ------------------------------------------------
@@ -139,14 +165,6 @@ class Hypergraph:
     def edges(self) -> Iterator[frozenset[int]]:
         for m in self.edge_masks:
             yield frozenset(vertices_of(m))
-
-    def index_of(self, vertices: Iterable[int]) -> Optional[int]:
-        """Edge index of the given vertex set, or None if absent."""
-        lookup = self._cache.get("index")
-        if lookup is None:
-            lookup = {m: i for i, m in enumerate(self.edge_masks)}
-            self._cache["index"] = lookup
-        return lookup.get(mask_of(vertices))
 
     def degree(self, v: int) -> int:
         bit = 1 << v
@@ -437,10 +455,19 @@ class Budget:
 # lexicographically and uses LF endings with no trailing whitespace.
 
 
+class _TokenValues(dict):
+    """``int()`` of each token, converted once on its first lookup."""
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = int(token)
+        return value
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse ``.hg`` text. Raises :class:`ParseError` with a line number."""
     header: Optional[tuple[int, int]] = None
-    edges: list[tuple[int, ...]] = []
+    edges: list[int] = []
+    values = _TokenValues()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -460,14 +487,14 @@ def parse_hypergraph(text: str) -> Hypergraph:
         if len(edges) >= header[1]:
             raise ParseError("more edge lines than the header announced", lineno)
         try:
-            vs = tuple(map(int, tokens))
+            vs = tuple(map(values.__getitem__, tokens))
         except ValueError:
             raise ParseError("malformed vertex index", lineno) from None
         if not all(map(lt, vs, vs[1:])):
             raise ParseError("vertex indices must be strictly ascending", lineno)
         if vs[0] < 0 or vs[-1] >= header[0]:
             raise ParseError("vertex index out of range", lineno)
-        edges.append(vs)
+        edges.append(mask_of(vs))
     if header is None:
         raise ParseError("missing header", 1)
     if len(edges) != header[1]:
@@ -475,7 +502,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
             f"expected {header[1]} edges, found {len(edges)}",
             text.count("\n") + 1,
         )
-    return Hypergraph(header[0], edges)
+    return Hypergraph.from_masks(header[0], edges)
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:

@@ -469,33 +469,34 @@ def build_triple_family(
             f"width {x} exceeds anchor edge size {u_mask.bit_count()}"
         )
     masks = h.edge_masks
+    free = [u_mask & ~masks[b] for b in members]
     used: set[int] = set()
+    # Admissibility reads A only through A & U. A member that one A skips,
+    # as used or as leaving fewer than x free vertices, stays skipped for
+    # every later A with the same A & U, so each A & U resumes the scan
+    # where the last A with it stopped instead of restarting it.
+    resume: dict[int, int] = {}
     triples: list[tuple[int, int, frozenset[int]]] = []
-
-    def admissible(a: int, b: int) -> Optional[frozenset[int]]:
-        free = masks[a] & u_mask & ~masks[b]
-        if free.bit_count() >= x:
-            return frozenset(vertices_of(free)[:x])
-        return None
-
     for a in members:
         if a in used:
             continue
-        if (masks[a] & u_mask).bit_count() < x:
+        au = masks[a] & u_mask
+        if au.bit_count() < x:
             continue
-        for b in members:
-            if b == a or b in used:
-                continue
-            xi = admissible(a, b)
-            if xi is not None:
-                used.add(a)
-                used.add(b)
-                triples.append((a, b, xi))
+        i = resume.get(au, 0)
+        while i < len(members):
+            b = members[i]
+            if b != a and b not in used and (au & free[i]).bit_count() >= x:
+                used.update((a, b))
+                triples.append((a, b, frozenset(vertices_of(au & free[i])[:x])))
                 break
+            i += 1
+        resume[au] = i
 
-    unused = [e for e in members if e not in used]
-    wide = [a for a in unused if (masks[a] & u_mask).bit_count() >= x]
-    certified = not any(admissible(a, b) is not None for a in wide for b in unused if b != a)
+    # A final rescan of every pair of unused members certifies maximality.
+    unused = [(b, free[i]) for i, b in enumerate(members) if b not in used]
+    wide = [(a, au) for a, _ in unused if (au := masks[a] & u_mask).bit_count() >= x]
+    certified = not any((au & fb).bit_count() >= x for a, au in wide for b, fb in unused if b != a)
     return TripleFamily(anchor, tuple(triples), x, certified)
 
 

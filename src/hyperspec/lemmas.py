@@ -297,8 +297,8 @@ def random_pair_instance(rng: random.Random) -> tuple[Hypergraph, Hypergraph]:
     kp = rng.randint(2, min(5, n))
     cap = min(comb(n, k), comb(n, kp), 15)
     ell = rng.randint(1, cap)
-    fam_a = Hypergraph(n, distinct_subsets(rng, 0, n, k, ell))
-    fam_b = Hypergraph(n, distinct_subsets(rng, 0, n, kp, ell))
+    fam_a = Hypergraph.from_masks(n, distinct_subsets(rng, 0, n, k, ell))
+    fam_b = Hypergraph.from_masks(n, distinct_subsets(rng, 0, n, kp, ell))
     return fam_a, fam_b
 
 
@@ -312,17 +312,17 @@ def planted_average_instance(
     # Universe wide enough that ell distinct edges exist on each side even
     # when k - x = 1.
     n = x + k + ell + rng.randint(2, 6)
-    w = tuple(range(x))
-    s_edges = [w + e for e in distinct_subsets(rng, x, n - x, k - x, ell)]
+    w = (1 << x) - 1  # the planted vertices 0, ..., x - 1
+    s_edges = [w | e for e in distinct_subsets(rng, x, n - x, k - x, ell)]
     # For x > 0 no T edge can equal an S edge; for x = 0 the S edges are
     # forbidden outright.
     t_edges = distinct_subsets(rng, x, n - x, k, ell, s_edges)
-    h = Hypergraph(n, s_edges + t_edges)
+    h = Hypergraph.from_masks(n, s_edges + t_edges)
     return (
         h,
         frozenset(range(ell)),
         frozenset(range(ell, 2 * ell)),
-        frozenset(w),
+        frozenset(range(x)),
     )
 
 

@@ -4,10 +4,12 @@ Every randomized routine takes one integer seed and derives a private
 stream from it with :func:`substream`, so independent operations inside a
 single run never share generator state and whole runs replay bit-exactly.
 
-:func:`distinct_subsets` collects distinct sorted k-subsets by one rule at
-every population size: it redraws ``getrandbits(n.bit_length())`` until k
-distinct values below n are collected, sorts them, and keeps the subset if
-it is new. It makes no other draw.
+:func:`distinct_subsets` collects distinct k-subsets by one rule at every
+population size: it redraws ``getrandbits(n.bit_length())`` until k
+distinct values below n are collected, and keeps the subset if it is new.
+It makes no other draw. Each subset is returned as a vertex bitmask (bit v
+set iff v belongs to it), the form :class:`~hyperspec.core.Hypergraph`
+stores.
 """
 
 from __future__ import annotations
@@ -34,27 +36,29 @@ def distinct_subsets(
     n: int,
     k: int,
     count: int,
-    forbidden: Iterable[tuple[int, ...]] = (),
-) -> list[tuple[int, ...]]:
-    """``count`` distinct ascending k-tuples from ``range(lo, lo + n)``,
-    none in ``forbidden``, drawn by the rule in the module docstring.
+    forbidden: Iterable[int] = (),
+) -> list[int]:
+    """``count`` distinct bitmasks of k-subsets of ``range(lo, lo + n)``,
+    none in ``forbidden`` (a collection of masks), drawn by the rule in the
+    module docstring. k = 0 gives the mask 0.
 
-    The caller makes sure ``count`` such tuples exist.
+    The caller makes sure ``count`` such subsets exist.
     """
     if not 0 <= k <= n:
         raise ValueError("sample larger than population or is negative")
     getrandbits = rng.getrandbits
     bits = n.bit_length()
     seen = set(forbidden)
-    out: list[tuple[int, ...]] = []
+    out: list[int] = []
     while len(out) < count:
-        picked = set()
-        while len(picked) < k:
+        m = picked = 0
+        while picked < k:
             j = getrandbits(bits)
-            if j < n:
-                picked.add(lo + j)
-        edge = tuple(sorted(picked))
-        if edge not in seen:
-            seen.add(edge)
-            out.append(edge)
+            if j < n and not m >> j & 1:
+                m |= 1 << j
+                picked += 1
+        m <<= lo
+        if m not in seen:
+            seen.add(m)
+            out.append(m)
     return out

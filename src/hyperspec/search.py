@@ -23,7 +23,7 @@ from typing import Optional
 
 from .coloring import ColorStatus, find_2_coloring
 from .core import Budget, Hypergraph, intersection_sizes, intersection_spectrum, pack_words
-from .core import pair_size_counts, row_masks, vertices_of
+from .core import mask_of, pair_size_counts, row_masks, vertices_of
 from .errors import InvalidParameterError
 from .rng import DEFAULT_SEED
 
@@ -142,18 +142,18 @@ def min_spectrum_search(
             f"C({max_vertices}, {k}) = {comb(max_vertices, k)} candidate edges exceeds the cap of {EDGE_SPACE_CAP}"
         )
     budget = Budget(budget_nodes, budget_ms)
-    all_edges = list(combinations(range(max_vertices), k))
-    edge_masks = [sum(1 << v for v in e) for e in all_edges]
+    edge_masks = list(map(mask_of, combinations(range(max_vertices), k)))
     min_edges_needed = 2 ** (k - 1)  # below this a random coloring works
     # by_size[i][s]: the edges j with |e_i & e_j| = s, as an edge-index mask.
     rows = pack_words(edge_masks, max_vertices)
     pair_sizes = intersection_sizes(rows, rows)
     by_size = list(zip(*(row_masks(pair_sizes == s) for s in range(k))))
-    # allowed[u]: the edges whose vertices >= u are u, u + 1, ... in order.
-    # New vertices must extend the used prefix consecutively; the min-lex
+    # allowed[u]: the edges whose vertices >= u are u, u + 1, ... in order,
+    # that is, whose mask shifted down by u is a run of low bits. New
+    # vertices must extend the used prefix consecutively; the min-lex
     # representative of every isomorphism class does.
     allowed = [
-        sum(1 << i for i, e in enumerate(all_edges) if e[-1] < u + sum(v >= u for v in e))
+        sum(1 << i for i, m in enumerate(edge_masks) if (m >> u) & ((m >> u) + 1) == 0)
         for u in range(max_vertices + 1)
     ]
 
@@ -179,7 +179,7 @@ def min_spectrum_search(
             # A coloring of the parent stays proper unless the new edge is
             # monochromatic under it (fresh vertices have color 0).
             if len(chosen) >= min_edges_needed and (ones is None or (new & ones) in (0, new)):
-                family = Hypergraph(used, [all_edges[i] for i in chosen])
+                family = Hypergraph.from_masks(used, [edge_masks[i] for i in chosen])
                 result = find_2_coloring(family, budget_nodes=10**6)
                 if result.status is ColorStatus.UNKNOWN:
                     raise AssertionError("solver must close on tiny instances")
@@ -210,7 +210,7 @@ def min_spectrum_search(
             chosen.append(ci)
             sizes |= sum(1 << s for s in range(1, k) if meets[s] >> ci & 1)
             meets = tuple(m | b for m, b in zip(meets, by_size[ci]))
-            used = max(used, all_edges[ci][-1] + 1)
+            used = max(used, edge_masks[ci].bit_length())
 
     witness: Optional[Hypergraph] = None
     for target in range(1, k):

@@ -306,6 +306,32 @@ def brute_min_spectrum(k: int, n: int) -> Optional[int]:
     return best
 
 
+def naive_triple_family(
+    edges: Sequence[Iterable[int]], pool: Iterable[int], anchor: int, x: int
+) -> tuple[tuple[tuple[int, int, frozenset[int]], ...], bool]:
+    """The greedy triple family by its rule, restarting the scan over the
+    whole pool for every A: each unused A in pool order with at least x
+    anchor vertices takes the first unused B != A that leaves x of them
+    free, with X the x smallest. Also returns whether no pair of the members
+    left unused could still be admitted."""
+    members = sorted(set(pool))
+    u = set(edges[anchor])
+    used: set[int] = set()
+    triples = []
+    for a in members:
+        if a in used or len(set(edges[a]) & u) < x:
+            continue
+        for b in members:
+            free = sorted((set(edges[a]) & u) - set(edges[b]))
+            if b != a and b not in used and len(free) >= x:
+                used.update((a, b))
+                triples.append((a, b, frozenset(free[:x])))
+                break
+    unused = [e for e in members if e not in used]
+    stuck = all(len((set(edges[a]) & u) - set(edges[b])) < x for a in unused for b in unused if a != b)
+    return tuple(triples), stuck
+
+
 # -- generators drawn one subset at a time ----------------------------------
 #
 # The package draws these subsets in ``rng.distinct_subsets``; these loops

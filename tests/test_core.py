@@ -112,6 +112,74 @@ class TestConstruction:
     def test_mask_roundtrip(self):
         assert vertices_of(mask_of([5, 1, 3])) == (1, 3, 5)
 
+    def test_negative_mask_has_no_vertices(self):
+        # Each of these never returned: m ^= m & -m never reaches 0.
+        for mask in (-1, -2, -(1 << 70)):
+            with pytest.raises(ValueError, match="^negative mask"):
+                vertices_of(mask)
+
+
+def vertex_lists(n, masks):
+    """The vertex lists that give ``Hypergraph(n, ...)`` the edges ``masks``.
+    A negative mask has no finite vertex set; it stands for itself cut off
+    just above its lowest vertex at or above n, the vertex both paths name."""
+    for m in masks:
+        if m < 0:
+            high = m >> n
+            m &= (1 << (n + (high & -high).bit_length())) - 1
+        yield list(vertices_of(m))
+
+
+def outcome(build):
+    """The hypergraph ``build()`` returns, or the type and message it raises."""
+    try:
+        return build()
+    except Exception as err:
+        return type(err), str(err)
+
+
+class TestFromMasks:
+    @settings(max_examples=60, deadline=None)
+    @given(small_hypergraphs())
+    def test_agrees_with_vertex_lists(self, h):
+        n, masks = h.num_vertices, h.edge_masks
+        built = Hypergraph.from_masks(n, iter(masks))
+        assert built == Hypergraph(n, map(vertices_of, masks)) == h
+        assert type(built.edge_masks) is tuple
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_faults_match_vertex_lists(self, data):
+        # Masks around the valid range: 0, negative masks, masks >= 1 << n
+        # and repeats, checked against the vertex path on the same edges.
+        n = data.draw(st.integers(min_value=0, max_value=8))
+        pool = st.integers(min_value=-(1 << (n + 2)), max_value=1 << (n + 2))
+        masks = data.draw(st.lists(pool, max_size=6))
+        masks += data.draw(st.lists(st.sampled_from(masks), max_size=2)) if masks else []
+        masks = data.draw(st.permutations(masks))
+        got = outcome(lambda: Hypergraph.from_masks(n, masks))
+        assert got == outcome(lambda: Hypergraph(n, vertex_lists(n, masks)))
+
+    @pytest.mark.parametrize(
+        "masks, error, message",
+        [
+            ([0b11, 0], EmptyEdgeError, "edge 1 is empty"),
+            ([0b11, -1], OutOfRangeVertexError, r"edge 1 uses vertex 3, valid range is \[0, 3\)"),
+            ([-8], OutOfRangeVertexError, r"edge 0 uses vertex 3, valid range is \[0, 3\)"),
+            ([-(1 << 70)], OutOfRangeVertexError, r"edge 0 uses vertex 70, valid range is \[0, 3\)"),
+            ([0b1, 0b1010], OutOfRangeVertexError, r"edge 1 uses vertex 3, valid range is \[0, 3\)"),
+            ([0b11, 0b11, 0], DuplicateEdgeError, r"edge 1 repeats \[0, 1\]"),
+            ([0b11, 0, 0b11], EmptyEdgeError, "edge 1 is empty"),
+        ],
+    )
+    def test_each_fault(self, masks, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            Hypergraph.from_masks(3, masks)
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+            Hypergraph.from_masks(-1, [])
+
 
 class TestUniformIntersecting:
     def test_fano_uniform(self):
@@ -408,6 +476,21 @@ class TestTextFormat:
             parse_hypergraph(text)
         assert err.value.line == line
         assert str(err.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("token", ["2", "+2", "02", "\uff12"])
+    def test_int_token_spellings(self, token):
+        # Every spelling int() reads is one vertex, full-width digits included.
+        assert parse_hypergraph(f"3 2\n0 {token}\n{token}\n").edge_masks == (0b101, 0b100)
+
+    def test_equal_tokens_spelled_apart_are_not_ascending(self):
+        with pytest.raises(ParseError, match="^line 2: vertex indices must be strictly ascending$"):
+            parse_hypergraph("4 1\n3 03\n")
+
+    def test_blank_and_indented_comment_lines(self):
+        text = "  # c\n \t \n3 2\n\t# c\n0 1\n   \n  # c\n1 2\n  \n"
+        assert parse_hypergraph(text).edge_masks == (0b011, 0b110)
+        with pytest.raises(ParseError, match="^line 10: expected 3 edges, found 2$"):
+            parse_hypergraph(text.replace("3 2", "3 3"))
 
     def test_duplicate_edge_lines(self):
         with pytest.raises(DuplicateEdgeError, match=r"^edge 1 repeats \[0, 1\]$"):

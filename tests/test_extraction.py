@@ -342,6 +342,20 @@ class TestTripleFamily:
         b = build_triple_family(itf2, range(1, 200), anchor=0, x=4)
         assert a == b
 
+    def test_matches_restarting_scan(self, itf2):
+        cases = [(itf2, range(1, 300), 0, x) for x in (1, 4, 7)]
+        cases.append((compose(fano(), complete_subsets(5, 3)), range(1, 600), 5, 2))
+        rng = substream(0, "triple-family")
+        for _ in range(40):
+            n, k = rng.randint(4, 12), rng.randint(2, 5)
+            h = random_uniform(n, min(k, n), min(comb(n, min(k, n)), rng.randint(2, 40)), seed=rng.getrandbits(32))
+            pool = rng.sample(range(h.num_edges), rng.randint(1, h.num_edges))
+            cases.append((h, pool, rng.randrange(h.num_edges), rng.randint(0, min(k, n))))
+        for h, pool, anchor, x in cases:
+            fam = build_triple_family(h, pool, anchor, x)
+            edges = [h.edge_vertices(i) for i in range(h.num_edges)]
+            assert (fam.triples, fam.maximal_certified) == oracles.naive_triple_family(edges, pool, anchor, x)
+
 
 class TestDensityIncrementRun:
     def test_fano_single_level(self, fano_h):

@@ -1,6 +1,10 @@
 """Tests of the distinct-subset helper against a reference loop that
 spells out its rule one subset at a time, plus literal pins.
 
+The helper returns bitmasks and the reference returns ascending tuples, so
+every comparison is between the helper's masks and ``mask_of`` of the
+reference's tuples.
+
 The pins fail by name if CPython changes how it seeds from a string or
 what ``getrandbits`` returns; the reference tests do not depend on either.
 """
@@ -13,6 +17,7 @@ from math import comb
 import pytest
 
 import oracles
+from hyperspec.core import mask_of
 from hyperspec.rng import distinct_subsets, substream
 
 
@@ -22,9 +27,10 @@ def random_sample(rng, lo, n, k):
 
 
 def sample_loop(rng, lo, n, k, count, forbidden=()):
+    """The masks of ``count`` new subsets by the rule, none in the masks ``forbidden``."""
     seen, out = set(forbidden), []
     while len(out) < count:
-        edge = random_sample(rng, lo, n, k)
+        edge = mask_of(random_sample(rng, lo, n, k))
         if edge not in seen:
             seen.add(edge)
             out.append(edge)
@@ -32,6 +38,7 @@ def sample_loop(rng, lo, n, k, count, forbidden=()):
 
 
 # Subset sizes from 0 to 22, the largest close to the population at small n.
+# k = 0 draws nothing and yields the mask 0, the empty subset.
 SUBSET_SIZES = (0, 1, 2, 3, 5, 6, 7, 10, 22)
 
 
@@ -45,6 +52,7 @@ def test_distinct_subsets_match_random_sample(seed, lo):
                 continue
             for count in (1, min(comb(n, k), 6)):
                 want = sample_loop(expected, lo, n, k, count)
+                assert k or want == [0]
                 assert distinct_subsets(actual, lo, n, k, count) == want, (n, k, count)
                 assert actual.getstate() == expected.getstate(), (n, k, count)
                 # randint draws in between, as the lemma generators make them.
@@ -99,7 +107,7 @@ def test_every_subset_equally_likely():
     # chi-square with 19 degrees of freedom (43.82).
     rng = substream(0, "uniformity")
     counts = Counter(distinct_subsets(rng, 0, 6, 3, 1)[0] for _ in range(20000))
-    assert set(counts) == set(combinations(range(6), 3))
+    assert set(counts) == set(map(mask_of, combinations(range(6), 3)))
     chi2 = sum((c - 1000) ** 2 for c in counts.values()) / 1000
     assert chi2 < 43.82, chi2
 
@@ -108,4 +116,5 @@ def test_pinned_draws():
     # Literal values: a change to CPython's string seeding or getrandbits
     # fails here by name.
     assert substream(1, "pin").getrandbits(64) == 3839885859374723289
-    assert distinct_subsets(substream(1, "pin"), 0, 10, 3, 4) == [(3, 4, 7), (3, 4, 6), (1, 5, 6), (3, 5, 8)]
+    # The subsets (3, 4, 7), (3, 4, 6), (1, 5, 6) and (3, 5, 8) as masks.
+    assert distinct_subsets(substream(1, "pin"), 0, 10, 3, 4) == [0b10011000, 0b1011000, 0b1100010, 0b100101000]
