@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -159,7 +159,11 @@ def find_2_coloring(
     Decisions live on an explicit stack, so the depth is not bounded by the
     interpreter's recursion limit. One node is counted per decision.
     """
-    budget = Budget(budget_nodes, budget_ms)
+    return _dpll(h, Budget(budget_nodes, budget_ms))
+
+
+def _dpll(h: Hypergraph, budget: Budget) -> ColorResult:
+    """:func:`find_2_coloring`'s search, drawing on (and reporting) ``budget``."""
     n = h.num_vertices
     bits = [1 << v for v in range(n)]
     vert_edges: list[list[int]] = [[] for _ in range(n)]
@@ -295,9 +299,11 @@ def _candidate_modules(h: Hypergraph, start: np.ndarray, edges: np.ndarray):
         yield [tuple(sorted((v, *c.tolist()))) for v, c in zip(row[first][keep].tolist(), cols)]
 
 
-def _module_traces(h: Hypergraph, verts: Sequence[int], start: np.ndarray, edges: np.ndarray) -> Optional[list[int]]:
-    """The traces e ∩ M of the edges e meeting M, the set of ``verts``,
-    ordered by their vertices, if M is a module; else None. Only the edges
+def _module_traces(
+    h: Hypergraph, verts: Sequence[int], start: np.ndarray, edges: np.ndarray
+) -> Optional[list[tuple[int, ...]]]:
+    """The traces e ∩ M of the edges e meeting M, the set of ``verts``, as
+    sorted vertex tuples, if M is a module; else None. Only the edges
     on M are read (``start`` and ``edges`` from :func:`_vertex_edges`). In a
     module every outside part e ∖ M comes with every trace, so with one on
     ``verts[0]``; the edges meeting M are distinct pairs (e ∖ M, e ∩ M). So M
@@ -317,7 +323,7 @@ def _module_traces(h: Hypergraph, verts: Sequence[int], start: np.ndarray, edges
     traces = {masks[i] & module for i in meeting}
     if len(meeting) != len(traces) * len(outside):
         return None
-    return sorted(traces, key=vertices_of)
+    return sorted(map(vertices_of, traces))
 
 
 def _quotient(h: Hypergraph, rep: np.ndarray, gone: np.ndarray, origins: list[int]) -> tuple[Hypergraph, tuple[int, ...]]:
@@ -360,17 +366,8 @@ def decide_2_coloring(
     """
     budget = Budget(budget_nodes, budget_ms)
 
-    def solve(g: Hypergraph) -> ColorResult:
-        res = find_2_coloring(g, *budget.left())
-        budget.spent += res.nodes
-        budget.tripped = res.budget_tripped
-        return res
-
-    def union(mask: int) -> int:
-        out = 0
-        for v in vertices_of(mask):
-            out |= origins[v]
-        return out
+    def union(vertices: Iterable[int]) -> int:
+        return sum(origins[v] for v in vertices)  # origins are disjoint, so the sum is the union
 
     current, origins = h, tuple(1 << v for v in range(h.num_vertices))
     rounds: list[tuple[Module, ...]] = []
@@ -389,7 +386,7 @@ def decide_2_coloring(
                 seen.add(verts)
                 traces = _module_traces(current, verts, start, edges)
                 if traces is not None:
-                    found.append((mask_of(verts), traces))
+                    found.append((verts, traces))
                     taken.update(verts)
             if budget.expired():
                 method = "modules" if rounds or found else "dpll"
@@ -400,30 +397,29 @@ def decide_2_coloring(
         gone = np.zeros(current.num_vertices + 1, dtype=bool)
         merged = list(origins)
         modules = []
-        for mask, traces in found:
-            verts = vertices_of(mask)
+        for verts, traces in found:
             local = {v: i for i, v in enumerate(verts)}
-            res = solve(Hypergraph(len(verts), [[local[v] for v in vertices_of(f)] for f in traces]))
+            res = _dpll(Hypergraph(len(verts), [[local[v] for v in f] for f in traces]), budget)
             if res.status is ColorStatus.UNKNOWN:
                 return ColorResult(res.status, None, budget.spent, budget.tripped, "modules")
             colorable = res.status is ColorStatus.COLORABLE
-            modules.append(Module(union(mask), tuple(map(union, traces)), colorable))
+            modules.append(Module(union(verts), tuple(map(union, traces)), colorable))
             if colorable:
                 gone[list(verts)] = True
-                ones |= union(mask_of(v for v, c in zip(verts, res.coloring) if c))
+                ones |= union(v for v, c in zip(verts, res.coloring) if c)
             else:
                 rep[list(verts)] = verts[0]
                 merged[verts[0]] = modules[-1].vertices
         rounds.append(tuple(modules))
         current, origins = _quotient(current, rep, gone, merged)
 
-    res = solve(current)
+    res = _dpll(current, budget)
     if not rounds or res.status is ColorStatus.UNKNOWN:
         method = "modules" if rounds else "dpll"
         return ColorResult(res.status, res.coloring, budget.spent, budget.tripped, method)
     witness = None
     if res.status is ColorStatus.COLORABLE:
-        ones |= union(mask_of(v for v, c in enumerate(res.coloring) if c))
+        ones |= union(v for v, c in enumerate(res.coloring) if c)
         witness = tuple(ones >> v & 1 for v in range(h.num_vertices))
         if monochromatic_edge(h, witness) is not None:
             raise AssertionError("module lift produced an improper coloring")

@@ -50,6 +50,21 @@ FAMILY_PARAMS = {
 }
 
 
+def _power_above(factor: int, base: int, exp: int, cap: int) -> bool:
+    """factor * base**exp > cap for factor, base >= 1. For base >= 2, base**e is
+    over the cap once e reaches the cap's bit length, so the exponent is cut there."""
+    return factor * base ** min(exp, cap.bit_length()) > cap
+
+
+def _comb_above(n: int, k: int, cap: int) -> bool:
+    """C(n, k) > cap for 0 <= k <= n, growing C(n, i) one factor at a time. Up to
+    i = min(k, n - k) it rises and is at least 2^i, so it passes the cap early."""
+    c, i, top = 1, 0, min(k, n - k)
+    while c <= cap and i < top:
+        c, i = c * (n - i) // (i + 1), i + 1
+    return c > cap
+
+
 def fano() -> Hypergraph:
     """The projective plane of order 2 in its difference-set labeling:
     lines {i, i+1, i+3} mod 7."""
@@ -67,10 +82,9 @@ def compose(outer: Hypergraph, inner: Hypergraph, size_cap: int = DEFAULT_SIZE_C
     k2 = is_uniform(inner)
     if k1 is None or k2 is None:
         raise NonUniformError("compose needs uniform factors")
-    expected = outer.num_edges * inner.num_edges**k1
-    if expected > size_cap:
+    if _power_above(outer.num_edges, inner.num_edges, k1, size_cap):
         raise SizeCapExceededError(
-            f"composition would have {expected} edges, cap is {size_cap}"
+            f"composition would have {outer.num_edges}*{inner.num_edges}^{k1} edges, cap is {size_cap}"
         )
     n2 = inner.num_vertices
     masks: list[int] = []
@@ -89,10 +103,10 @@ def iterated_fano(m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Hypergraph:
     """
     if m < 0:
         raise InvalidParameterError("iteration count must be non-negative")
-    expected = 7 ** ((3**m - 1) // 2)
-    if expected > size_cap:
+    # (3^m - 1)/2 >= m, so any m past the cap's bit length is over it.
+    if _power_above(1, 7, (3 ** min(m, size_cap.bit_length()) - 1) // 2, size_cap):
         raise SizeCapExceededError(
-            f"iterated Fano at m={m} would have {expected} edges, cap is {size_cap}"
+            f"iterated Fano at m={m} would have 7^((3^{m} - 1)/2) edges, cap is {size_cap}"
         )
     if m == 0:
         return Hypergraph(1, [{0}])
@@ -106,7 +120,7 @@ def complete_subsets(n: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Hyperg
     """All k-subsets of [n]. Intersecting iff n <= 2k - 1."""
     if not 1 <= k <= n:
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if comb(n, k) > size_cap:
+    if _comb_above(n, k, size_cap):
         raise SizeCapExceededError(f"C({n},{k}) exceeds cap {size_cap}")
     return Hypergraph(n, combinations(range(n), k))
 
@@ -120,7 +134,7 @@ def ramsey_clique_hypergraph(n: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -
     """
     if k < 2 or n < k:
         raise InvalidParameterError(f"need k >= 2 and n >= k, got n={n}, k={k}")
-    if comb(n, k - 1) > size_cap or comb(n, k) > size_cap:
+    if _comb_above(n, k - 1, size_cap) or _comb_above(n, k, size_cap):
         raise SizeCapExceededError("vertex or edge count exceeds cap")
     vertex_index = {c: i for i, c in enumerate(combinations(range(n), k - 1))}
     edges = [
@@ -137,9 +151,10 @@ def random_uniform(
     ``"random-uniform"`` substream of ``seed``."""
     if not 1 <= k <= n:
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    total = comb(n, k)
-    if m > total:
-        raise TooManyEdgesRequestedError(f"asked for {m} edges, only C({n},{k})={total} exist")
+    if m < 0:
+        raise InvalidParameterError(f"need m >= 0 edges, got m={m}")
+    if not _comb_above(n, k, m - 1):
+        raise TooManyEdgesRequestedError(f"asked for {m} edges, only C({n},{k})={comb(n, k)} exist")
     if m > size_cap:
         raise SizeCapExceededError(f"{m} edges exceed cap {size_cap}")
     return Hypergraph.from_masks(n, distinct_subsets(substream(seed, "random-uniform"), 0, n, k, m))

@@ -135,8 +135,9 @@ class Hypergraph:
 
     @classmethod
     def from_masks(cls, num_vertices: int, masks: Iterable[int]) -> Hypergraph:
-        """Build from edge bitmasks, raising what ``Hypergraph(num_vertices,
-        map(vertices_of, masks))`` raises, in the same first-fault order."""
+        """Build from edge bitmasks with the vertex-list constructor's errors, in
+        its first-fault order. A negative mask (``vertices_of`` raises ValueError)
+        raises :class:`OutOfRangeVertexError` for its lowest bit >= num_vertices."""
         if num_vertices < 0:
             raise ValueError("vertex count must be non-negative")
         h = cls.__new__(cls)
@@ -155,9 +156,6 @@ class Hypergraph:
     @property
     def num_edges(self) -> int:
         return len(self.edge_masks)
-
-    def edge_mask(self, i: int) -> int:
-        return self.edge_masks[i]
 
     def edge_vertices(self, i: int) -> tuple[int, ...]:
         return vertices_of(self.edge_masks[i])
@@ -336,21 +334,12 @@ def vertex_index(h: Hypergraph) -> np.ndarray:
 
 
 def is_intersecting(h: Hypergraph) -> bool:
-    """True iff every pair of distinct edges shares a vertex. Reads the cached
-    spectrum, else scans large families block by block to a disjoint pair."""
-    if "intersecting" not in h._cache:
-        if "spectrum" in h._cache or comb(h.num_edges, 2) < NUMPY_MIN_PAIRS:
-            result = h.num_edges < 2 or 0 not in intersection_spectrum(h).sizes
-        else:
-            rows = pack_words(h.edge_masks, h.num_vertices)
-            result = not any((sizes == 0).any() for sizes in _size_blocks(rows, None))
-        h._cache["intersecting"] = result
-    return h._cache["intersecting"]
+    """True iff every two distinct edges meet: 0 is not in the cached spectrum."""
+    return h.num_edges < 2 or 0 not in intersection_spectrum(h).sizes
 
 
 def intersection_spectrum(h: Hypergraph) -> Spectrum:
-    """Exact spectrum over all C(m, 2) unordered edge pairs. Cached on
-    ``h``, which also answers :func:`is_intersecting`."""
+    """Exact spectrum over all C(m, 2) unordered edge pairs, cached on ``h``."""
     cached = h._cache.get("spectrum")
     if cached is not None:
         return cached
@@ -422,14 +411,6 @@ class Budget:
 
     def elapsed_ms(self) -> float:
         return (time.monotonic() - self._start) * 1000.0
-
-    def left(self) -> tuple[Optional[int], Optional[float]]:
-        """The nodes and milliseconds not yet spent (None where unlimited), as
-        the limits of a sub-search that draws on this budget."""
-        return (
-            None if self.nodes is None else self.nodes - self.spent,
-            None if self.ms is None else self.ms - self.elapsed_ms(),
-        )
 
     def expired(self) -> bool:
         """True once a limit has run out, without counting a node: the check

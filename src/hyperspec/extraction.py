@@ -51,7 +51,7 @@ from .lemmas import (
     greedy_increase,
     validate_lambda_pair,
 )
-from .rng import DEFAULT_SEED, substream
+from .rng import DEFAULT_SEED, distinct_subsets, substream
 
 __all__ = [
     "SimpleGraph",
@@ -163,8 +163,9 @@ def threshold_graph(h: Hypergraph, edge_set: Iterable[int], lam: int) -> SimpleG
 
 @dataclass(frozen=True)
 class DrcResult:
-    """An accepted set U, its exact bad fraction, and the attempt that
-    found it. ``exhaustive`` is always True: every U is decided exactly."""
+    """An accepted set U, which has no bad t-subset, and the attempt that
+    found it. ``bad_fraction`` is always 0 and ``exhaustive`` always True:
+    every U is decided exactly."""
 
     u: frozenset[int]
     bad_fraction: Fraction
@@ -220,15 +221,15 @@ def dependent_random_choice(
     seed: int,
     retries: int = DRC_RETRIES,
 ) -> Optional[DrcResult]:
-    """Find a vertex set U with |U| > 2n in which almost every t-subset has
-    at least n common neighbors (bad fraction below (2t)^-t).
+    """Find a vertex set U with |U| > 2n in which every t-subset has at
+    least n common neighbors.
 
     Draws t vertices with repetition and takes their common neighborhood.
-    U is accepted with no bad subset when :func:`_common_neighbor_floor`
-    reaches n. Otherwise, when C(|U|, t) is at most ``ENUM_CAP`` the bad
-    subsets are counted exactly and one vertex of each is deleted, leaving
-    no bad subset at all; else the attempt is undecided and fails. Returns
-    None if every attempt fails.
+    U is accepted when :func:`_common_neighbor_floor` reaches n. Otherwise,
+    when C(|U|, t) is at most ``ENUM_CAP`` the bad subsets are listed and
+    one vertex of each is deleted, and what is left is accepted if it still
+    has more than 2n members; else the attempt fails. Returns None if every
+    attempt fails.
     """
     if t < 1 or n < t:
         raise ValueError("need positive integers t <= n")
@@ -244,7 +245,6 @@ def dependent_random_choice(
         raise HypothesesViolatedError(
             f"edge count {g.num_edges} is below d*m^2/2 = {d * m * m / 2}"
         )
-    target = Fraction(1, (2 * t) ** t)
     rng = substream(seed, "drc")
     for attempt in range(1, retries + 1):
         sample = [rng.randrange(m) for _ in range(t)]
@@ -256,14 +256,11 @@ def dependent_random_choice(
             return DrcResult(frozenset(members), Fraction(0), True, attempt, 0)
         if comb(len(members), t) > ENUM_CAP:
             continue  # undecided
-        bad, bad_subsets = _count_bad_subsets(g, members, t, n)
+        _, bad_subsets = _count_bad_subsets(g, members, t, n)
         kept, removed = _cleanup_bad_subsets(members, bad_subsets)
         if len(kept) > 2 * n:
             # Every bad subset lost a member, so none survives in kept.
             return DrcResult(frozenset(kept), Fraction(0), True, attempt, removed)
-        fraction = Fraction(bad, comb(len(members), t))
-        if fraction < target:
-            return DrcResult(frozenset(members), fraction, True, attempt, 0)
     return None
 
 
@@ -366,10 +363,11 @@ def find_lambda_pair_drc(
     threshold graph, derives the density and the common-neighbor demand
     from it, applies dependent random choice, and searches the resulting
     subset for a t-subset X whose pairwise intersections stay at most lam
-    and whose threshold-graph common neighborhood becomes Y. When the
-    lemma hypotheses are unsatisfiable at the pool's scale the search falls
-    back to the whole pool with a best-effort demand; the fallback is
-    recorded in the pair's notes.
+    and whose threshold-graph common neighborhood, of at least the demand,
+    becomes Y (all t-subsets, or ``SEARCH_TRIES`` drawn by ``distinct_subsets``
+    on ``"drc-pair/<lam>"``). When the lemma hypotheses are unsatisfiable at
+    the pool's scale the search runs over the whole pool with a demand of
+    one; the fallback is recorded in the pair's notes.
     """
     labels = sorted(frozenset(edge_set))
     m = len(labels)
@@ -404,31 +402,26 @@ def find_lambda_pair_drc(
     notes.append(note)
 
     pool_masks = [h.edge_masks[i] for i in labels]
-    best: Optional[tuple[int, tuple[int, ...], int]] = None
     candidates = (
         combinations(members, t)
         if comb(len(members), t) <= SEARCH_TRIES
-        else (tuple(sorted(rng.sample(members, t))) for _ in range(SEARCH_TRIES))
+        else (
+            tuple(members[i] for i in vertices_of(distinct_subsets(rng, 0, len(members), t, 1)[0]))
+            for _ in range(SEARCH_TRIES)
+        )
     )
+    # Every t-subset of an accepted U has at least n common neighbors, so
+    # there the first X with small pairwise intersections meets the demand.
     for sub in candidates:
-        if not _pairwise_at_most(pool_masks, sub, lam):
-            continue
-        common = g.common_neighbors_mask(sub)
-        for v in sub:
-            common &= ~(1 << v)
-        score = common.bit_count()
-        if best is None or score > best[0]:
-            best = (score, sub, common)
-        if score >= demand:
-            break
-    if best is None or best[0] < 1:
+        if _pairwise_at_most(pool_masks, sub, lam):
+            common = g.common_neighbors_mask(sub)  # no member of X is its own neighbor
+            if common.bit_count() >= demand:
+                break
+    else:
         raise NoQualifyingSubsetError(
             f"no {t}-subset with pairwise intersections <= {lam} and a nonempty "
             "common threshold neighborhood"
         )
-    score, sub, common = best
-    if score < demand:
-        notes.append(f"common neighborhood {score} below demand {demand}; best effort")
     x = frozenset(labels[i] for i in sub)
     y = frozenset(labels[i] for i in vertices_of(common))
     return LambdaPair(x, y, lam, validate_lambda_pair(h, x, y, lam, t).valid, tuple(notes))
@@ -463,7 +456,7 @@ def build_triple_family(
     members = sorted(frozenset(pool))
     if not members:
         raise EmptySetError("the candidate pool is empty")
-    u_mask = h.edge_mask(anchor)
+    u_mask = h.edge_masks[anchor]
     if x > u_mask.bit_count():
         raise WidthTooLargeError(
             f"width {x} exceeds anchor edge size {u_mask.bit_count()}"

@@ -129,7 +129,8 @@ def min_spectrum_search(
     Iterative deepening over the spectrum-size target at every size, one
     search-tree node per :class:`~hyperspec.core.Budget` step. The report is
     exhaustive unless the node or millisecond limit trips, which
-    ``budget_tripped`` names. The search keeps per-edge masks over all
+    ``budget_tripped`` names. :func:`~hyperspec.coloring.find_2_coloring`
+    solves families with no node limit, outside ``nodes``. The search keeps per-edge masks over all
     C(max_vertices, k) candidate edges, so its memory grows as the square of
     that count; above ``EDGE_SPACE_CAP`` candidates it raises
     :class:`~hyperspec.errors.InvalidParameterError`. ``seed`` is only
@@ -180,9 +181,7 @@ def min_spectrum_search(
             # monochromatic under it (fresh vertices have color 0).
             if len(chosen) >= min_edges_needed and (ones is None or (new & ones) in (0, new)):
                 family = Hypergraph.from_masks(used, [edge_masks[i] for i in chosen])
-                result = find_2_coloring(family, budget_nodes=10**6)
-                if result.status is ColorStatus.UNKNOWN:
-                    raise AssertionError("solver must close on tiny instances")
+                result = find_2_coloring(family, budget_nodes=None)
                 if result.status is ColorStatus.NOT_COLORABLE:
                     return family
                 ones = sum(1 << v for v, c in enumerate(result.coloring) if c)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hyperspec
 from hyperspec.cli import main
 from hyperspec.constructions import random_uniform
 from hyperspec.core import serialize_hypergraph
@@ -14,6 +19,16 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(args, timeout):
+    """Run the CLI in a fresh interpreter; a call still running after
+    ``timeout`` seconds is killed and fails the test with TimeoutExpired."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hyperspec.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperspec.cli", *args], capture_output=True, text=True, timeout=timeout, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def strip_timings(payload: dict) -> dict:
@@ -245,6 +260,7 @@ class TestErrorsAndUsage:
             ["construct", "--family", "iterated-fano", "--param", "m=3", "--param", "m=1"],
             ["construct", "--family", "iterated-fano", "--param", "m"],
             ["construct", "--family", "iterated-fano", "--param", "m=x"],
+            ["construct", "--family", "random-uniform", "--param", "n=5", "--param", "k=2", "--param", "m=-1"],
         ],
         ids=[
             "missing-param",
@@ -262,6 +278,7 @@ class TestErrorsAndUsage:
             "repeated-param",
             "malformed-param",
             "non-integer-param",
+            "random-uniform-negative-m",
         ],
     )
     def test_bad_parameter_is_domain_error(self, args, tmp_path, capsys):
@@ -331,6 +348,57 @@ class TestErrorsAndUsage:
         assert json.loads(err)["error"]["type"] == "SizeCapExceededError"
         code, stdout, _ = run_cli(["construct", *args[:-1], "12"], capsys)
         assert code == 0 and stdout
+
+    def test_random_uniform_with_no_edges(self, capsys):
+        args = ["construct", "--family", "random-uniform", "--param", "n=5", "--param", "k=2", "--param", "m=0"]
+        assert run_cli(args, capsys)[:2] == (0, "5 0\n")
+
+    @pytest.mark.parametrize("m", [8, 9, 15])
+    def test_large_iterated_fano_is_refused_at_once(self, m, capsys):
+        # 7^((3^m - 1)/2) has 2,772 digits at m = 8 and more than Python's
+        # int-to-str limit from m = 9; the message names the power instead.
+        started = time.monotonic()
+        code, stdout, err = run_cli(["construct", "--family", "iterated-fano", "--param", f"m={m}"], capsys)
+        assert (code, stdout) == (1, "") and time.monotonic() - started < 5
+        error = json.loads(err)["error"]
+        assert error["type"] == "SizeCapExceededError"
+        assert error["message"] == f"iterated Fano at m={m} would have 7^((3^{m} - 1)/2) edges, cap is 10000000"
+
+    def test_large_composition_is_refused_at_once(self, tmp_path, capsys):
+        # One 5000-vertex edge over a 10-edge factor: 10^5000 edges.
+        left, right = tmp_path / "left.hg", tmp_path / "right.hg"
+        left.write_text("5000 1\n" + " ".join(map(str, range(5000))) + "\n")
+        run_cli(
+            ["construct", "--family", "complete-subsets", "--param", "n=5", "--param", "k=2", "-o", str(right)], capsys
+        )
+        started = time.monotonic()
+        code, stdout, err = run_cli(
+            ["construct", "--family", "compose", "--left", str(left), "--right", str(right)], capsys
+        )
+        assert (code, stdout) == (1, "") and time.monotonic() - started < 5
+        error = json.loads(err)["error"]
+        assert error == {"type": "SizeCapExceededError", "message": "composition would have 1*10^5000 edges, cap is 10000000"}
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("iterated-fano", ["m=16"]),
+            ("iterated-fano", ["m=40"]),
+            ("complete-subsets", ["n=20000000", "k=10000000"]),
+            ("ramsey-clique", ["n=20000000", "k=10000000"]),
+            ("random-uniform", ["n=20000000", "k=10000000", "m=20000000"]),
+        ],
+        ids=["iterated-fano-16", "iterated-fano-40", "complete-subsets", "ramsey-clique", "random-uniform"],
+    )
+    def test_huge_count_is_refused_within_seconds(self, family, params):
+        # Each exact count is too large to compute in time; a fresh process
+        # with a timeout turns a hang into a failure.
+        args = ["construct", "--family", family]
+        for param in params:
+            args += ["--param", param]
+        code, stdout, err = run_cli_process(args, timeout=5)
+        assert (code, stdout) == (1, "")
+        assert json.loads(err)["error"]["type"] == "SizeCapExceededError"
 
     def test_range_limits_are_inclusive(self, tmp_path, capsys):
         path = tmp_path / "fano.hg"

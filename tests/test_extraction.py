@@ -28,6 +28,7 @@ from hyperspec.errors import (
     EmptySetError,
     HypothesesViolatedError,
     NoDisjointEdgeError,
+    NoQualifyingSubsetError,
     PoolExhaustedError,
     TooFewEdgesError,
     WidthTooLargeError,
@@ -208,6 +209,45 @@ class TestDependentRandomChoice:
         assert (len(res.u), res.bad_fraction, res.removed, res.attempts) == (38, 0, 0, 1)
 
 
+    def test_small_common_neighborhood_retries(self):
+        # A clique on 180 of 300 vertices: a draw that takes an isolated vertex
+        # has no common neighbor, so |U| <= 2n and the next attempt draws
+        # again. The first draw inside the clique is accepted by the floor.
+        m, clique, t, n, seed = 300, 180, 2, 2, 0
+        g = SimpleGraph(m, combinations(range(clique), 2))
+        expected = substream(seed, "drc")
+        attempts = 1
+        while not all(v < clique for v in [expected.randrange(m) for _ in range(t)]):
+            attempts += 1
+        assert attempts > 1
+        res = dependent_random_choice(g, Fraction(1, 4), t, n, seed=seed)
+        assert res.attempts == attempts and res.u < frozenset(range(clique))
+
+    def test_cleanup_leaving_too_few_fails(self, monkeypatch):
+        # The first draw's U has 20 members u_0 .. u_19, and only the ten
+        # pairs (u_2i, u_2i+1) are bad: a bad share of 10/190 < 1/(2t)^t.
+        # Deleting a member of each bad pair leaves 10 = 2n, too few, so
+        # the attempt fails with the floor disabled.
+        m, t, n, seed = 170, 2, 5, 3
+        expected = substream(seed, "drc")
+        drawn = {expected.randrange(m) for _ in range(t)}
+        others = [v for v in range(m) if v not in drawn]
+        u, rest = others[:20], others[20:]
+        edges = [(s, v) for s in drawn for v in u] + list(combinations(rest, 2))
+        # Each other vertex is adjacent to one member of every pair, so no
+        # pair (u_2i, u_2i+1) has a common neighbor outside the draw.
+        sides = random.Random(0)
+        edges += [(r, u[2 * i + sides.randrange(2)]) for r in rest for i in range(10)]
+        g = SimpleGraph(m, edges)
+        assert sorted(vertices_of(g.common_neighbors_mask(drawn))) == u
+        bad, bad_subsets = extraction._count_bad_subsets(g, u, t, n)
+        assert sorted(bad_subsets) == [(u[2 * i], u[2 * i + 1]) for i in range(10)]
+        assert Fraction(bad, comb(20, 2)) < Fraction(1, (2 * t) ** t)
+        assert len(extraction._cleanup_bad_subsets(u, bad_subsets)[0]) == 2 * n
+        monkeypatch.setattr(extraction, "_common_neighbor_floor", lambda *a: -1)
+        assert dependent_random_choice(g, Fraction(1, 2), t, n, seed=seed, retries=1) is None
+
+
 class TestRamseyPair:
     def test_fano_two(self, fano_h):
         pair = find_lambda_pair_ramsey(fano_h, range(7), 2, seed=0)
@@ -292,6 +332,44 @@ class TestDrcPair:
         assert outcomes == ([] if raised is None else [raised])
         assert pair.notes == (note,)
         assert (sorted(pair.x), len(pair.y), pair.validated) == (x, 2397, True)
+
+    def test_pool_smaller_than_t_refused(self, fano_h):
+        with pytest.raises(NoQualifyingSubsetError, match="pool of 3 cannot contain a 4-subset"):
+            find_lambda_pair_drc(fano_h, [0, 1, 2], 1, ExtractionParams(t=4, seed=0))
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_accepted_u_meets_the_demand(self, t):
+        # At lambda = 3 the threshold graph of K(11, 6) is not complete. Every
+        # t-subset of an accepted U has n common neighbors, so Y reaches n.
+        h = complete_subsets(11, 6)
+        pair = find_lambda_pair_drc(h, range(h.num_edges), 3, ExtractionParams(t=t, seed=0))
+        note, = pair.notes
+        assert note.startswith("drc accepted")
+        assert pair.validated and len(pair.y) >= int(note.rsplit("=", 1)[1])
+
+    # Pools of itf2's first edges at lambda = 1. random.sample would draw other
+    # subsets from 20 members at t = 4 and 21 at t = 6, below its set-method
+    # threshold; 100 and the DRC's 2397 members lie above it.
+    @pytest.mark.parametrize("size, t", [(20, 4), (21, 6), (100, 6), (2401, 4)])
+    def test_sampled_candidates_follow_the_rule(self, itf2, monkeypatch, size, t):
+        tried, made, accepted = [], {}, []
+        real_pairwise, real_drc = extraction._pairwise_at_most, extraction.dependent_random_choice
+        monkeypatch.setattr(
+            extraction, "_pairwise_at_most", lambda masks, sub, c: tried.append(sub) or real_pairwise(masks, sub, c)
+        )
+        monkeypatch.setattr(extraction, "substream", lambda seed, name: made.setdefault(name, substream(seed, name)))
+        monkeypatch.setattr(
+            extraction, "dependent_random_choice", lambda *a: accepted.append(real_drc(*a)) or accepted[-1]
+        )
+        try:
+            find_lambda_pair_drc(itf2, range(size), 1, ExtractionParams(t=t, seed=3))
+        except NoQualifyingSubsetError:
+            assert len(tried) == extraction.SEARCH_TRIES
+        members = sorted(accepted[0].u) if accepted and accepted[0] else range(size)
+        assert comb(len(members), t) > extraction.SEARCH_TRIES
+        expected = substream(3, "drc-pair/1")
+        assert tried == [oracles.naive_random_subset(expected, members, t) for _ in tried]
+        assert made["drc-pair/1"].getstate() == expected.getstate()
 
     def test_iterated_fano_lambda_one_uses_drc(self, itf2):
         params = ExtractionParams(t=4, x=4, seed=0)
