@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import BLOCK_BYTES, Budget, Hypergraph, is_intersecting, is_uniform
-from .core import mask_of, pack_words, vertex_index, vertices_of
+from .core import mask_of, pack_words, vertex_edges, vertex_index, vertices_of
 from .rng import substream
 from .errors import (
     CompositionWitnessError,
@@ -239,17 +239,6 @@ def _dpll(h: Hypergraph, budget: Budget) -> ColorResult:
     return ColorResult(status, witness, budget.spent, budget.tripped)
 
 
-def _vertex_edges(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """``(start, edges)``: the edges on vertex v, ascending, are
-    ``edges[start[v]:start[v + 1]]``. A stable sort of the entries of
-    :func:`~hyperspec.core.vertex_index` by vertex."""
-    n = h.num_vertices
-    index = vertex_index(h)
-    start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(index.ravel(), minlength=n + 1)[:n], out=start[1:])
-    return start, np.argsort(index.ravel(), kind="stable")[: start[n]] // index.shape[1]
-
-
 def _candidate_modules(h: Hypergraph, start: np.ndarray, edges: np.ndarray):
     """Vertex tuples that may be modules, yielded in blocks of vertices in
     order: each vertex v in some edge with its top-codegree neighbours, if a
@@ -258,7 +247,7 @@ def _candidate_modules(h: Hypergraph, start: np.ndarray, edges: np.ndarray):
     deg(v) = |G|·|F_v|, where |G| divides gcd(deg(v), top codegree); so each
     nonzero codeg(x, v) is at least deg(v) / gcd(deg(v), top). A block's
     codegrees are counted by sorting the vertex pairs of the edges on its
-    vertices (``start`` and ``edges`` from :func:`_vertex_edges`), so a pass
+    vertices (``start`` and ``edges`` from :func:`vertex_edges`), so a pass
     costs about the number of vertex pairs in edges, and no temporary but
     those the size of the edge index exceeds ``BLOCK_BYTES``."""
     n = h.num_vertices
@@ -304,7 +293,7 @@ def _module_traces(
 ) -> Optional[list[tuple[int, ...]]]:
     """The traces e ∩ M of the edges e meeting M, the set of ``verts``, as
     sorted vertex tuples, if M is a module; else None. Only the edges
-    on M are read (``start`` and ``edges`` from :func:`_vertex_edges`). In a
+    on M are read (``start`` and ``edges`` from :func:`vertex_edges`). In a
     module every outside part e ∖ M comes with every trace, so with one on
     ``verts[0]``; the edges meeting M are distinct pairs (e ∖ M, e ∩ M). So M
     is a module iff every edge meeting M has an outside part of an edge on
@@ -376,7 +365,7 @@ def decide_2_coloring(
         found = []
         taken: set[int] = set()
         seen = set()
-        start, edges = _vertex_edges(current)
+        start, edges = vertex_edges(current)
         for block in _candidate_modules(current, start, edges):
             for verts in block:
                 if verts in seen or not taken.isdisjoint(verts):

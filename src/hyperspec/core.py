@@ -3,7 +3,11 @@
 Vertices are dense 0-based integers. Every edge is stored as a Python int
 bitmask (bit v set iff vertex v belongs to the edge). One kernel sizes all
 pairwise intersections: a Python AND plus popcount per pair for few pairs,
-else ``np.bitwise_count`` over ``uint64`` word rows, one word and row block at a time.
+else ``np.bitwise_count`` over ``uint64`` word rows, one word and row block at a
+time. Within one edge list, a sparse family is counted instead through shared
+vertices, by sorting the pair ids that each vertex's edge list gives; the
+kernel takes that path when ``SHARED_VERTEX_COST`` times the co-incidences
+Σ_v C(deg v, 2) is below the word scan's pairs × (words + 1).
 All averaging is exact (``fractions.Fraction``), never floating point.
 
 Edge-index sets and vertex sets are plain iterables of ints; functions
@@ -55,6 +59,7 @@ __all__ = [
     "pair_adjacency",
     "row_masks",
     "vertex_index",
+    "vertex_edges",
     "parse_hypergraph",
     "serialize_hypergraph",
     "mask_of",
@@ -165,7 +170,7 @@ class Hypergraph:
             yield frozenset(vertices_of(m))
 
     def degree(self, v: int) -> int:
-        bit = 1 << v
+        bit = _vertex_bit(self, v)
         return sum(1 for m in self.edge_masks if m & bit)
 
     # -- dunders ---------------------------------------------------------
@@ -229,12 +234,17 @@ def is_uniform(h: Hypergraph) -> Optional[int]:
 
 # -- pair kernel: every pairwise-intersection scan in the package --------
 
-# Cap on the bytes of AND temporaries per row block, so the numpy path
-# never holds an m x m array (46 MB of uint64 for 2401 edges).
+# Cap on the bytes of temporaries per block of the numpy paths (AND rows of
+# the word scan, pair ids of the shared-vertex count, unpacked bits), so no
+# path holds an m x m array (46 MB of uint64 for 2401 edges).
 BLOCK_BYTES = 1 << 20
 # Below this many pairs a Python scan beats numpy's fixed per-call cost
 # (measured crossover: ~300 cross-set, ~700 within-set pairs, numpy 2.4).
 NUMPY_MIN_PAIRS = 512
+# Within one list, the numpy path counts through shared vertices when this
+# many times the co-incidences Σ_v C(deg v, 2) is below the word scan's
+# pairs × (words + 1) (measured: the two break even at 7 to 8, numpy 2.4).
+SHARED_VERTEX_COST = 8
 
 
 def pack_words(masks: Sequence[int], width: int) -> np.ndarray:
@@ -277,17 +287,91 @@ def _py_sizes(masks: Sequence[int], other: Optional[Sequence[int]]) -> Optional[
 
 def pair_size_counts(masks: Sequence[int], other: Optional[Sequence[int]] = None) -> dict[int, int]:
     """Pair count per realized intersection size, ascending by size, over
-    the pairs i < j of ``masks`` or, given ``other``, all of masks x other."""
+    the pairs i < j of ``masks`` or, given ``other``, all of masks x other.
+    Within one list, the numpy path counts through shared vertices when the
+    co-incidences Σ_v C(deg v, 2) are few next to the word scan's work."""
     sizes = _py_sizes(masks, other)
     if sizes is not None:
         return dict(sorted(Counter(sizes).items()))
     width = max(chain(masks, other or ())).bit_length()
     rows = pack_words(masks, width)
-    cols = None if other is None else pack_words(other, width)
+    if other is None and SHARED_VERTEX_COST * _co_incidences(rows) < comb(len(masks), 2) * (rows.shape[1] + 1):
+        del rows  # freed: the shared-vertex count reads the masks, not the words
+        return _shared_vertex_counts(masks, width)
+    return _word_scan_counts(rows, None if other is None else pack_words(other, width), width)
+
+
+def _word_scan_counts(rows: np.ndarray, cols: Optional[np.ndarray], width: int) -> dict[int, int]:
+    """:func:`pair_size_counts` by popcounts of the packed word rows."""
     total = np.zeros(width + 1, dtype=np.int64)
     for block in _size_blocks(rows, cols):
         total += np.bincount(block.ravel(), minlength=width + 1)
     return {size: c for size, c in enumerate(total.tolist()) if c}
+
+
+def _co_incidences(rows: np.ndarray) -> int:
+    """Σ_v C(deg v, 2) over the bits v of packed word rows, the degrees
+    counted in blocks of words of about ``BLOCK_BYTES`` unpacked bits."""
+    step = max(1, BLOCK_BYTES // (64 * max(1, len(rows))))
+    co = 0
+    for w0 in range(0, rows.shape[1], step):
+        bits = np.unpackbits(rows[:, w0 : w0 + step].view(np.uint8), axis=1, bitorder="little")
+        deg = np.add.reduce(bits, axis=0, dtype=np.int32).astype(np.int64)  # an int32 sum is twice as fast
+        co += int(deg @ (deg - 1)) // 2
+    return co
+
+
+def _shared_vertex_counts(masks: Sequence[int], width: int) -> dict[int, int]:
+    """:func:`pair_size_counts` of the pairs a < b of ``masks`` by their shared
+    vertices: each vertex's ascending edge list gives the pair ids a·m + b,
+    and after a sort, the length of a pair's run of equal ids is its
+    intersection size. The ids are formed and sorted in blocks of about
+    ``BLOCK_BYTES // 24`` ids, cut between first edges a, so that each pair's
+    run lies in one block. The pairs that share no vertex have size 0."""
+    m = len(masks)
+    index = _vertex_rows(masks, width)
+    w, pos = index.shape[1], np.int32 if index.size < 2**31 else np.intp
+    vertex, order = _by_vertex(index)
+    del index
+    edge = (order // w).astype(pos)  # edge of each incidence, vertex by vertex
+    # tail[q]: how many later edges share incidence q's vertex (0 on padding)
+    tail = np.searchsorted(vertex, vertex, side="right")
+    tail -= np.arange(1, len(vertex) + 1)
+    tail[vertex == width] = 0
+    tail = tail.astype(pos)
+    at = np.empty_like(tail)  # at[i * w + j]: position in ``order`` of index[i, j]
+    at[order] = np.arange(len(order), dtype=pos)
+    del vertex, order
+    ends = np.zeros(m + 1, dtype=np.int64)  # ends[a]: how many ids have a first edge before a
+    np.cumsum(tail[at].reshape(m, w).sum(axis=1), out=ends[1:])
+    runs = np.zeros(width + 1, dtype=np.int64)
+    distinct = 0
+    step = max(1, BLOCK_BYTES // 24)  # bytes of temporaries per id
+    a0 = 0
+    while ends[a0] < ends[m]:
+        a1 = max(a0 + 1, int(np.searchsorted(ends, ends[a0] + step, side="right")) - 1)
+        q = at[a0 * w : a1 * w]
+        q = q[tail[q] > 0]
+        lens = tail[q]
+        count = int(ends[a1] - ends[a0])
+        kind = np.int32 if (a1 - a0) * m < 2**31 else np.int64
+        # Pair (a, b) is (a - a0)·m + b, b running over the edges after q.
+        later = np.repeat(q + 1 - (np.cumsum(lens, dtype=pos) - lens), lens)
+        later += np.arange(count, dtype=pos)
+        ids = edge[later].astype(kind, copy=False)
+        del later
+        ids += np.repeat((edge[q] - a0).astype(kind) * m, lens)
+        ids.sort()
+        bounds = np.ones(count + 1, dtype=bool)  # True where a run starts, and at the end
+        np.not_equal(ids[1:], ids[:-1], out=bounds[1:-1])
+        del ids
+        cuts = np.flatnonzero(bounds)
+        del bounds
+        runs += np.bincount(np.diff(cuts), minlength=width + 1)
+        distinct += len(cuts) - 1
+        a0 = a1
+    runs[0] = comb(m, 2) - distinct
+    return {size: c for size, c in enumerate(runs.tolist()) if c}
 
 
 def pair_size_total(masks: Sequence[int], other: Optional[Sequence[int]] = None) -> int:
@@ -311,16 +395,9 @@ def row_masks(flags: np.ndarray) -> list[int]:
     return [int.from_bytes(bits.tobytes(), "little") for bits in np.packbits(flags, axis=1, bitorder="little")]
 
 
-def vertex_index(h: Hypergraph) -> np.ndarray:
-    """``(m, w)`` intp array whose row i lists the vertices of edge i in
-    ascending order, padded with ``h.num_vertices`` to the widest edge's
-    size w (at least 1). Built from the packed edge words (unpackbits, then
-    nonzero) in edge blocks of about ``BLOCK_BYTES``, and cached on ``h``."""
-    cached = h._cache.get("vertex_index")
-    if cached is not None:
-        return cached
-    masks, n = h.edge_masks, h.num_vertices
-    width = max(map(int.bit_count, masks), default=1)
+def _vertex_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """The rows of :func:`vertex_index` for ``masks`` over n vertices."""
+    width = max(map(int.bit_count, masks), default=0) or 1
     out = np.full((len(masks), width), n, dtype=np.intp)
     step = max(1, BLOCK_BYTES // (n + 32 * width))  # a byte per bit, 32 per set bit's indices
     for i0 in range(0, len(masks), step):
@@ -328,9 +405,40 @@ def vertex_index(h: Hypergraph) -> np.ndarray:
         rows, cols = np.divmod(np.flatnonzero(bits.view(bool)), n)
         counts = np.bincount(rows, minlength=len(bits))
         out[i0 + rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]] = cols
-    out.flags.writeable = False
-    h._cache["vertex_index"] = out
     return out
+
+
+def vertex_index(h: Hypergraph) -> np.ndarray:
+    """``(m, w)`` intp array whose row i lists the vertices of edge i in
+    ascending order, padded with ``h.num_vertices`` to the widest edge's
+    size w (at least 1). Built from the packed edge words (unpackbits, then
+    nonzero) in edge blocks of about ``BLOCK_BYTES``, and cached on ``h``."""
+    cached = h._cache.get("vertex_index")
+    if cached is None:
+        cached = _vertex_rows(h.edge_masks, h.num_vertices)
+        cached.flags.writeable = False
+        h._cache["vertex_index"] = cached
+    return cached
+
+
+def _by_vertex(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(vertex, order)``: the entries ``index.ravel()[order]`` of a
+    :func:`vertex_index` array, stably sorted, so each vertex's edges
+    (``order // w``) come in ascending order and the padding comes last."""
+    flat = index.ravel()
+    # Unique keys (entry, position) make the default sort stable, and it
+    # takes a third of the time of kind="stable".
+    order = np.argsort(flat * flat.size + np.arange(flat.size))
+    return flat[order], order
+
+
+def vertex_edges(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """``(start, edges)``: the edges on vertex v, ascending, are
+    ``edges[start[v]:start[v + 1]]``."""
+    index = vertex_index(h)
+    vertex, order = _by_vertex(index)
+    start = np.searchsorted(vertex, np.arange(h.num_vertices + 1))
+    return start, order[: start[-1]] // index.shape[1]
 
 
 def is_intersecting(h: Hypergraph) -> bool:
@@ -380,11 +488,18 @@ def lambda_across(h: Hypergraph, s: Iterable[int], t: Iterable[int]) -> Fraction
     return Fraction(total, len(s_idx) * len(t_idx))
 
 
+def _vertex_bit(h: Hypergraph, v: int) -> int:
+    """``1 << v``, or :class:`OutOfRangeVertexError` for v outside [0, n)."""
+    if not 0 <= v < h.num_vertices:
+        raise OutOfRangeVertexError(f"vertex {v} out of range, valid range is [0, {h.num_vertices})")
+    return 1 << v
+
+
 def edges_containing(h: Hypergraph, vertices: Iterable[int]) -> frozenset[int]:
     """Indices of edges containing every given vertex (all edges for [])."""
-    want = mask_of(vertices)
-    if want and want.bit_length() > h.num_vertices:
-        raise OutOfRangeVertexError("vertex out of range")
+    want = 0
+    for v in vertices:
+        want |= _vertex_bit(h, v)
     return frozenset(i for i, m in enumerate(h.edge_masks) if m & want == want)
 
 

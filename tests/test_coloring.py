@@ -271,7 +271,7 @@ class TestDecide2Coloring:
             out = []
             for h in hs:
                 fresh = new_hypergraph(h.num_vertices, h.edges())
-                out.append([p for block in coloring._candidate_modules(fresh, *coloring._vertex_edges(fresh)) for p in block])
+                out.append([p for block in coloring._candidate_modules(fresh, *core.vertex_edges(fresh)) for p in block])
             return out
 
         expected = proposals(small + large)

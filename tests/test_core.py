@@ -19,7 +19,7 @@ from hyperspec import (
     parse_hypergraph,
     serialize_hypergraph,
 )
-from hyperspec import core
+from hyperspec import complete_subsets, compose, core, fano, random_uniform
 from hyperspec.core import Budget, intersection_sizes, mask_of, pack_words, pair_adjacency, pair_size_counts, vertices_of
 from hyperspec.errors import (
     DuplicateEdgeError,
@@ -252,7 +252,7 @@ class TestSpectrum:
         for n in (63, 64, 65, 130, 257):
             for m in (small, large):
                 # Families on an even n share their top vertex, so they are
-                # intersecting and the disjointness scan runs to the end.
+                # intersecting and size 0 is missing from the spectrum.
                 shared = (n - 1,) if n % 2 == 0 else ()
                 edges = random_edges(n, 2 * m, n // 4, shared)
                 left, right = edges[:m], edges[m:]
@@ -270,6 +270,57 @@ class TestSpectrum:
                     for i, a in enumerate(left)
                 ]
                 assert [set(vertices_of(row)) for row in pair_adjacency(masks, lam)] == adjacency
+
+        # Sparse families take the shared-vertex count: edges of one to three
+        # vertices across the word boundaries, a sunflower in which every pair
+        # shares exactly its core vertex (no pair of size 0), and families whose
+        # first edge is disjoint from all the others. A cap of 64 bytes gives id
+        # blocks of two ids, far below a first edge's run of pairs, so every
+        # block is cut at a first-edge boundary beyond its cap, and a first
+        # edge without pairs can make a block of no ids.
+        monkeypatch.setattr(core, "BLOCK_BYTES", 64)
+
+        def word_scan(*args):
+            raise AssertionError("a sparse family took the word scan")
+
+        monkeypatch.setattr(core, "_word_scan_counts", word_scan)
+        families = []
+        for n in (63, 64, 65, 130, 257, 600):
+            edges = random_edges(n, large, 3)
+            families.append((n, edges))
+            lone = frozenset(set(range(n)) - set().union(*edges[1:]))
+            families.append((n, [lone] + edges[1:]))
+        for n, core_vertex in ((600, 63), (600, 64), (700, 599)):
+            leaves = iter(rng.sample([v for v in range(n) if v != core_vertex], 2 * large))
+            sunflower = [frozenset({core_vertex, next(leaves), next(leaves)}) for _ in range(large)]
+            families.append((n, sunflower))
+            spare = [v for v in range(n) if v not in set().union(*sunflower)]
+            families.append((n, [frozenset(spare[:2])] + sunflower[1:]))
+        for n, edges in families:
+            h = Hypergraph(n, edges)
+            sp = intersection_spectrum(h)
+            assert dict(zip(sp.sizes, sp.multiplicities)) == oracles.naive_spectrum(edges)
+            assert is_intersecting(h) == oracles.naive_is_intersecting(edges)
+        assert [oracles.naive_is_intersecting(e) for _, e in families[-6:]] == [True, False] * 3
+
+    def test_kernel_choice(self, itf2, monkeypatch):
+        """Dense families take the word scan and sparse ones the shared-vertex
+        count; each case fails if the other path runs."""
+
+        def refuse(*args):
+            raise AssertionError("the other path ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_shared_vertex_counts", refuse)
+            counts = pair_size_counts(itf2.edge_masks)
+            assert (list(counts), list(counts.values())) == ([1, 3, 5, 7], [2117682, 612255, 129654, 21609])
+            composed = compose(fano(), complete_subsets(5, 3))
+            assert sum(pair_size_counts(composed.edge_masks).values()) == comb(composed.num_edges, 2)
+        wide = random_uniform(400, 8, 600, seed=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_word_scan_counts", refuse)
+            counts = pair_size_counts(wide.edge_masks)
+        assert counts == core._word_scan_counts(pack_words(wide.edge_masks, 400), None, 400)
 
     @settings(max_examples=40, deadline=None)
     @given(small_hypergraphs(), st.randoms(use_true_random=False))
@@ -318,6 +369,10 @@ class TestVertexIndex:
             index = core.vertex_index(fresh)
             assert index.dtype == np.intp and index.tolist() == expected
             assert core.vertex_index(fresh) is index and not index.flags.writeable
+            start, by_vertex = core.vertex_edges(fresh)
+            assert [by_vertex[start[v] : start[v + 1]].tolist() for v in range(n)] == [
+                [i for i, e in enumerate(fresh.edges()) if v in e] for v in range(n)
+            ]
 
     def test_no_edges(self):
         assert core.vertex_index(Hypergraph(0, [])).shape == (0, 1)
@@ -406,6 +461,22 @@ class TestEdgesContaining:
         h = Hypergraph(7, FANO_LINES)
         for i in range(7):
             assert edges_containing(h, h.edge_vertices(i)) == {i}
+
+    @pytest.mark.parametrize("vertices", [[-1], [7], [0, 8], [2, -3]])
+    def test_out_of_range_vertex(self, vertices):
+        with pytest.raises(OutOfRangeVertexError, match=r"valid range is \[0, 7\)"):
+            edges_containing(Hypergraph(7, FANO_LINES), vertices)
+
+
+class TestDegree:
+    def test_counts_edges_on_vertex(self):
+        h = Hypergraph(4, [{0, 1}, {1, 2}, {1, 3}])
+        assert [h.degree(v) for v in range(4)] == [1, 3, 1, 1]
+
+    @pytest.mark.parametrize("v", [-1, 4, 7])
+    def test_out_of_range_vertex(self, v):
+        with pytest.raises(OutOfRangeVertexError, match=rf"^vertex {v} out of range, valid range is \[0, 4\)$"):
+            Hypergraph(4, [{0, 1}, {1, 2}]).degree(v)
 
 
 class TestBudget:
