@@ -6,8 +6,10 @@ pairwise intersections: a Python AND plus popcount per pair for few pairs,
 else ``np.bitwise_count`` over ``uint64`` word rows, one word and row block at a
 time. Within one edge list, a sparse family is counted instead through shared
 vertices, by sorting the pair ids that each vertex's edge list gives; the
-kernel takes that path when ``SHARED_VERTEX_COST`` times the co-incidences
-Σ_v C(deg v, 2) is below the word scan's pairs × (words + 1).
+kernel takes that path when ``SHARED_VERTEX_COST`` times the incidences Σ|e|
+plus the co-incidences Σ_v C(deg v, 2) is below the word scan's
+pairs × (words + 1), and the incidence arrays, at ``SHARED_VERTEX_BYTES``
+each, fit in the packed words plus one block.
 All averaging is exact (``fractions.Fraction``), never floating point.
 
 Edge-index sets and vertex sets are plain iterables of ints; functions
@@ -242,9 +244,12 @@ BLOCK_BYTES = 1 << 20
 # (measured crossover: ~300 cross-set, ~700 within-set pairs, numpy 2.4).
 NUMPY_MIN_PAIRS = 512
 # Within one list, the numpy path counts through shared vertices when this
-# many times the co-incidences Σ_v C(deg v, 2) is below the word scan's
-# pairs × (words + 1) (measured: the two break even at 7 to 8, numpy 2.4).
+# many times the incidences plus co-incidences Σ_v C(deg v, 2) is below the
+# word scan's pairs × (words + 1) (measured: the two break even at 7 to 8,
+# numpy 2.4), and the incidence arrays, at this many bytes each (measured:
+# 36 to 38), fit in the packed rows the word scan holds plus a block.
 SHARED_VERTEX_COST = 8
+SHARED_VERTEX_BYTES = 40
 
 
 def pack_words(masks: Sequence[int], width: int) -> np.ndarray:
@@ -289,16 +294,33 @@ def pair_size_counts(masks: Sequence[int], other: Optional[Sequence[int]] = None
     """Pair count per realized intersection size, ascending by size, over
     the pairs i < j of ``masks`` or, given ``other``, all of masks x other.
     Within one list, the numpy path counts through shared vertices when the
-    co-incidences Σ_v C(deg v, 2) are few next to the word scan's work."""
+    incidences and co-incidences are few next to the word scan's work and
+    memory (:func:`_shared_vertex_cheaper`)."""
     sizes = _py_sizes(masks, other)
     if sizes is not None:
         return dict(sorted(Counter(sizes).items()))
     width = max(chain(masks, other or ())).bit_length()
     rows = pack_words(masks, width)
-    if other is None and SHARED_VERTEX_COST * _co_incidences(rows) < comb(len(masks), 2) * (rows.shape[1] + 1):
+    if other is None and _shared_vertex_cheaper(masks, rows, width):
         del rows  # freed: the shared-vertex count reads the masks, not the words
         return _shared_vertex_counts(masks, width)
     return _word_scan_counts(rows, None if other is None else pack_words(other, width), width)
+
+
+def _shared_vertex_cheaper(masks: Sequence[int], rows: np.ndarray, width: int) -> bool:
+    """True when the shared-vertex count's incidence arrays, at
+    ``SHARED_VERTEX_BYTES`` per incidence, fit in the packed ``rows`` plus a
+    block, and ``SHARED_VERTEX_COST`` times the incidences Σ|e| plus the
+    co-incidences Σ_v C(deg v, 2) is below the word scan's pairs × (words + 1).
+    The co-incidences are counted only when their convexity bound over the
+    ``width`` vertices, Σ|e|·(Σ|e| − width) / (2·width), leaves the choice open."""
+    budget = comb(len(masks), 2) * (rows.shape[1] + 1)
+    incidences = sum(map(int.bit_count, masks))
+    if SHARED_VERTEX_BYTES * incidences > rows.nbytes + BLOCK_BYTES:
+        return False
+    if SHARED_VERTEX_COST * (incidences + incidences * (incidences - width) // (2 * max(1, width))) >= budget:
+        return False
+    return SHARED_VERTEX_COST * (incidences + _co_incidences(rows)) < budget
 
 
 def _word_scan_counts(rows: np.ndarray, cols: Optional[np.ndarray], width: int) -> dict[int, int]:
@@ -325,33 +347,37 @@ def _shared_vertex_counts(masks: Sequence[int], width: int) -> dict[int, int]:
     """:func:`pair_size_counts` of the pairs a < b of ``masks`` by their shared
     vertices: each vertex's ascending edge list gives the pair ids a·m + b,
     and after a sort, the length of a pair's run of equal ids is its
-    intersection size. The ids are formed and sorted in blocks of about
+    intersection size. The incidences are listed edge by edge without
+    padding, and the ids are formed and sorted in blocks of about
     ``BLOCK_BYTES // 24`` ids, cut between first edges a, so that each pair's
     run lies in one block. The pairs that share no vertex have size 0."""
     m = len(masks)
-    index = _vertex_rows(masks, width)
-    w, pos = index.shape[1], np.int32 if index.size < 2**31 else np.intp
-    vertex, order = _by_vertex(index)
-    del index
-    edge = (order // w).astype(pos)  # edge of each incidence, vertex by vertex
-    # tail[q]: how many later edges share incidence q's vertex (0 on padding)
+    sizes = list(map(int.bit_count, masks))
+    first = np.zeros(m + 1, dtype=np.int64)  # first[a]: edge a's first incidence
+    np.cumsum(sizes, out=first[1:])
+    vertex = np.empty(first[m], dtype=np.intp)
+    for i0, _, cols in _incidence_blocks(masks, width, max(sizes) or 1):
+        vertex[first[i0] : first[i0] + len(cols)] = cols
+    pos = np.int32 if len(vertex) < 2**31 else np.intp
+    vertex, order = _by_vertex(vertex)
+    edge = np.repeat(np.arange(m, dtype=pos), sizes)[order]  # edge of each incidence, vertex by vertex
+    # tail[q]: how many later edges share incidence q's vertex
     tail = np.searchsorted(vertex, vertex, side="right")
     tail -= np.arange(1, len(vertex) + 1)
-    tail[vertex == width] = 0
     tail = tail.astype(pos)
-    at = np.empty_like(tail)  # at[i * w + j]: position in ``order`` of index[i, j]
+    at = np.empty_like(tail)  # at[i]: position in ``order`` of incidence i
     at[order] = np.arange(len(order), dtype=pos)
     del vertex, order
-    ends = np.zeros(m + 1, dtype=np.int64)  # ends[a]: how many ids have a first edge before a
-    np.cumsum(tail[at].reshape(m, w).sum(axis=1), out=ends[1:])
+    ends = np.zeros(len(at) + 1, dtype=np.int64)
+    np.cumsum(tail[at], out=ends[1:])
+    ends = ends[first]  # ends[a]: how many ids have a first edge before a
     runs = np.zeros(width + 1, dtype=np.int64)
     distinct = 0
     step = max(1, BLOCK_BYTES // 24)  # bytes of temporaries per id
     a0 = 0
     while ends[a0] < ends[m]:
         a1 = max(a0 + 1, int(np.searchsorted(ends, ends[a0] + step, side="right")) - 1)
-        q = at[a0 * w : a1 * w]
-        q = q[tail[q] > 0]
+        q = at[first[a0] : first[a1]]
         lens = tail[q]
         count = int(ends[a1] - ends[a0])
         kind = np.int32 if (a1 - a0) * m < 2**31 else np.int64
@@ -395,15 +421,23 @@ def row_masks(flags: np.ndarray) -> list[int]:
     return [int.from_bytes(bits.tobytes(), "little") for bits in np.packbits(flags, axis=1, bitorder="little")]
 
 
+def _incidence_blocks(masks: Sequence[int], n: int, widest: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """``(i0, rows, cols)`` per block of edges from i0: the set bits of the
+    masks, edge by edge and ascending, as edge ``i0 + rows`` on vertex
+    ``cols``, from the packed words unpacked in blocks of about
+    ``BLOCK_BYTES`` (``widest`` bounds each edge's size)."""
+    step = max(1, BLOCK_BYTES // (n + 32 * widest))  # a byte per bit, 32 per set bit's indices
+    for i0 in range(0, len(masks), step):
+        bits = np.unpackbits(pack_words(masks[i0 : i0 + step], n).view(np.uint8), axis=1, count=n, bitorder="little")
+        yield (i0, *np.divmod(np.flatnonzero(bits.view(bool)), n))
+
+
 def _vertex_rows(masks: Sequence[int], n: int) -> np.ndarray:
     """The rows of :func:`vertex_index` for ``masks`` over n vertices."""
     width = max(map(int.bit_count, masks), default=0) or 1
     out = np.full((len(masks), width), n, dtype=np.intp)
-    step = max(1, BLOCK_BYTES // (n + 32 * width))  # a byte per bit, 32 per set bit's indices
-    for i0 in range(0, len(masks), step):
-        bits = np.unpackbits(pack_words(masks[i0 : i0 + step], n).view(np.uint8), axis=1, count=n, bitorder="little")
-        rows, cols = np.divmod(np.flatnonzero(bits.view(bool)), n)
-        counts = np.bincount(rows, minlength=len(bits))
+    for i0, rows, cols in _incidence_blocks(masks, n, width):
+        counts = np.bincount(rows)
         out[i0 + rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]] = cols
     return out
 
@@ -421,11 +455,10 @@ def vertex_index(h: Hypergraph) -> np.ndarray:
     return cached
 
 
-def _by_vertex(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(vertex, order)``: the entries ``index.ravel()[order]`` of a
-    :func:`vertex_index` array, stably sorted, so each vertex's edges
-    (``order // w``) come in ascending order and the padding comes last."""
-    flat = index.ravel()
+def _by_vertex(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(vertex, order)``: the vertices ``flat[order]`` of incidences listed
+    edge by edge, stably sorted, so each vertex's edges come in ascending
+    order (and a :func:`vertex_index` padding comes last)."""
     # Unique keys (entry, position) make the default sort stable, and it
     # takes a third of the time of kind="stable".
     order = np.argsort(flat * flat.size + np.arange(flat.size))
@@ -436,7 +469,7 @@ def vertex_edges(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """``(start, edges)``: the edges on vertex v, ascending, are
     ``edges[start[v]:start[v + 1]]``."""
     index = vertex_index(h)
-    vertex, order = _by_vertex(index)
+    vertex, order = _by_vertex(index.ravel())
     start = np.searchsorted(vertex, np.arange(h.num_vertices + 1))
     return start, order[: start[-1]] // index.shape[1]
 

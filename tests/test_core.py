@@ -277,8 +277,11 @@ class TestSpectrum:
         # first edge is disjoint from all the others. A cap of 64 bytes gives id
         # blocks of two ids, far below a first edge's run of pairs, so every
         # block is cut at a first-edge boundary beyond its cap, and a first
-        # edge without pairs can make a block of no ids.
+        # edge without pairs can make a block of no ids. The path's memory
+        # guard, which compares its incidence arrays with the packed rows
+        # plus a block, is lifted, since a 64-byte block would trip it.
         monkeypatch.setattr(core, "BLOCK_BYTES", 64)
+        monkeypatch.setattr(core, "SHARED_VERTEX_BYTES", 0)
 
         def word_scan(*args):
             raise AssertionError("a sparse family took the word scan")
@@ -321,6 +324,32 @@ class TestSpectrum:
             patch.setattr(core, "_word_scan_counts", refuse)
             counts = pair_size_counts(wide.edge_masks)
         assert counts == core._word_scan_counts(pack_words(wide.edge_masks, 400), None, 400)
+
+    def test_one_wide_edge_among_small_ones(self, monkeypatch):
+        """An edge on every vertex among small edges keeps memory at block
+        scale: the shared-vertex count lists incidences without padding rows
+        to the widest edge, and when those incidences outweigh the packed
+        rows, the word scan runs."""
+        import tracemalloc
+
+        def refuse(*args):
+            raise AssertionError("the other path ran")
+
+        rng = random.Random(5)
+        for n, k, m, skipped in ((10000, 3, 400, "_word_scan_counts"), (100000, 2, 39, "_shared_vertex_counts")):
+            edges = list({frozenset(rng.sample(range(n - 1), k)) for _ in range(m)}) + [frozenset(range(n))]
+            masks = [mask_of(e) for e in edges]
+            with monkeypatch.context() as patch:
+                patch.setattr(core, skipped, refuse)
+                tracemalloc.start()
+                try:
+                    counts = pair_size_counts(masks)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert counts == dict(sorted(oracles.naive_spectrum(edges).items()))
+            # Rows padded to the widest edge would take 8·len(masks)·n bytes.
+            assert peak < 2 * len(masks) * n // 8 + 4 * core.BLOCK_BYTES < 8 * len(masks) * n // 4
 
     @settings(max_examples=40, deadline=None)
     @given(small_hypergraphs(), st.randoms(use_true_random=False))
