@@ -26,7 +26,7 @@ from .core import (
     parse_hypergraph,
     serialize_hypergraph,
 )
-from .errors import HypergraphError, InvalidParameterError
+from .errors import HypergraphError, InvalidParameterError, ParseError
 from .extraction import ExtractionParams, density_increment_run
 from .lemmas import run_lemma_suite
 from .rng import DEFAULT_SEED
@@ -40,8 +40,15 @@ def _emit(payload: dict, stream=None) -> None:
 
 
 def _load(path: str) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hypergraph(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line of the first undecodable byte, as the parser numbers lines.
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", line) from None
+    return parse_hypergraph(text)
 
 
 def _parse_kv(pairs: Sequence[str]) -> dict[str, int]:

@@ -582,6 +582,10 @@ class Budget:
 # ".hg" files: optional '#' comment lines, a "n m" header, then m lines of
 # strictly ascending vertex indices. Canonical output sorts edges
 # lexicographically and uses LF endings with no trailing whitespace.
+# Text of ASCII digits, spaces and "\n" alone, as canonical output is, takes
+# one numpy pass (:func:`_parse_plain`); other text, and text it cannot
+# certify, the line loop (:func:`_parse_lines`), which raises every
+# :class:`ParseError`. Both give the same hypergraphs.
 
 
 class _TokenValues(dict):
@@ -594,6 +598,11 @@ class _TokenValues(dict):
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse ``.hg`` text. Raises :class:`ParseError` with a line number."""
+    return Hypergraph.from_masks(*(_parse_plain(text) or _parse_lines(text)))
+
+
+def _parse_lines(text: str) -> tuple[int, list[int]]:
+    """``(num_vertices, edge masks)`` of ``.hg`` text, line by line."""
     header: Optional[tuple[int, int]] = None
     edges: list[int] = []
     values = _TokenValues()
@@ -627,11 +636,65 @@ def parse_hypergraph(text: str) -> Hypergraph:
     if header is None:
         raise ParseError("missing header", 1)
     if len(edges) != header[1]:
-        raise ParseError(
-            f"expected {header[1]} edges, found {len(edges)}",
-            text.count("\n") + 1,
-        )
-    return Hypergraph.from_masks(header[0], edges)
+        # The line after the last line break, as splitlines counts breaks.
+        raise ParseError(f"expected {header[1]} edges, found {len(edges)}", len((text + ".").splitlines()))
+    return header[0], edges
+
+
+def _parse_plain(text: str) -> Optional[tuple[int, list[int]]]:
+    """``(num_vertices, edge masks)`` of text of ASCII digits, spaces and "\\n"
+    alone, by whole-array operations in a few words per token plus the masks;
+    None for other text, text the line loop refuses, and vertex tokens of over
+    18 digits or from 2^32 on. Raises nothing but MemoryError."""
+    if not text.isascii():
+        return None
+    # A final line break, then room to read 18 digit columns from any token
+    # start. Every byte but a digit wraps to 10 or more.
+    digits = np.frombuffer((text + "\n" * 19).encode(), dtype=np.uint8) - np.uint8(48)
+    is_digit = digits < 10
+    newline = np.flatnonzero(digits == 218)  # b"\n" - 48, wrapped
+    if np.count_nonzero(is_digit) + len(newline) + np.count_nonzero(digits == 240) != len(digits):
+        return None  # a byte other than a digit, b" " and b"\n"
+    bounds = np.flatnonzero(np.diff(is_digit, prepend=False))
+    starts, ends = bounds[0::2], bounds[1::2]
+    first = np.zeros(len(starts) + 1, dtype=bool)  # first[t]: token t begins a line
+    first[np.searchsorted(starts, newline)] = True  # the tokens after each b"\n"
+    if len(starts) < 2 or first[1] or not first[2]:
+        return None  # the first line must hold just the header's two tokens
+    n, m = int(text[starts[0] : ends[0]]), int(text[starts[1] : ends[1]])
+    if len(starts) == 2:
+        return (n, []) if m == 0 else None
+    starts, first = starts[2:], first[2:-1]
+    lengths = ends[2:] - starts
+    if lengths.max() > 18:
+        return None
+    v = digits[starts].astype(np.int64)  # the vertex tokens, by a Horner step per digit column
+    for c in range(1, int(lengths.max())):
+        more = lengths > c
+        np.multiply(v, 10, out=v, where=more)
+        np.add(v, digits[c:][starts], out=v, where=more)
+    del digits, is_digit, bounds, starts, ends, lengths  # the peak stays a few words per token
+    firsts = np.flatnonzero(first)
+    if len(firsts) != m or not (first[1:] | (v[1:] > v[:-1])).all():
+        return None
+    tops = np.maximum.reduceat(v, firsts)
+    if int(tops.max()) >= min(n, 1 << 32):
+        return None
+    # Edge e takes words ends[e] - runs[e] to ends[e], enough for its top
+    # vertex; each word ORs its run of token bits, which lie side by side.
+    runs = (tops >> 6) + 1
+    ends = np.cumsum(runs)
+    word = np.repeat(ends - runs, np.diff(firsts, append=len(v)))
+    word += v >> 6
+    bits = np.left_shift(np.uint64(1), (v & 63).view(np.uint64))
+    cut = np.flatnonzero(np.diff(word, prepend=-1))
+    words = np.zeros(int(ends[-1]), dtype=np.uint64)
+    words[word[cut]] = np.bitwise_or.reduceat(bits, cut)
+    del v, word, bits, cut
+    if len(words) == m:
+        return n, words.tolist()
+    buf = words.tobytes()
+    return n, [int.from_bytes(buf[8 * (i - r) : 8 * i], "little") for i, r in zip(ends.tolist(), runs.tolist())]
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:

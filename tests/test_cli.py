@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hyperspec
+from hyperspec import core
 from hyperspec.cli import main
 from hyperspec.constructions import random_uniform
 from hyperspec.core import serialize_hypergraph
@@ -426,3 +427,35 @@ class TestErrorsAndUsage:
         code, _, err = run_cli(["spectrum", str(bad)], capsys)
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("data, line", [(b"\xff\xfe3 1\n0\n", 1), (b"3 1\r\n# caf\xe9\r\n0\r\n", 2)])
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys, data, line):
+        bad = tmp_path / "bad.hg"
+        bad.write_bytes(data)
+        code, out, err = run_cli(["spectrum", str(bad)], capsys)
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith(f"line {line}: byte 0x")
+
+    def test_four_spellings_of_one_family_give_the_same_json(self, tmp_path, capsys):
+        # Canonical text takes the numpy pass; the other three take the line loop.
+        canonical = serialize_hypergraph(random_uniform(100, 4, 60, seed=2))
+        header, *edges = canonical.splitlines()
+        texts = {
+            "canonical": canonical,
+            "crlf": canonical.replace("\n", "\r\n"),
+            "comments": f"# family\n\n{header}\n" + "".join(f"  # edge {i}\n\n{e}\n" for i, e in enumerate(edges)),
+            "spellings": f"+{header}\n" + "".join(" ".join(f"+{v}" if v[0] < "5" else f"00{v}" for v in e.split()) + "\n" for e in edges),
+        }
+        assert [core._parse_plain(text) is not None for text in texts.values()] == [True, False, False, False]
+        outputs = set()
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.hg"
+            path.write_bytes(text.encode())
+            code, spectrum, _ = run_cli(["spectrum", str(path)], capsys)
+            assert code == 0
+            code, color, _ = run_cli(["color", str(path), "--trials", "200", "--seed", "3"], capsys)
+            assert code == 0
+            outputs.add((spectrum, json.dumps(strip_timings(json.loads(color)), sort_keys=True)))
+        assert len(outputs) == 1

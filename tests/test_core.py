@@ -1,5 +1,7 @@
 import random
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -569,6 +571,9 @@ class TestTextFormat:
             ("3 1\n0 3\n", 2, "vertex index out of range"),
             ("3 1\n0 1\n1 2\n", 3, "more edge lines than the header announced"),
             ("3 2\n0 1\n", 3, "expected 2 edges, found 1"),
+            ("3 2\r0 1\r", 3, "expected 2 edges, found 1"),
+            ("3 2\r\n0 1\r\n", 3, "expected 2 edges, found 1"),
+            ("3 2\n0 1", 2, "expected 2 edges, found 1"),
         ],
     )
     def test_parse_error_messages(self, text, line, message):
@@ -606,3 +611,103 @@ class TestTextFormat:
         again = parse_hypergraph(serialize_hypergraph(h))
         assert again.num_vertices == h.num_vertices
         assert set(again.edge_masks) == set(h.edge_masks)
+
+
+@st.composite
+def families(draw):
+    """A random family on up to 200 vertices, uniform or not, maybe empty."""
+    n = draw(st.integers(min_value=0, max_value=200))
+    rnd = draw(st.randoms(use_true_random=False))
+    k = rnd.randint(1, min(n, 12)) if n else 0
+    uniform = draw(st.booleans())
+    edges = {frozenset(rnd.sample(range(n), k if uniform else rnd.randint(1, k))) for _ in range(rnd.randint(0, 40) if n else 0)}
+    return Hypergraph(n, sorted(edges, key=sorted))
+
+
+MUTATIONS = ("swap", "repeat", "duplicate", "extra", "missing", "blank", "spaces", "unterminated", "long", "header")
+
+
+def mutate(text: str, rnd: random.Random) -> str:
+    """``text`` after one to three random edits of its lines and tokens."""
+    for _ in range(rnd.randint(1, 3)):
+        lines = text.split("\n")
+        i = rnd.randrange(len(lines))
+        tokens = lines[i].split()
+        kind = rnd.choice(MUTATIONS)
+        if kind == "swap" and len(tokens) > 1:
+            a, b = rnd.sample(range(len(tokens)), 2)
+            tokens[a], tokens[b] = tokens[b], tokens[a]
+            lines[i] = " ".join(tokens)
+        elif kind == "repeat" and tokens:
+            lines[i] = " ".join(tokens + [rnd.choice(tokens)] if rnd.random() < 0.5 else [tokens[0]] + tokens)
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "extra":
+            lines.insert(i, " ".join(str(v) for v in sorted(rnd.sample(range(250), rnd.randint(1, 5)))))
+        elif kind == "missing":
+            del lines[i]
+        elif kind == "blank":
+            lines.insert(i, " " * rnd.randint(0, 3))
+        elif kind == "spaces":
+            lines[i] = " " * rnd.randint(0, 2) + lines[i].replace(" ", " " * rnd.randint(1, 3)) + " " * rnd.randint(0, 2)
+        elif kind == "long" and tokens:
+            j = rnd.randrange(len(tokens))
+            tokens[j] = tokens[j].zfill(19) if rnd.random() < 0.5 else str(rnd.randrange(10**18, 10**19))
+            lines[i] = " ".join(tokens)
+        elif kind == "header":
+            lines[0] = f"{rnd.randint(0, 210)} {rnd.randint(0, 45)}"
+        text = "\n".join(lines)
+        if kind == "unterminated":
+            text = text.rstrip("\n")
+    return text
+
+
+class TestPlainParse:
+    """The numpy pass over digits, spaces and newlines against the line loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(families(), st.randoms(use_true_random=False))
+    def test_plain_pass_agrees_with_the_line_loop(self, h, rnd):
+        text = serialize_hypergraph(h)
+        assert core._parse_plain(text) == core._parse_lines(text) == (h.num_vertices, list(h.edge_masks))
+        text = mutate(text, rnd)
+        plain = core._parse_plain(text)  # never raises
+        if plain is not None:
+            assert core._parse_lines(text) == plain  # and the loop does not raise either
+
+    def test_token_widths(self):
+        # Up to 18 digit columns are read; a 19-digit token goes to the loop.
+        text = f"5 2\n{'3'.zfill(18)} 4\n1 {'2'.zfill(17)} 3\n"
+        assert core._parse_plain(text) == (5, [0b11000, 0b1110])
+        assert core._parse_plain(text.replace("0" * 15, "0" * 16, 1)) is None
+        assert parse_hypergraph(text.replace("0" * 15, "0" * 16, 1)).edge_masks == (0b11000, 0b1110)
+        assert core._parse_plain("10000000000 1\n4294967296\n") is None  # a vertex from 2^32 on
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "3\n", "3 1 0\n0\n", "3\n1\n0\n", "3 1\n\t0\n", "3 1\r\n0\r\n", "3 1\n+0\n", "3 1\n0\n1\n", "3 2\n0\n", "3 1\n3\n"],
+    )
+    def test_texts_left_to_the_loop(self, text):
+        assert core._parse_plain(text) is None
+
+    def test_blank_lines_spaces_and_no_final_newline(self):
+        text = "\n  \n 3  2 \n\n0   1\n \n 1 2"
+        assert core._parse_plain(text) == core._parse_lines(text) == (3, [0b011, 0b110])
+        assert core._parse_plain("7 0\n\n") == (7, [])
+
+    def test_peak_memory_is_linear_in_the_masks_and_the_text(self):
+        # 3,000 edges within the first 200 vertices and one edge on all
+        # 10,000: words sized by each edge's top vertex take about the masks'
+        # bytes, where m x n/64 words would take 3.8 MB.
+        rnd = random.Random(3)
+        small = sorted({tuple(sorted(rnd.sample(range(200), 3))) for _ in range(3200)})[:3000]
+        text = serialize_hypergraph(Hypergraph(10_000, small + [tuple(range(10_000))]))
+        tracemalloc.start()
+        try:
+            h = parse_hypergraph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert core._parse_plain(text) == (h.num_vertices, list(h.edge_masks))
+        masks = sum(map(sys.getsizeof, h.edge_masks))
+        assert peak < 5 * (masks + len(text)), (peak, masks, len(text))
