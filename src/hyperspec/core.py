@@ -25,9 +25,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations, product, starmap
 from math import comb
-from operator import and_, lt
+from operator import and_, lt, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -62,6 +63,7 @@ __all__ = [
     "row_masks",
     "vertex_index",
     "vertex_edges",
+    "vertex_edge_masks",
     "parse_hypergraph",
     "serialize_hypergraph",
     "mask_of",
@@ -172,8 +174,7 @@ class Hypergraph:
             yield frozenset(vertices_of(m))
 
     def degree(self, v: int) -> int:
-        bit = _vertex_bit(self, v)
-        return sum(1 for m in self.edge_masks if m & bit)
+        return vertex_edge_masks(self)[_check_vertex(self, v)].bit_count()
 
     # -- dunders ---------------------------------------------------------
 
@@ -273,10 +274,13 @@ def _size_blocks(rows: np.ndarray, cols: Optional[np.ndarray]) -> Iterator[np.nd
     """Intersection sizes of every pair, one row block at a time: all of
     rows x cols, or the pairs i < j of ``rows`` when ``cols`` is None."""
     step = max(1, BLOCK_BYTES // (8 * max(1, len(rows if cols is None else cols))))
+    upper: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # the pairs i < j, per block length
     for i0 in range(0, len(rows), step):
         block = rows[i0 : i0 + step]
         if cols is None:
-            yield intersection_sizes(block, block)[np.triu_indices(len(block), 1)]
+            if len(block) not in upper:
+                upper[len(block)] = np.triu_indices(len(block), 1)
+            yield intersection_sizes(block, block)[upper[len(block)]]
         yield intersection_sizes(block, rows[i0 + len(block) :] if cols is None else cols)
 
 
@@ -474,6 +478,34 @@ def vertex_edges(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     return start, order[: start[-1]] // index.shape[1]
 
 
+def vertex_edge_masks(h: Hypergraph) -> tuple[int, ...]:
+    """For each vertex v, the bitmask of the edges on v (bit i set iff edge i
+    contains v): the transpose of ``h.edge_masks``, cached on ``h``. Built
+    without a sort, from the packed edge words in blocks of a multiple of 8
+    edges and about ``BLOCK_BYTES`` unpacked bits, so no m x n byte array is
+    built, and with one ``int.from_bytes`` per vertex of some edge."""
+    cached = h._cache.get("vertex_edge_masks")
+    if cached is None:
+        n, masks = h.num_vertices, h.edge_masks
+        step = 8 * max(1, BLOCK_BYTES // (8 * max(1, n)))
+        rows = np.empty((n, -(-len(masks) // 8)), dtype=np.uint8)  # row v: the edges on v, 8 to a byte
+        for i0 in range(0, len(masks), step):
+            chunk = masks[i0 : i0 + step]
+            columns = np.ascontiguousarray(pack_words(chunk + (0,) * (-len(chunk) % 8), n).view(np.uint8).T)
+            # Unpacking the byte columns gives each vertex's row of edges. The
+            # rows are a multiple of 8 long, so one flat pack (fast, where a
+            # pack along an axis pays per row) keeps them apart.
+            bits = np.unpackbits(columns, axis=0, count=n, bitorder="little")
+            width = bits.shape[1] // 8
+            rows[:, i0 // 8 : i0 // 8 + width] = np.packbits(bits.reshape(-1), bitorder="little").reshape(n, width)
+            del bits  # freed before the next block is unpacked
+        out = [0] * n
+        for v in vertices_of(reduce(or_, masks, 0)):
+            out[v] = int.from_bytes(rows[v].tobytes(), "little")
+        cached = h._cache["vertex_edge_masks"] = tuple(out)
+    return cached
+
+
 def is_intersecting(h: Hypergraph) -> bool:
     """True iff every two distinct edges meet: 0 is not in the cached spectrum."""
     return h.num_edges < 2 or 0 not in intersection_spectrum(h).sizes
@@ -521,19 +553,27 @@ def lambda_across(h: Hypergraph, s: Iterable[int], t: Iterable[int]) -> Fraction
     return Fraction(total, len(s_idx) * len(t_idx))
 
 
-def _vertex_bit(h: Hypergraph, v: int) -> int:
-    """``1 << v``, or :class:`OutOfRangeVertexError` for v outside [0, n)."""
+def _check_vertex(h: Hypergraph, v: int) -> int:
+    """``v``, or :class:`OutOfRangeVertexError` for v outside [0, n)."""
     if not 0 <= v < h.num_vertices:
         raise OutOfRangeVertexError(f"vertex {v} out of range, valid range is [0, {h.num_vertices})")
-    return 1 << v
+    return v
+
+
+def _containing_mask(h: Hypergraph, vertices: Iterable[int]) -> int:
+    """Bitmask of the edges containing every given vertex: the AND of their
+    :func:`vertex_edge_masks`, or all m bits for no vertices."""
+    vm = vertex_edge_masks(h)
+    inside = (1 << h.num_edges) - 1
+    for v in vertices:
+        inside &= vm[_check_vertex(h, v)]
+    return inside
 
 
 def edges_containing(h: Hypergraph, vertices: Iterable[int]) -> frozenset[int]:
-    """Indices of edges containing every given vertex (all edges for [])."""
-    want = 0
-    for v in vertices:
-        want |= _vertex_bit(h, v)
-    return frozenset(i for i, m in enumerate(h.edge_masks) if m & want == want)
+    """Indices of edges containing every given vertex (all edges for []): the
+    set bits of the AND of their :func:`vertex_edge_masks`."""
+    return frozenset(vertices_of(_containing_mask(h, vertices)))
 
 
 # -- budgets -------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 from .core import (
     Budget,
     Hypergraph,
-    edges_containing,
+    _containing_mask,
     intersection_spectrum,
     is_uniform,
     lambda_across,
@@ -628,7 +628,7 @@ class _Stop(Exception):
 
 def _pool_through(h: Hypergraph, core: Iterable[int]) -> tuple[list[int], dict[int, int]]:
     """The edges containing ``core`` and their pair counts."""
-    pool = sorted(edges_containing(h, core))
+    pool = list(vertices_of(_containing_mask(h, core)))
     return pool, _pool_pair_counts(h, pool)
 
 
@@ -648,7 +648,7 @@ def _same_intersection_step(
     core: frozenset[int] = frozenset()
     if pair.lam >= x_width and overlap.bit_count() > x_width:
         subsets = combinations(vertices_of(overlap), overlap.bit_count() - x_width)
-        core = frozenset(max(subsets, key=lambda sub: len(edges_containing(h, sub))))
+        core = frozenset(max(subsets, key=lambda sub: _containing_mask(h, sub).bit_count()))
     # first lies in Y and the anchor in X, so they meet in at most k - 1
     # vertices and at least one vertex is left to grow. The grown set has
     # min(|overlap| + 1, k) or min(x + 1, k) > lam vertices (|overlap| >= lam).

@@ -18,11 +18,13 @@ from typing import Iterable, Optional, Sequence
 from .core import (
     Hypergraph,
     _check_indices,
+    _containing_mask,
     is_intersecting,
     is_uniform,
     mask_of,
     pair_size_counts,
     pair_size_total,
+    vertex_edge_masks,
     vertices_of,
 )
 from .coloring import monochromatic_edge
@@ -193,6 +195,10 @@ def greedy_increase(h: Hypergraph, start: Iterable[int], steps: int) -> GreedyRe
     :class:`NoDisjointEdgeError` carries that witness) and absorbs the
     disjoint edge's most popular vertex, ties to the smallest index. The
     returned fraction is exact and at least k^-steps.
+
+    Counts are popcounts of ANDs of :func:`~hyperspec.core.vertex_edge_masks`,
+    and the first disjoint edge is the lowest zero bit of the set's OR of
+    them. A start vertex outside [0, n) raises :class:`OutOfRangeVertexError`.
     """
     k = is_uniform(h)
     if k is None:
@@ -202,32 +208,29 @@ def greedy_increase(h: Hypergraph, start: Iterable[int], steps: int) -> GreedyRe
     base = frozenset(start)
     if steps < 0 or steps > k - len(base):
         raise StepOutOfRangeError(f"steps must lie in [0, {k - len(base)}], got {steps}")
-    masks = h.edge_masks
-    cur_mask = mask_of(base)
-    base_count = sum(1 for m in masks if m & cur_mask == cur_mask)
-    count = base_count
+    vm = vertex_edge_masks(h)
+    inside = _containing_mask(h, base)  # the edges containing the set
+    touched = 0  # the edges meeting it
+    for v in base:
+        touched |= vm[v]
+    base_count = count = inside.bit_count()
     trace: list[GreedyStep] = []
     cur = set(base)
     for _ in range(steps):
-        disjoint_edge = next(
-            (i for i, m in enumerate(masks) if not m & cur_mask), None
-        )
-        if disjoint_edge is None:
+        missed = ~touched & (touched + 1)  # the lowest edge the set misses, if below bit m
+        if missed >> h.num_edges:
             witness = tuple(0 if v in cur else 1 for v in range(h.num_vertices))
             if monochromatic_edge(h, witness) is not None:
                 raise AssertionError("implied 2-coloring is improper")
             raise NoDisjointEdgeError(frozenset(cur), witness)
-        best_v = -1
-        best_count = -1
-        for v in vertices_of(masks[disjoint_edge]):
-            want = cur_mask | (1 << v)
-            c = sum(1 for m in masks if m & want == want)
-            if c > best_count:
-                best_v, best_count = v, c
-        trace.append(GreedyStep(best_v, disjoint_edge, count, best_count))
+        disjoint_edge = missed.bit_length() - 1
+        # max keeps the first of equal counts: ties go to the smallest vertex.
+        best_v = max(vertices_of(h.edge_masks[disjoint_edge]), key=lambda v: (inside & vm[v]).bit_count())
+        inside &= vm[best_v]
+        touched |= vm[best_v]
+        trace.append(GreedyStep(best_v, disjoint_edge, count, inside.bit_count()))
         cur.add(best_v)
-        cur_mask |= 1 << best_v
-        count = best_count
+        count = inside.bit_count()
     fraction = Fraction(count, base_count) if base_count else Fraction(1)
     return GreedyResult(frozenset(cur), fraction, tuple(trace))
 

@@ -139,6 +139,39 @@ def mono_edge_count(edges: Sequence[Iterable[int]], colors: Sequence[int]) -> in
     return sum(1 for e in edges if len({colors[v] for v in e}) == 1)
 
 
+def naive_vertex_edge_masks(n: int, edges: Sequence[Iterable[int]]) -> tuple[int, ...]:
+    """For each vertex v < n, the sum of 2**i over the edges i that contain v."""
+    sets = [frozenset(e) for e in edges]
+    return tuple(sum(2**i for i, e in enumerate(sets) if v in e) for v in range(n))
+
+
+def naive_greedy_increase(
+    n: int, edges: Sequence[Iterable[int]], start: Iterable[int], steps: int
+) -> tuple[Optional[list[tuple[int, int, int, int]]], frozenset[int], object]:
+    """The greedy growth rule by set scans: ``(steps, final set, fraction)``,
+    each step ``(added vertex, disjoint edge, count before, count after)``;
+    or ``(None, set, witness coloring)`` once no edge misses the set. Each
+    round takes the first edge missing the set and adds its vertex lying in
+    the most edges together with the set, ties to the smallest vertex."""
+    sets = [frozenset(e) for e in edges]
+    cur = set(start)
+    base = count = sum(1 for e in sets if cur <= e)
+    trace = []
+    for _ in range(steps):
+        disjoint = next((i for i, e in enumerate(sets) if not e & cur), None)
+        if disjoint is None:
+            return None, frozenset(cur), tuple(0 if v in cur else 1 for v in range(n))
+        best_v, best = -1, -1
+        for v in sorted(sets[disjoint]):
+            c = sum(1 for e in sets if cur | {v} <= e)
+            if c > best:
+                best_v, best = v, c
+        trace.append((best_v, disjoint, count, best))
+        cur.add(best_v)
+        count = best
+    return trace, frozenset(cur), Fraction(count, base) if base else Fraction(1)
+
+
 def refute_stream(seed: int) -> random.Random:
     """The generator of sampled refutation, spelled out: ``rng.substream(seed,
     "refute")`` seeds ``random.Random`` with this string."""

@@ -32,8 +32,13 @@ def run_cli_process(args, timeout):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def strip_timings(payload: dict) -> dict:
-    return {k: v for k, v in payload.items() if k != "timings"}
+def strip_timings(payload):
+    """``payload`` without its ``timings`` keys, at every depth."""
+    if isinstance(payload, dict):
+        return {k: strip_timings(v) for k, v in payload.items() if k != "timings"}
+    if isinstance(payload, list):
+        return [strip_timings(v) for v in payload]
+    return payload
 
 
 class TestConstructSpectrumPipeline:
@@ -175,6 +180,71 @@ class TestExtract:
         payload = json.loads(stdout)
         assert [lvl["lambda"] for lvl in payload["levels"]] == [1, 7]
         assert payload["levels"][0]["notes"] == [note]
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            pytest.param(
+                ["--seed", "4002"],
+                {
+                    "identity_checks": [],
+                    "levels": [
+                        {"branch": "initial", "extractor": "drc", "lambda": 1,
+                         "notes": ["drc accepted |U|=2397 with demand n=119"],
+                         "pool_size": 2401, "validated": True, "x_size": 4, "y_size": 2397},
+                        {"branch": "same-intersection", "extractor": "drc", "lambda": 7,
+                         "notes": ["drc hypotheses unsatisfiable at this scale; direct search over the pool"],
+                         "pool_size": 7, "validated": True, "x_size": 4, "y_size": 3},
+                    ],
+                    "notes": ["desk-scale thresholds: measured density, fraction-based demands"],
+                    "params": {"d": None, "paper_constants": False, "seed": 4002, "t": 4, "x": 4},
+                    "schema": "1",
+                    "stop_reason": "no progress: next pool has fewer than two edges",
+                    "witness_coloring": None,
+                },
+                id="seed-4002",
+            ),
+            pytest.param(
+                ["--t", "3", "--x", "2", "--seed", "0"],
+                {
+                    "identity_checks": [],
+                    "levels": [
+                        {"branch": "initial", "extractor": "drc", "lambda": 1,
+                         "notes": ["drc accepted |U|=2398 with demand n=159"],
+                         "pool_size": 2401, "validated": True, "x_size": 3, "y_size": 2398},
+                        {"branch": "spread-out", "extractor": "drc", "lambda": 3,
+                         "notes": ["drc accepted |U|=144 with demand n=9"],
+                         "pool_size": 147, "validated": True, "x_size": 3, "y_size": 144},
+                        {"branch": "same-intersection", "extractor": "drc", "lambda": 5,
+                         "notes": ["drc hypotheses unsatisfiable at this scale; direct search over the pool"],
+                         "pool_size": 21, "validated": True, "x_size": 3, "y_size": 18},
+                        {"branch": "spread-out", "extractor": "drc", "lambda": 7,
+                         "notes": ["drc hypotheses unsatisfiable at this scale; direct search over the pool"],
+                         "pool_size": 7, "validated": True, "x_size": 3, "y_size": 4},
+                    ],
+                    "notes": [
+                        "desk-scale thresholds: measured density, fraction-based demands",
+                        "spread group too small for certification at lambda=1",
+                        "spread case certified numerically; advancing via the popular anchor-subset superset route",
+                        "spread group too small for certification at lambda=5",
+                        "spread case certified numerically; advancing via the popular anchor-subset superset route",
+                    ],
+                    "params": {"d": None, "paper_constants": False, "seed": 0, "t": 3, "x": 2},
+                    "schema": "1",
+                    "stop_reason": "no progress: next pool has fewer than two edges",
+                    "witness_coloring": None,
+                },
+                id="t3-x2-seed-0",
+            ),
+        ],
+    )
+    def test_itf2_output_is_pinned(self, itf2, tmp_path, capsys, flags, expected):
+        # The benchmark's own extract call and a run through both branches.
+        path = tmp_path / "itf2.hg"
+        path.write_text(serialize_hypergraph(itf2))
+        code, stdout, _ = run_cli(["extract", str(path), *flags], capsys)
+        assert code == 0
+        assert strip_timings(json.loads(stdout)) == expected
 
     @pytest.mark.parametrize(
         "text, flags",

@@ -3,6 +3,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -508,6 +509,69 @@ class TestDegree:
     def test_out_of_range_vertex(self, v):
         with pytest.raises(OutOfRangeVertexError, match=rf"^vertex {v} out of range, valid range is \[0, 4\)$"):
             Hypergraph(4, [{0, 1}, {1, 2}]).degree(v)
+
+
+class TestVertexEdgeMasks:
+    """``vertex_edge_masks`` and the answers read from it (containment
+    counts and degrees) against set scans."""
+
+    @staticmethod
+    def check_against_oracle(h, vertex_sets):
+        edges = list(h.edges())
+        expected = oracles.naive_vertex_edge_masks(h.num_vertices, edges)
+        assert core.vertex_edge_masks(h) == expected
+        assert [h.degree(v) for v in range(h.num_vertices)] == [bin(vm).count("1") for vm in expected]
+        for vs in vertex_sets:
+            assert edges_containing(h, vs) == {i for i, e in enumerate(edges) if e >= set(vs)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_hypergraphs())
+    def test_small_hypergraphs(self, h):
+        n = h.num_vertices
+        self.check_against_oracle(h, [vs for size in range(4) for vs in combinations(range(n), size)])
+
+    def test_itf2(self, itf2):
+        rng = random.Random(21)
+        self.check_against_oracle(
+            itf2, [[]] + [list(e)[:size] for e in rng.sample(list(itf2.edges()), 30) for size in (1, 2, 5, 9)]
+        )
+
+    @pytest.mark.parametrize("block_bytes", [None, 64])
+    def test_random_families_with_idle_vertices(self, block_bytes, monkeypatch):
+        # Edge counts off a multiple of 8, and vertices past the ones the
+        # edges use have degree 0. At 64 block bytes every block holds 8 edges.
+        if block_bytes is not None:
+            monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
+        rng = random.Random(8)
+        for n, used, k, m in ((9, 6, 2, 13), (40, 30, 3, 61), (130, 70, 4, 203), (300, 300, 5, 8 * 37 + 5)):
+            edges: dict[frozenset[int], None] = {}
+            while len(edges) < m:
+                edges[frozenset(rng.sample(range(used), k))] = None
+            h = Hypergraph(n, edges)
+            edges = list(edges)
+            self.check_against_oracle(h, [[v] for v in range(n)] + [list(e)[:2] for e in edges[:20]])
+
+    def test_without_edges(self):
+        h = Hypergraph(3, [])
+        assert core.vertex_edge_masks(h) == (0, 0, 0)
+        assert edges_containing(h, []) == frozenset()
+        assert [h.degree(v) for v in range(3)] == [0, 0, 0]
+        assert core.vertex_edge_masks(Hypergraph(0, [])) == ()
+
+    def test_build_holds_one_block(self):
+        # 40 three-vertex edges over 10^5 vertices: an m x n byte array
+        # would take 4 MB; the blocks of 8 edges take 0.8 MB unpacked.
+        rng = random.Random(4)
+        n = 10**5
+        h = Hypergraph(n, {frozenset(rng.sample(range(n), 3)) for _ in range(40)})
+        tracemalloc.start()
+        try:
+            masks = core.vertex_edge_masks(h)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert masks == oracles.naive_vertex_edge_masks(n, list(h.edges()))
+        assert peak - held < 2 * core.BLOCK_BYTES < h.num_edges * n
 
 
 class TestBudget:

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from hyperspec import (
+    Hypergraph,
     check_average_lambda,
     check_pair_inequality,
     complete_subsets,
+    compose,
     fano,
     greedy_increase,
     intersection_spectrum,
@@ -18,6 +20,7 @@ from hyperspec.errors import (
     MismatchedEdgeCountError,
     MismatchedVertexCountError,
     NoDisjointEdgeError,
+    OutOfRangeVertexError,
     OverlappingSetsError,
     SizeMismatchError,
     StepOutOfRangeError,
@@ -165,6 +168,47 @@ class TestGreedyIncrease:
             greedy_increase(star, {0}, 1)
         witness = err.value.witness_coloring
         assert oracles.mono_edge_count(list(star.edges()), witness) == 0
+
+    @staticmethod
+    def check_against_rule(h, start, steps):
+        edges = list(h.edges())
+        trace, final, last = oracles.naive_greedy_increase(h.num_vertices, edges, start, steps)
+        if trace is None:
+            with pytest.raises(NoDisjointEdgeError) as err:
+                greedy_increase(h, start, steps)
+            assert (err.value.subset, err.value.witness_coloring) == (final, last)
+            return False
+        res = greedy_increase(h, start, steps)
+        assert [(s.added_vertex, s.disjoint_edge, s.count_before, s.count_after) for s in res.steps] == trace
+        assert (res.final_set, res.fraction) == (final, last)
+        return True
+
+    def test_agrees_with_the_set_scan_rule(self):
+        # Random subfamilies of two intersecting families, grown from
+        # non-empty start sets; some runs end with every edge met.
+        outer = compose(fano(), complete_subsets(5, 3))
+        rng = random.Random(21)
+        ended = 0
+        for h in (complete_subsets(5, 3), outer):
+            for _ in range(40):
+                masks = rng.sample(h.edge_masks, rng.randint(2, min(h.num_edges, 300)))
+                sub = Hypergraph.from_masks(h.num_vertices, masks)
+                k = masks[0].bit_count()
+                start = rng.sample(sub.edge_vertices(rng.randrange(len(masks))), rng.randint(1, k - 1))
+                ended += not self.check_against_rule(sub, start, rng.randint(0, k - len(start)))
+        assert 0 < ended < 80
+
+    def test_agrees_with_the_set_scan_rule_on_a_star(self):
+        # Every edge of the star holds vertex 0, so growth stops once the set holds it.
+        star = Hypergraph(5, [e for e in complete_subsets(5, 3).edges() if 0 in e])
+        assert not self.check_against_rule(star, [0], 1)
+        assert self.check_against_rule(star, [1], 1)
+        assert not self.check_against_rule(star, [1], 2)
+
+    @pytest.mark.parametrize("start", [{-1}, {7}, {0, 9}])
+    def test_start_vertex_out_of_range(self, fano_h, start):
+        with pytest.raises(OutOfRangeVertexError, match=r"valid range is \[0, 7\)$"):
+            greedy_increase(fano_h, start, 1)
 
     def test_step_out_of_range(self, fano_h):
         with pytest.raises(StepOutOfRangeError):
