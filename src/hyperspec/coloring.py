@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 DEFAULT_NODE_BUDGET = 10**8
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
 
 
 class ColorStatus(str, enum.Enum):
@@ -136,14 +137,20 @@ def monochromatic_edge(h: Hypergraph, coloring: Sequence[int]) -> Optional[int]:
         raise LengthMismatchError(
             f"coloring has {len(coloring)} entries, hypergraph has {h.num_vertices} vertices"
         )
-    color_masks: dict[int, int] = {}
+    digits = {c: bytearray(b"0" * len(coloring)) for c in set(coloring)}  # a binary digit per vertex, vertex 0 first
     for v, c in enumerate(coloring):
-        color_masks[c] = color_masks.get(c, 0) | (1 << v)
+        digits[c][v] = 49  # b"1"
+    color_masks = {c: int(d[::-1], 2) for c, d in digits.items()}
     for i, m in enumerate(h.edge_masks):
         first = (m & -m).bit_length() - 1
         if m & color_masks[coloring[first]] == m:
             return i
     return None
+
+
+def _bits(mask: int, n: int) -> tuple[int, ...]:
+    """Bits 0 to n - 1 of ``mask`` < 2^n in O(n): the digits after bit n's leading 1, reversed."""
+    return tuple(format(mask | 1 << n, "b")[:0:-1].encode().translate(_DIGIT_VALUES))
 
 
 def find_2_coloring(
@@ -165,7 +172,6 @@ def find_2_coloring(
 def _dpll(h: Hypergraph, budget: Budget) -> ColorResult:
     """:func:`find_2_coloring`'s search, drawing on (and reporting) ``budget``."""
     n = h.num_vertices
-    bits = [1 << v for v in range(n)]
     vert_edges: list[list[int]] = [[] for _ in range(n)]
     for m in h.edge_masks:
         for v in vertices_of(m):
@@ -176,7 +182,7 @@ def _dpll(h: Hypergraph, budget: Budget) -> ColorResult:
         # Color v with c in ``col`` and close under propagation; False on a
         # monochromatic edge. Forcing adds only vertices of color 1 - c, so
         # ``free`` (the vertices not colored c) holds for a whole scan.
-        col[c] |= bits[v]
+        col[c] |= 1 << v
         queue = [(v, c)]
         for v, c in queue:
             free = ~col[c]
@@ -201,7 +207,7 @@ def _dpll(h: Hypergraph, budget: Budget) -> ColorResult:
     pos = 0
     while True:
         assigned = col[0] | col[1]
-        while pos < n and assigned & bits[order[pos]]:
+        while pos < n and assigned >> order[pos] & 1:
             pos += 1
         if pos == n:
             status = ColorStatus.COLORABLE
@@ -233,7 +239,7 @@ def _dpll(h: Hypergraph, budget: Budget) -> ColorResult:
 
     witness = None
     if status is ColorStatus.COLORABLE:
-        witness = tuple(1 if col[1] & b else 0 for b in bits)
+        witness = _bits(col[1], n)
         if monochromatic_edge(h, witness) is not None:
             raise AssertionError("solver produced an improper coloring")
     return ColorResult(status, witness, budget.spent, budget.tripped)
@@ -315,10 +321,10 @@ def _module_traces(
     return sorted(map(vertices_of, traces))
 
 
-def _quotient(h: Hypergraph, rep: np.ndarray, gone: np.ndarray, origins: list[int]) -> tuple[Hypergraph, tuple[int, ...]]:
+def _quotient(h: Hypergraph, rep: np.ndarray, gone: np.ndarray) -> tuple[Hypergraph, list[int]]:
     """``h`` without the edges on a vertex v with ``gone[v]``, every vertex v
     renamed ``rep[v]``, and the vertices left in some edge renumbered in
-    order; returns it with the ``origins`` of its vertices."""
+    order; returns it with the vertices of ``h`` that it kept, in order."""
     n = h.num_vertices
     index = vertex_index(h)
     rows = np.sort(rep[index[~gone[index].any(axis=1)]], axis=1)
@@ -332,7 +338,7 @@ def _quotient(h: Hypergraph, rep: np.ndarray, gone: np.ndarray, origins: list[in
     rank = np.full(n + 1, n)
     rank[used] = np.arange(len(used))
     quotient = Hypergraph(len(used), (row[row < n].tolist() for row in rank[rows]))
-    return quotient, tuple(origins[v] for v in used.tolist())
+    return quotient, used.tolist()
 
 
 def decide_2_coloring(
@@ -354,11 +360,13 @@ def decide_2_coloring(
     ``find_2_coloring``'s answer with ``method`` "dpll" and no certificate.
     """
     budget = Budget(budget_nodes, budget_ms)
+    # origins[v]: the input vertices that vertex v of ``current`` stands for;
+    # None while ``current`` is the input, whose vertex v stands for 1 << v.
+    current, origins = h, None
 
     def union(vertices: Iterable[int]) -> int:
-        return sum(origins[v] for v in vertices)  # origins are disjoint, so the sum is the union
+        return sum(1 << v if origins is None else origins[v] for v in vertices)  # disjoint: the sum is the union
 
-    current, origins = h, tuple(1 << v for v in range(h.num_vertices))
     rounds: list[tuple[Module, ...]] = []
     ones = 0  # input vertices colored 1 by the dropped modules
     while True:
@@ -384,7 +392,7 @@ def decide_2_coloring(
             break
         rep = np.arange(current.num_vertices + 1)
         gone = np.zeros(current.num_vertices + 1, dtype=bool)
-        merged = list(origins)
+        merged: dict[int, int] = {}  # the origins of the contracted modules' vertices
         modules = []
         for verts, traces in found:
             local = {v: i for i, v in enumerate(verts)}
@@ -400,7 +408,8 @@ def decide_2_coloring(
                 rep[list(verts)] = verts[0]
                 merged[verts[0]] = modules[-1].vertices
         rounds.append(tuple(modules))
-        current, origins = _quotient(current, rep, gone, merged)
+        current, kept = _quotient(current, rep, gone)
+        origins = tuple(merged[v] if v in merged else union([v]) for v in kept)
 
     res = _dpll(current, budget)
     if not rounds or res.status is ColorStatus.UNKNOWN:
@@ -409,7 +418,7 @@ def decide_2_coloring(
     witness = None
     if res.status is ColorStatus.COLORABLE:
         ones |= union(v for v, c in enumerate(res.coloring) if c)
-        witness = tuple(ones >> v & 1 for v in range(h.num_vertices))
+        witness = _bits(ones, h.num_vertices)
         if monochromatic_edge(h, witness) is not None:
             raise AssertionError("module lift produced an improper coloring")
     certificate = ModuleCertificate(tuple(rounds), current, origins)

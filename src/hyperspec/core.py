@@ -9,7 +9,10 @@ vertices, by sorting the pair ids that each vertex's edge list gives; the
 kernel takes that path when ``SHARED_VERTEX_COST`` times the incidences Σ|e|
 plus the co-incidences Σ_v C(deg v, 2) is below the word scan's
 pairs × (words + 1), and the incidence arrays, at ``SHARED_VERTEX_BYTES``
-each, fit in the packed words plus one block.
+each, fit in the packed words plus one block. That count and the per-vertex
+views (:func:`vertex_index`, :func:`vertex_edges`, :func:`vertex_edge_masks`)
+read one incidence list of vertex ids in CSR form, which one blocked unpack of
+the packed words builds (:func:`_incidences`) and a hypergraph caches.
 All averaging is exact (``fractions.Fraction``), never floating point.
 
 Edge-index sets and vertex sets are plain iterables of ints; functions
@@ -25,10 +28,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import chain, combinations, product, starmap
 from math import comb
-from operator import and_, lt, or_
+from operator import and_, lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -299,32 +301,35 @@ def pair_size_counts(masks: Sequence[int], other: Optional[Sequence[int]] = None
     the pairs i < j of ``masks`` or, given ``other``, all of masks x other.
     Within one list, the numpy path counts through shared vertices when the
     incidences and co-incidences are few next to the word scan's work and
-    memory (:func:`_shared_vertex_cheaper`)."""
+    memory (:func:`_shared_vertex_list`)."""
     sizes = _py_sizes(masks, other)
     if sizes is not None:
         return dict(sorted(Counter(sizes).items()))
     width = max(chain(masks, other or ())).bit_length()
     rows = pack_words(masks, width)
-    if other is None and _shared_vertex_cheaper(masks, rows, width):
-        del rows  # freed: the shared-vertex count reads the masks, not the words
-        return _shared_vertex_counts(masks, width)
+    listed = _shared_vertex_list(masks, rows, width) if other is None else None
+    if listed is not None:
+        del rows  # freed: the shared-vertex count reads the incidence list, not the words
+        return _shared_vertex_counts(*listed, width)
     return _word_scan_counts(rows, None if other is None else pack_words(other, width), width)
 
 
-def _shared_vertex_cheaper(masks: Sequence[int], rows: np.ndarray, width: int) -> bool:
-    """True when the shared-vertex count's incidence arrays, at
-    ``SHARED_VERTEX_BYTES`` per incidence, fit in the packed ``rows`` plus a
-    block, and ``SHARED_VERTEX_COST`` times the incidences Σ|e| plus the
-    co-incidences Σ_v C(deg v, 2) is below the word scan's pairs × (words + 1).
-    The co-incidences are counted only when their convexity bound over the
-    ``width`` vertices, Σ|e|·(Σ|e| − width) / (2·width), leaves the choice open."""
+def _shared_vertex_list(masks: Sequence[int], rows: np.ndarray, width: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The :func:`_incidences` of ``masks`` if the shared-vertex count's
+    arrays, at ``SHARED_VERTEX_BYTES`` per incidence, fit in the packed
+    ``rows`` plus a block, and ``SHARED_VERTEX_COST`` times the incidences Σ|e|
+    plus the co-incidences Σ_v C(deg v, 2) is below the word scan's
+    pairs × (words + 1); else None. The list, which gives the degrees, is built
+    only if the convexity bound Σ|e|·(Σ|e| − width) / (2·width) leaves it open."""
     budget = comb(len(masks), 2) * (rows.shape[1] + 1)
     incidences = sum(map(int.bit_count, masks))
     if SHARED_VERTEX_BYTES * incidences > rows.nbytes + BLOCK_BYTES:
-        return False
+        return None
     if SHARED_VERTEX_COST * (incidences + incidences * (incidences - width) // (2 * max(1, width))) >= budget:
-        return False
-    return SHARED_VERTEX_COST * (incidences + _co_incidences(rows)) < budget
+        return None
+    listed = _incidences(masks, width)
+    deg = np.bincount(listed[1])
+    return listed if SHARED_VERTEX_COST * (incidences + int(deg @ (deg - 1)) // 2) < budget else None
 
 
 def _word_scan_counts(rows: np.ndarray, cols: Optional[np.ndarray], width: int) -> dict[int, int]:
@@ -335,36 +340,18 @@ def _word_scan_counts(rows: np.ndarray, cols: Optional[np.ndarray], width: int) 
     return {size: c for size, c in enumerate(total.tolist()) if c}
 
 
-def _co_incidences(rows: np.ndarray) -> int:
-    """Σ_v C(deg v, 2) over the bits v of packed word rows, the degrees
-    counted in blocks of words of about ``BLOCK_BYTES`` unpacked bits."""
-    step = max(1, BLOCK_BYTES // (64 * max(1, len(rows))))
-    co = 0
-    for w0 in range(0, rows.shape[1], step):
-        bits = np.unpackbits(rows[:, w0 : w0 + step].view(np.uint8), axis=1, bitorder="little")
-        deg = np.add.reduce(bits, axis=0, dtype=np.int32).astype(np.int64)  # an int32 sum is twice as fast
-        co += int(deg @ (deg - 1)) // 2
-    return co
-
-
-def _shared_vertex_counts(masks: Sequence[int], width: int) -> dict[int, int]:
-    """:func:`pair_size_counts` of the pairs a < b of ``masks`` by their shared
-    vertices: each vertex's ascending edge list gives the pair ids a·m + b,
-    and after a sort, the length of a pair's run of equal ids is its
-    intersection size. The incidences are listed edge by edge without
-    padding, and the ids are formed and sorted in blocks of about
-    ``BLOCK_BYTES // 24`` ids, cut between first edges a, so that each pair's
-    run lies in one block. The pairs that share no vertex have size 0."""
-    m = len(masks)
-    sizes = list(map(int.bit_count, masks))
-    first = np.zeros(m + 1, dtype=np.int64)  # first[a]: edge a's first incidence
-    np.cumsum(sizes, out=first[1:])
-    vertex = np.empty(first[m], dtype=np.intp)
-    for i0, _, cols in _incidence_blocks(masks, width, max(sizes) or 1):
-        vertex[first[i0] : first[i0] + len(cols)] = cols
-    pos = np.int32 if len(vertex) < 2**31 else np.intp
-    vertex, order = _by_vertex(vertex)
-    edge = np.repeat(np.arange(m, dtype=pos), sizes)[order]  # edge of each incidence, vertex by vertex
+def _shared_vertex_counts(offsets: np.ndarray, vertices: np.ndarray, width: int) -> dict[int, int]:
+    """:func:`pair_size_counts` of the pairs a < b of the edges that the
+    incidence list ``(offsets, vertices)`` holds, by their shared vertices:
+    each vertex's ascending edge list gives the pair ids a·m + b, and after a
+    sort, the length of a pair's run of equal ids is its intersection size.
+    The ids are formed and sorted in blocks of about ``BLOCK_BYTES // 24``
+    ids, cut between first edges a, so that each pair's run lies in one
+    block. The pairs that share no vertex have size 0."""
+    m = len(offsets) - 1
+    pos = np.int32 if len(vertices) < 2**31 else np.intp
+    order, edge = _by_vertex(offsets, vertices, pos)
+    vertex = vertices[order]
     # tail[q]: how many later edges share incidence q's vertex
     tail = np.searchsorted(vertex, vertex, side="right")
     tail -= np.arange(1, len(vertex) + 1)
@@ -374,14 +361,14 @@ def _shared_vertex_counts(masks: Sequence[int], width: int) -> dict[int, int]:
     del vertex, order
     ends = np.zeros(len(at) + 1, dtype=np.int64)
     np.cumsum(tail[at], out=ends[1:])
-    ends = ends[first]  # ends[a]: how many ids have a first edge before a
+    ends = ends[offsets]  # ends[a]: how many ids have a first edge before a
     runs = np.zeros(width + 1, dtype=np.int64)
     distinct = 0
     step = max(1, BLOCK_BYTES // 24)  # bytes of temporaries per id
     a0 = 0
     while ends[a0] < ends[m]:
         a1 = max(a0 + 1, int(np.searchsorted(ends, ends[a0] + step, side="right")) - 1)
-        q = at[first[a0] : first[a1]]
+        q = at[offsets[a0] : offsets[a1]]
         lens = tail[q]
         count = int(ends[a1] - ends[a0])
         kind = np.int32 if (a1 - a0) * m < 2**31 else np.int64
@@ -425,82 +412,85 @@ def row_masks(flags: np.ndarray) -> list[int]:
     return [int.from_bytes(bits.tobytes(), "little") for bits in np.packbits(flags, axis=1, bitorder="little")]
 
 
-def _incidence_blocks(masks: Sequence[int], n: int, widest: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """``(i0, rows, cols)`` per block of edges from i0: the set bits of the
-    masks, edge by edge and ascending, as edge ``i0 + rows`` on vertex
-    ``cols``, from the packed words unpacked in blocks of about
-    ``BLOCK_BYTES`` (``widest`` bounds each edge's size)."""
-    step = max(1, BLOCK_BYTES // (n + 32 * widest))  # a byte per bit, 32 per set bit's indices
+# -- the incidence list: every per-vertex view of the edges -------------
+
+
+def _incidences(masks: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, vertices)``: edge i's vertices, ascending, are
+    ``vertices[offsets[i]:offsets[i + 1]]`` (CSR form). The only unpack of
+    edge words into vertex ids, in blocks of edges of about ``BLOCK_BYTES``
+    unpacked bits, each read with ``flatnonzero`` and freed before the next."""
+    sizes = list(map(int.bit_count, masks))
+    offsets = np.zeros(len(masks) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offsets[1:])
+    vertices = np.empty(offsets[-1], dtype=np.intp)
+    step = max(1, BLOCK_BYTES // (n + 8 * max(sizes, default=1)))  # a byte per bit, 8 per set bit's index
     for i0 in range(0, len(masks), step):
         bits = np.unpackbits(pack_words(masks[i0 : i0 + step], n).view(np.uint8), axis=1, count=n, bitorder="little")
-        yield (i0, *np.divmod(np.flatnonzero(bits.view(bool)), n))
+        found = np.flatnonzero(bits.view(bool))
+        del bits
+        np.remainder(found, n, out=vertices[offsets[i0] : offsets[i0] + len(found)])
+    return offsets, vertices
 
 
-def _vertex_rows(masks: Sequence[int], n: int) -> np.ndarray:
-    """The rows of :func:`vertex_index` for ``masks`` over n vertices."""
-    width = max(map(int.bit_count, masks), default=0) or 1
-    out = np.full((len(masks), width), n, dtype=np.intp)
-    for i0, rows, cols in _incidence_blocks(masks, n, width):
-        counts = np.bincount(rows)
-        out[i0 + rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]] = cols
-    return out
+def _edge_incidences(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_incidences` of ``h``'s edges, cached on ``h``."""
+    if "incidences" not in h._cache:
+        h._cache["incidences"] = _incidences(h.edge_masks, h.num_vertices)
+    return h._cache["incidences"]
 
 
 def vertex_index(h: Hypergraph) -> np.ndarray:
     """``(m, w)`` intp array whose row i lists the vertices of edge i in
     ascending order, padded with ``h.num_vertices`` to the widest edge's
-    size w (at least 1). Built from the packed edge words (unpackbits, then
-    nonzero) in edge blocks of about ``BLOCK_BYTES``, and cached on ``h``."""
+    size w (at least 1): the incidence list laid out in rows, cached on ``h``."""
     cached = h._cache.get("vertex_index")
     if cached is None:
-        cached = _vertex_rows(h.edge_masks, h.num_vertices)
+        offsets, vertices = _edge_incidences(h)
+        sizes = np.diff(offsets)
+        cached = np.full((h.num_edges, max(1, sizes.max(initial=0))), h.num_vertices, dtype=np.intp)
+        cached[np.arange(cached.shape[1]) < sizes[:, None]] = vertices  # row by row, as listed
         cached.flags.writeable = False
         h._cache["vertex_index"] = cached
     return cached
 
 
-def _by_vertex(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(vertex, order)``: the vertices ``flat[order]`` of incidences listed
-    edge by edge, stably sorted, so each vertex's edges come in ascending
-    order (and a :func:`vertex_index` padding comes last)."""
-    # Unique keys (entry, position) make the default sort stable, and it
-    # takes a third of the time of kind="stable".
-    order = np.argsort(flat * flat.size + np.arange(flat.size))
-    return flat[order], order
+def _by_vertex(offsets: np.ndarray, vertices: np.ndarray, dtype=np.intp) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, edge)``: the incidence list's stable sort by vertex, and each
+    incidence's edge (of ``dtype``) in that order. Unique keys (vertex,
+    position) make the default sort stable, at a third of kind="stable"'s time."""
+    order = np.argsort(vertices * len(vertices) + np.arange(len(vertices)))
+    return order, np.repeat(np.arange(len(offsets) - 1, dtype=dtype), np.diff(offsets))[order]
 
 
 def vertex_edges(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """``(start, edges)``: the edges on vertex v, ascending, are
-    ``edges[start[v]:start[v + 1]]``."""
-    index = vertex_index(h)
-    vertex, order = _by_vertex(index.ravel())
-    start = np.searchsorted(vertex, np.arange(h.num_vertices + 1))
-    return start, order[: start[-1]] // index.shape[1]
+    ``edges[start[v]:start[v + 1]]``, from the incidence list sorted by vertex."""
+    offsets, vertices = _edge_incidences(h)
+    start = np.bincount(vertices + 1, minlength=h.num_vertices + 1).cumsum()
+    return start, _by_vertex(offsets, vertices)[1]
 
 
 def vertex_edge_masks(h: Hypergraph) -> tuple[int, ...]:
     """For each vertex v, the bitmask of the edges on v (bit i set iff edge i
     contains v): the transpose of ``h.edge_masks``, cached on ``h``. Built
-    without a sort, from the packed edge words in blocks of a multiple of 8
-    edges and about ``BLOCK_BYTES`` unpacked bits, so no m x n byte array is
-    built, and with one ``int.from_bytes`` per vertex of some edge."""
+    without a sort: each block of a multiple of 8 edges is scattered from the
+    incidence list into n bool rows of about ``BLOCK_BYTES`` in all, packed."""
     cached = h._cache.get("vertex_edge_masks")
     if cached is None:
-        n, masks = h.num_vertices, h.edge_masks
+        n, m = h.num_vertices, h.num_edges
+        offsets, vertices = _edge_incidences(h)
         step = 8 * max(1, BLOCK_BYTES // (8 * max(1, n)))
-        rows = np.empty((n, -(-len(masks) // 8)), dtype=np.uint8)  # row v: the edges on v, 8 to a byte
-        for i0 in range(0, len(masks), step):
-            chunk = masks[i0 : i0 + step]
-            columns = np.ascontiguousarray(pack_words(chunk + (0,) * (-len(chunk) % 8), n).view(np.uint8).T)
-            # Unpacking the byte columns gives each vertex's row of edges. The
-            # rows are a multiple of 8 long, so one flat pack (fast, where a
-            # pack along an axis pays per row) keeps them apart.
-            bits = np.unpackbits(columns, axis=0, count=n, bitorder="little")
-            width = bits.shape[1] // 8
-            rows[:, i0 // 8 : i0 // 8 + width] = np.packbits(bits.reshape(-1), bitorder="little").reshape(n, width)
-            del bits  # freed before the next block is unpacked
+        rows = np.empty((n, -(-m // 8)), dtype=np.uint8)  # row v: the edges on v, 8 to a byte
+        for i0 in range(0, m, step):
+            sizes = np.diff(offsets[i0 : i0 + step + 1])
+            bits = np.zeros((n, 8 * -(-len(sizes) // 8)), dtype=bool)
+            bits[vertices[offsets[i0] : offsets[i0 + len(sizes)]], np.repeat(np.arange(len(sizes)), sizes)] = True
+            # The rows, a multiple of 8 long, stay apart in one flat pack (fast, where one along an axis pays per row).
+            rows[:, i0 // 8 : (i0 + step) // 8] = np.packbits(bits.reshape(-1), bitorder="little").reshape(n, -1)
+            del bits  # freed before the next block is scattered
         out = [0] * n
-        for v in vertices_of(reduce(or_, masks, 0)):
+        for v in np.flatnonzero(np.bincount(vertices, minlength=n)).tolist():
             out[v] = int.from_bytes(rows[v].tobytes(), "little")
         cached = h._cache["vertex_edge_masks"] = tuple(out)
     return cached

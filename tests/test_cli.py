@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,23 @@ class TestColor:
         payload = json.loads(stdout)
         assert (payload["status"], payload["nodes"], payload["method"], payload["certificate"]) == (
             "not_colorable", 4, "dpll", None)
+
+    def test_memory_linear_in_declared_vertices(self, tmp_path, capsys):
+        # Two edges over 20,000 vertices: a mask per declared vertex, in the
+        # solver and in the module layer, takes about n²/8 bytes (50 MB here);
+        # the answer needs a few MB.
+        path = tmp_path / "sparse.hg"
+        path.write_text("20000 2\n0 1\n1 2\n")
+        tracemalloc.start()
+        try:
+            code, stdout, _ = run_cli(["color", str(path)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = json.loads(stdout)
+        assert (code, payload["status"], len(payload["coloring"])) == (0, "colorable", 20000)
+        assert oracles.mono_edge_count([{0, 1}, {1, 2}], payload["coloring"]) == 0
+        assert peak < 10 * 2**20
 
     def test_colorable_without_vertices(self, tmp_path, capsys):
         # The witness of a 0-vertex input is the empty coloring, not null.

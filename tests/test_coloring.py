@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import product
 from math import comb
 
@@ -57,6 +58,19 @@ class TestMonochromaticEdge:
     def test_length_mismatch(self, fano_h):
         with pytest.raises(LengthMismatchError):
             monochromatic_edge(fano_h, [0, 1])
+
+    def test_time_linear_in_vertices(self):
+        # Two edges over 10^6 vertices. Building a color's mask one vertex at
+        # a time costs about n²/128 word operations: seconds here.
+        n = 10**6
+        h = new_hypergraph(n, [[0, n - 1], [1, n - 2]])
+        colors = [0] * n
+        colors[n - 1] = 1
+        started = time.monotonic()
+        assert monochromatic_edge(h, colors) == 1
+        colors[n - 1] = 0
+        assert monochromatic_edge(h, colors) == 0
+        assert time.monotonic() - started < 3.0
 
 
 class TestFind2Coloring:

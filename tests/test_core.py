@@ -328,6 +328,36 @@ class TestSpectrum:
             counts = pair_size_counts(wide.edge_masks)
         assert counts == core._word_scan_counts(pack_words(wide.edge_masks, 400), None, 400)
 
+    def test_shared_path_lists_incidences_once(self, itf2, monkeypatch):
+        """The shared-vertex count reads the same incidence list that decided
+        the path, the convexity bound settles itf2 without one, and a family
+        whose degrees the bound underrates takes the word scan."""
+        calls = []
+        incidences = core._incidences
+
+        def counted(masks, n):
+            calls.append(n)
+            return incidences(masks, n)
+
+        def refuse(*args):
+            raise AssertionError("the shared-vertex count ran")
+
+        monkeypatch.setattr(core, "_incidences", counted)
+        pair_size_counts(itf2.edge_masks)
+        assert calls == []
+        sparse = random_uniform(400, 8, 600, seed=3)
+        counts = pair_size_counts(sparse.edge_masks)
+        assert calls == [400]
+        assert counts == oracles.naive_spectrum(list(sparse.edges()))
+        # Ten vertices on all 2000 edges: 8·Σ_v C(deg v, 2) is about 1.6·10^8,
+        # over the word scan's 1.3·10^8, while the convexity bound gives 7·10^5.
+        rng = random.Random(2)
+        cored = list({mask_of(range(10)) | mask_of(rng.sample(range(10, 4000), 2)) for _ in range(2000)})
+        monkeypatch.setattr(core, "_shared_vertex_counts", refuse)
+        counts = pair_size_counts(cored)
+        assert calls == [400, 4000]
+        assert set(counts) <= {10, 11, 12} and sum(counts.values()) == comb(len(cored), 2)
+
     def test_one_wide_edge_among_small_ones(self, monkeypatch):
         """An edge on every vertex among small edges keeps memory at block
         scale: the shared-vertex count lists incidences without padding rows
@@ -394,10 +424,14 @@ class TestVertexIndex:
         edges.add(frozenset(range(n)))
         h = Hypergraph(n, sorted(sorted(e) for e in edges))
         expected = [list(h.edge_vertices(i)) + [n] * (n - len(h.edge_vertices(i))) for i in range(h.num_edges)]
-        # A cap of one byte builds the index one edge at a time.
+        listed = [sorted(e) for e in h.edges()]
+        # A cap of one byte builds the incidence list one edge at a time.
         for cap in (1, 4096, core.BLOCK_BYTES):
             monkeypatch.setattr(core, "BLOCK_BYTES", cap)
             fresh = Hypergraph(n, h.edges())
+            offsets, vertices = core._edge_incidences(fresh)
+            assert [vertices[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])] == listed
+            assert offsets[0] == 0 and offsets[-1] == len(vertices)
             index = core.vertex_index(fresh)
             assert index.dtype == np.intp and index.tolist() == expected
             assert core.vertex_index(fresh) is index and not index.flags.writeable
@@ -405,6 +439,22 @@ class TestVertexIndex:
             assert [by_vertex[start[v] : start[v + 1]].tolist() for v in range(n)] == [
                 [i for i, e in enumerate(fresh.edges()) if v in e] for v in range(n)
             ]
+            assert core.vertex_edge_masks(fresh) == oracles.naive_vertex_edge_masks(n, listed)
+
+    def test_list_build_holds_one_block(self):
+        # 40 three-vertex edges over 10^5 vertices: each block of 10 edges
+        # unpacks to 1 MB, freed before the next one is unpacked.
+        rng = random.Random(4)
+        n = 10**5
+        masks = [mask_of(rng.sample(range(n), 3)) for _ in range(40)]
+        tracemalloc.start()
+        try:
+            offsets, vertices = core._incidences(masks, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [vertices[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])] == [list(vertices_of(m)) for m in masks]
+        assert peak < 1.5 * core.BLOCK_BYTES
 
     def test_no_edges(self):
         assert core.vertex_index(Hypergraph(0, [])).shape == (0, 1)
