@@ -61,6 +61,7 @@ __all__ = [
     "intersection_sizes",
     "pair_size_counts",
     "pair_size_total",
+    "pair_size_totals",
     "pair_adjacency",
     "row_masks",
     "vertex_index",
@@ -258,6 +259,8 @@ SHARED_VERTEX_BYTES = 40
 def pack_words(masks: Sequence[int], width: int) -> np.ndarray:
     """Masks as a ``(len(masks), ceil(width / 64))`` uint64 array, low word first."""
     nwords = max(1, -(-width // 64))
+    if nwords == 1:  # one conversion, several times faster than the byte join
+        return np.array(masks, dtype="<u8").reshape(len(masks), 1)
     buf = b"".join(m.to_bytes(8 * nwords, "little") for m in masks)
     return np.frombuffer(buf, dtype="<u8").reshape(len(masks), nwords)
 
@@ -397,6 +400,19 @@ def pair_size_total(masks: Sequence[int], other: Optional[Sequence[int]] = None)
     if sizes is not None:
         return sum(sizes)
     return sum(size * c for size, c in pair_size_counts(masks, other).items())
+
+
+def pair_size_totals(rows: np.ndarray, cols: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`pair_size_total` of each list of zero-padded ``(lists, edges,
+    words)`` word rows, as int64: over the pairs i < j of ``rows[l]`` or, given
+    ``cols``, all of ``rows[l]`` x ``cols[l]``. Padding edges add nothing. All
+    lists at once, in ``9 * edges * edges' * words`` temporary bytes per list."""
+    ordered = np.bitwise_count(rows[:, :, None] & (rows if cols is None else cols)[:, None])
+    total = ordered.reshape(len(rows), -1).sum(axis=1, dtype=np.int64)
+    if cols is None:  # the ordered pairs count each pair twice, and each edge with itself
+        total -= np.bitwise_count(rows).reshape(len(rows), -1).sum(axis=1, dtype=np.int64)
+        total //= 2
+    return total
 
 
 def pair_adjacency(masks: Sequence[int], lam: int) -> list[int]:

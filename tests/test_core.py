@@ -416,6 +416,22 @@ class TestIntersectionSizes:
         assert intersection_sizes(rows, cols[:0]).shape == (len(row_masks), 0)
 
 
+class TestPairSizeTotals:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 257])
+    def test_matches_pair_size_total_per_list(self, n):
+        rng = random.Random(n)
+        lists = [[rng.getrandbits(n) for _ in range(rng.randint(0, 9))] for _ in range(6)] + [[(1 << n) - 1] * 3]
+        others = [[rng.getrandbits(n) for _ in range(rng.randint(0, 5))] for _ in lists]
+
+        def padded(mask_lists):
+            edges = max(map(len, mask_lists))
+            return pack_words([m for ms in mask_lists for m in ms + [0] * (edges - len(ms))], n).reshape(len(mask_lists), edges, -1)
+
+        rows, cols = padded(lists), padded(others)
+        assert core.pair_size_totals(rows).tolist() == [core.pair_size_total(ms) for ms in lists]
+        assert core.pair_size_totals(rows, cols).tolist() == [core.pair_size_total(a, b) for a, b in zip(lists, others)]
+
+
 class TestVertexIndex:
     @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130, 400])
     def test_rows_list_vertices_padded_with_n(self, n, monkeypatch):

@@ -16,10 +16,12 @@ from hyperspec import (
     new_hypergraph,
     validate_lambda_pair,
 )
+from hyperspec import lemmas
 from hyperspec.errors import (
     MismatchedEdgeCountError,
     MismatchedVertexCountError,
     NoDisjointEdgeError,
+    NonUniformError,
     OutOfRangeVertexError,
     OverlappingSetsError,
     SizeMismatchError,
@@ -28,11 +30,12 @@ from hyperspec.errors import (
     WitnessViolationError,
 )
 from hyperspec.lemmas import (
+    InequalityReport,
     planted_average_instance,
     random_pair_instance,
     run_lemma_suite,
 )
-from hyperspec.rng import substream
+from hyperspec.rng import distinct_subsets, substream
 
 import oracles
 
@@ -112,6 +115,11 @@ class TestAverageLambda:
         with pytest.raises(WitnessViolationError):
             # vertex 0 appears in a T edge
             check_average_lambda(h, [0, 1], [2, 3], [0])
+
+    @pytest.mark.parametrize("w", [[-1], [99], [0, 7]])
+    def test_witness_vertex_out_of_range(self, fano_h, w):
+        with pytest.raises(OutOfRangeVertexError, match=rf"^vertex {w[-1]} out of range, valid range is \[0, 7\)$"):
+            check_average_lambda(fano_h, [0, 1], [2, 3], w)
 
     def test_overlap_and_index_errors(self, fano_h):
         with pytest.raises(OverlappingSetsError, match=r"^sets share edges \[1\]$"):
@@ -267,13 +275,144 @@ class TestSuiteRunner:
 
     @pytest.mark.parametrize(
         "seed, instances, pair_worst, average_worst",
-        [(1, 2000, "0", "5/36"), (5, 30, "0", "11/30"), (12, 25, "1", "83/100")],
+        [
+            (1, 2000, "0", "5/36"),
+            (5, 30, "0", "11/30"),
+            (12, 25, "1", "83/100"),
+            (4002, 2000, "0", "11/50"),
+            (4002, 1, "59", "3"),
+            (1, 0, "None", "None"),  # the CLI refuses 0 instances; the library reports no worst slack
+            # Around the 64-instance chunk edge: the pair suite's least slack
+            # falls at instance 63 (seed 112), the last of a chunk, and at
+            # instance 64 (seed 440), the first of the next.
+            (112, 63, "1/2", "13/36"),
+            (112, 64, "0", "13/36"),
+            (112, 65, "0", "13/36"),
+            (440, 63, "1/2", "67/180"),
+            (440, 64, "1/2", "67/180"),
+            (440, 65, "0", "67/180"),
+        ],
     )
     def test_worst_slacks_pinned(self, seed, instances, pair_worst, average_worst):
         res = run_lemma_suite(seed, instances)
         assert res["pair_inequality"] == {"pass": instances, "fail": 0, "worst_slack": pair_worst}
         assert res["average_lambda"] == {"pass": instances, "fail": 0, "worst_slack": average_worst}
         assert res["greedy_increase"] == {"pass": 4, "fail": 0}
+
+
+class TestBatchedSuite:
+    """The suite's numpy chunks against the public checkers."""
+
+    SUITES = {
+        "pair": ("suite/pair-inequality", check_pair_inequality, "_pair_slacks", lambda rng, i: random_pair_instance(rng)),
+        "average": (
+            "suite/average-lambda",
+            check_average_lambda,
+            "_average_slacks",
+            lambda rng, i: planted_average_instance(rng, x=i % 6),
+        ),
+    }
+
+    @pytest.mark.parametrize("suite", SUITES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_instance_matches_the_checker(self, suite, seed):
+        stream, checker, batch, draw = self.SUITES[suite]
+        rng = substream(seed, stream)
+        for c0 in range(0, 500, lemmas.SUITE_CHUNK):
+            chunk = [draw(rng, i) for i in range(c0, min(500, c0 + lemmas.SUITE_CHUNK))]
+            num, den = getattr(lemmas, batch)(chunk)
+            assert len(num) == len(den) == len(chunk)
+            for inst, p, q in zip(chunk, num.tolist(), den.tolist()):
+                rep = checker(*inst)
+                assert q > 0 and (Fraction(p, q), p >= 0) == (rep.slack, rep.holds)
+
+    def test_instances_of_several_words(self):
+        rng = substream(5, "unit/wide")
+        pairs, planted = [], []
+        for n in (60, 64, 65, 130, 200):
+            for k in (2, 9):
+                ell = rng.randint(1, 12)
+                pairs.append(tuple(Hypergraph.from_masks(n, distinct_subsets(rng, 0, n, k, ell)) for _ in "ab"))
+                h, s, t, w = planted_average_instance(substream(n, "wide"), x=k % 6)
+                shift = n - h.num_vertices  # the same instance, moved to the top of n vertices
+                planted.append((Hypergraph.from_masks(n, [m << shift for m in h.edge_masks]), s, t, [v + shift for v in w]))
+        for batch, checker, chunk in ((lemmas._pair_slacks, check_pair_inequality, pairs), (lemmas._average_slacks, check_average_lambda, planted)):
+            num, den = batch(chunk)
+            assert [(Fraction(p, q), p >= 0) for p, q in zip(num.tolist(), den.tolist())] == [
+                (rep.slack, rep.holds) for rep in (checker(*inst) for inst in chunk)
+            ]
+
+    def test_degree_route_disagreement_raises(self, monkeypatch):
+        unpack = lemmas._vertex_degrees
+
+        def one_extra_incidence(rows):
+            deg = unpack(rows)
+            deg[:, 0] += 1
+            return deg
+
+        monkeypatch.setattr(lemmas, "_vertex_degrees", one_extra_incidence)
+        with pytest.raises(AssertionError, match="degree-count"):
+            run_lemma_suite(3, 10)
+
+    @pytest.mark.parametrize("name", ["check_pair_inequality", "check_average_lambda"])
+    def test_each_chunk_spot_checks_the_public_checker(self, monkeypatch, name):
+        checker = getattr(lemmas, name)
+        calls = []
+
+        def off_by_one(*inst):
+            rep = checker(*inst)
+            calls.append(rep)
+            return rep if len(calls) < 3 else InequalityReport(rep.lhs, rep.rhs, rep.holds, rep.slack + 1)
+
+        monkeypatch.setattr(lemmas, name, off_by_one)
+        with pytest.raises(AssertionError, match=f" and its batch disagree on instance {2 * lemmas.SUITE_CHUNK}$"):
+            run_lemma_suite(0, 3 * lemmas.SUITE_CHUNK)
+        assert len(calls) == 3
+
+    def test_first_invalid_instance_raises_the_checker_error(self, fano_h):
+        rng = substream(0, "suite/pair-inequality")
+        good = [random_pair_instance(rng) for _ in range(5)]
+        lopsided = new_hypergraph(7, [{0, 1}, {2, 3, 4}])
+        for pos in (0, 3):
+            with pytest.raises(NonUniformError):
+                lemmas._pair_slacks(good[:pos] + [(lopsided, lopsided)] + good[pos:])
+        wider = new_hypergraph(8, [{0, 1, 2}])
+        with pytest.raises(MismatchedVertexCountError):
+            lemmas._pair_slacks(good + [(new_hypergraph(7, [{0, 1, 2}]), wider)])
+        with pytest.raises(MismatchedEdgeCountError):
+            lemmas._pair_slacks(good + [(fano_h, new_hypergraph(7, [{0, 1, 2}]))])
+
+    @pytest.mark.parametrize(
+        "s, t, w, error",
+        [
+            ([0, 1], [2, 3], [0, 1], WitnessViolationError),  # vertex 0 is not on every line of S
+            ([0, 1], [2, 3], [-1], OutOfRangeVertexError),
+            ([0, 1], [2, 3], [99], OutOfRangeVertexError),
+            ([0, 1], [1, 2], [], OverlappingSetsError),
+            ([-1, 0], [1, 2], [0], IndexError),
+            ([0, 1], [2, 9], [], IndexError),
+            ([0, 1, 2], [3, 4], [], SizeMismatchError),
+            ([0], [1], [], TooFewEdgesError),
+        ],
+    )
+    def test_average_batch_raises_the_checker_error(self, fano_h, s, t, w, error):
+        rng = substream(0, "suite/average-lambda")
+        good = [planted_average_instance(rng, x=i % 6) for i in range(6)]
+        with pytest.raises(error) as caught:
+            lemmas._average_slacks(good + [(fano_h, s, t, w)] + good)
+        with pytest.raises(error) as direct:
+            check_average_lambda(fano_h, s, t, w)
+        assert str(caught.value) == str(direct.value)
+
+    def test_average_batch_refuses_a_non_uniform_host(self):
+        h = new_hypergraph(6, [{0, 1}, {0, 2}, {3, 4, 5}, {1, 3}])
+        with pytest.raises(NonUniformError):
+            lemmas._average_slacks([(h, [0, 1], [2, 3], [])])
+
+    def test_witness_in_a_t_edge_is_refused(self):
+        h = new_hypergraph(7, [{0, 1, 2}, {0, 1, 3}, {0, 4, 5}, {1, 4, 6}])
+        with pytest.raises(WitnessViolationError, match="T touches"):
+            lemmas._average_slacks([(h, [0, 1], [2, 3], [0])])
 
 
 class TestGeneratorsMatchOracles:
