@@ -233,8 +233,8 @@ def is_uniform(h: Hypergraph) -> Optional[int]:
     if "uniform" not in h._cache:
         if not h.edge_masks:
             raise EmptyHypergraphError("uniformity needs at least one edge")
-        k = h.edge_masks[0].bit_count()
-        h._cache["uniform"] = k if all(m.bit_count() == k for m in h.edge_masks) else None
+        sizes = set(map(int.bit_count, h.edge_masks))
+        h._cache["uniform"] = sizes.pop() if len(sizes) == 1 else None
     return h._cache["uniform"]
 
 
@@ -289,25 +289,16 @@ def _size_blocks(rows: np.ndarray, cols: Optional[np.ndarray]) -> Iterator[np.nd
         yield intersection_sizes(block, rows[i0 + len(block) :] if cols is None else cols)
 
 
-def _py_sizes(masks: Sequence[int], other: Optional[Sequence[int]]) -> Optional[Iterator[int]]:
-    """Intersection sizes of the pairs as a Python iterator, or None when
-    there are enough pairs for the numpy path."""
-    m = len(masks)
-    if (m * (m - 1) // 2 if other is None else m * len(other)) >= NUMPY_MIN_PAIRS:
-        return None
-    pairs = combinations(masks, 2) if other is None else product(masks, other)
-    return map(int.bit_count, starmap(and_, pairs))
-
-
 def pair_size_counts(masks: Sequence[int], other: Optional[Sequence[int]] = None) -> dict[int, int]:
     """Pair count per realized intersection size, ascending by size, over
     the pairs i < j of ``masks`` or, given ``other``, all of masks x other.
     Within one list, the numpy path counts through shared vertices when the
     incidences and co-incidences are few next to the word scan's work and
     memory (:func:`_shared_vertex_list`)."""
-    sizes = _py_sizes(masks, other)
-    if sizes is not None:
-        return dict(sorted(Counter(sizes).items()))
+    m = len(masks)
+    if (m * (m - 1) // 2 if other is None else m * len(other)) < NUMPY_MIN_PAIRS:
+        pairs = combinations(masks, 2) if other is None else product(masks, other)
+        return dict(sorted(Counter(map(int.bit_count, starmap(and_, pairs))).items()))
     width = max(chain(masks, other or ())).bit_length()
     rows = pack_words(masks, width)
     listed = _shared_vertex_list(masks, rows, width) if other is None else None
@@ -396,9 +387,6 @@ def _shared_vertex_counts(offsets: np.ndarray, vertices: np.ndarray, width: int)
 
 def pair_size_total(masks: Sequence[int], other: Optional[Sequence[int]] = None) -> int:
     """Sum of the intersection sizes of the pairs :func:`pair_size_counts` counts."""
-    sizes = _py_sizes(masks, other)
-    if sizes is not None:
-        return sum(sizes)
     return sum(size * c for size, c in pair_size_counts(masks, other).items())
 
 
@@ -532,8 +520,9 @@ def intersection_spectrum(h: Hypergraph) -> Spectrum:
 
 def _check_indices(h: Hypergraph, indices: Iterable[int]) -> frozenset[int]:
     s = frozenset(indices)
+    m = h.num_edges
     for i in s:
-        if not 0 <= i < h.num_edges:
+        if not 0 <= i < m:
             raise IndexError(f"edge index {i} out of range for {h!r}")
     return s
 

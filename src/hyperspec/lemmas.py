@@ -4,9 +4,10 @@ machinery, plus the greedy common-vertex growth procedure.
 Every check returns an :class:`InequalityReport` with exact rational sides;
 ``holds`` being False on valid input signals an implementation bug, and the
 randomized suites treat it as such. The checkers and the suite's batches share
-the integer sides of each inequality (:func:`_pair_sides`,
-:func:`_average_sides`); :func:`run_lemma_suite` checks its instances in numpy
-chunks of ``SUITE_CHUNK`` and puts the first of each through the checker.
+the input check (:func:`_pair_inputs`, :func:`_average_inputs`) and the integer
+sides of each inequality (:func:`_pair_sides`, :func:`_average_sides`);
+:func:`run_lemma_suite` checks its instances in numpy chunks of ``SUITE_CHUNK``
+and puts the first of each through the checker.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .core import (
 from .coloring import monochromatic_edge
 from .constructions import fano
 from .errors import (
+    InvalidParameterError,
     MismatchedEdgeCountError,
     MismatchedVertexCountError,
     NoDisjointEdgeError,
@@ -83,23 +85,11 @@ def check_pair_inequality(fam_a: Hypergraph, fam_b: Hypergraph) -> InequalityRep
     A second evaluation via per-vertex degree counts must agree exactly;
     disagreement raises, since both routes count the same quantities.
     """
-    k = is_uniform(fam_a)
-    kp = is_uniform(fam_b)
-    if k is None or kp is None:
-        raise NonUniformError("both families must be uniform")
-    if fam_a.num_vertices != fam_b.num_vertices:
-        raise MismatchedVertexCountError(
-            f"{fam_a.num_vertices} != {fam_b.num_vertices} vertices"
-        )
-    ell = fam_a.num_edges
-    if ell != fam_b.num_edges:
-        raise MismatchedEdgeCountError(f"{ell} != {fam_b.num_edges} edges")
-
+    sizes = _pair_inputs(fam_a, fam_b)
     masks_a = fam_a.edge_masks
     masks_b = fam_b.edge_masks
     within = pair_size_total(masks_a) + pair_size_total(masks_b)
     cross = pair_size_total(masks_a, masks_b)
-    sizes = ell * (k + kp)
 
     # Degree-count re-derivation of all three ingredients.
     deg_a = _degrees(masks_a, fam_a.num_vertices)
@@ -111,6 +101,21 @@ def check_pair_inequality(fam_a: Hypergraph, fam_b: Hypergraph) -> InequalityRep
         raise AssertionError("pair-sum and degree-count evaluations disagree")
 
     return _report(*_pair_sides(within, cross, sizes))
+
+
+def _pair_inputs(fam_a: Hypergraph, fam_b: Hypergraph) -> int:
+    """The summed edge sizes l(k + k') of both families, after the input check of
+    :func:`check_pair_inequality`: both uniform, equal vertex and edge counts."""
+    k = is_uniform(fam_a)
+    kp = is_uniform(fam_b)
+    if k is None or kp is None:
+        raise NonUniformError("both families must be uniform")
+    if fam_a.num_vertices != fam_b.num_vertices:
+        raise MismatchedVertexCountError(f"{fam_a.num_vertices} != {fam_b.num_vertices} vertices")
+    ell = fam_a.num_edges
+    if ell != fam_b.num_edges:
+        raise MismatchedEdgeCountError(f"{ell} != {fam_b.num_edges} edges")
+    return ell * (k + kp)
 
 
 def _pair_sides(within, cross, sizes):
@@ -151,6 +156,15 @@ def check_average_lambda(
     """(lambda_S + lambda_T)/2 >= lambda_{S,T} + x/2 - k/(l-1) for disjoint
     equal-size edge sets S, T and x vertices lying in every S edge and no
     T edge."""
+    k, s_masks, t_masks, x = _average_inputs(h, s, t, w)
+    within = pair_size_total(s_masks) + pair_size_total(t_masks)
+    cross = pair_size_total(s_masks, t_masks)
+    return _report(*_average_sides(within, cross, len(s_masks), x, k))
+
+
+def _average_inputs(h: Hypergraph, s: Iterable[int], t: Iterable[int], w: Iterable[int]) -> tuple[int, list, list, int]:
+    """The host's edge size k, the masks of S and of T by ascending index and
+    the witness size x, after the input check of :func:`check_average_lambda`."""
     k = is_uniform(h)
     if k is None:
         raise NonUniformError("the host hypergraph must be uniform")
@@ -173,11 +187,7 @@ def check_average_lambda(
             raise WitnessViolationError(f"edge {j} in T touches the common vertex set")
     if s_idx & t_idx:
         raise OverlappingSetsError(f"sets share edges {sorted(s_idx & t_idx)}")
-    s_masks = [masks[i] for i in sorted(s_idx)]
-    t_masks = [masks[j] for j in sorted(t_idx)]
-    within = pair_size_total(s_masks) + pair_size_total(t_masks)
-    cross = pair_size_total(s_masks, t_masks)
-    return _report(*_average_sides(within, cross, ell, w_mask.bit_count(), k))
+    return k, [masks[i] for i in sorted(s_idx)], [masks[j] for j in sorted(t_idx)], w_mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -247,7 +257,7 @@ def greedy_increase(h: Hypergraph, start: Iterable[int], steps: int) -> GreedyRe
 def is_lambda_small(h: Hypergraph, s: Iterable[int], lam: int) -> bool:
     """True iff every pair of edges in ``s`` meets in fewer than ``lam``
     vertices."""
-    idx = sorted(frozenset(s))
+    idx = sorted(_check_indices(h, s))
     if len(idx) < 2:
         raise TooFewEdgesError("smallness is a pairwise property; need two edges")
     return max(pair_size_counts([h.edge_masks[i] for i in idx])) < lam
@@ -275,8 +285,8 @@ def validate_lambda_pair(
     Violations are reported, not raised; the size of Y is reported but not
     enforced.
     """
-    x_idx = sorted(frozenset(x))
-    y_idx = sorted(frozenset(y))
+    x_idx = sorted(_check_indices(h, x))
+    y_idx = sorted(_check_indices(h, y))
     violations: list[str] = []
     overlap = set(x_idx) & set(y_idx)
     if overlap:
@@ -355,39 +365,20 @@ def _word_rows(mask_lists: Sequence[Sequence[int]], width: int) -> np.ndarray:
     return rows
 
 
-def _edge_sizes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each list's first edge size k, and whether the list is uniform: it has an
-    edge, and every edge has size k (padding rows, and no edge, have size 0)."""
-    sizes = np.bitwise_count(rows).sum(axis=2, dtype=np.int64)
-    k = sizes[:, 0]
-    return k, (k > 0) & ((sizes == k[:, None]) | (sizes == 0)).all(axis=1)
-
-
 def _vertex_degrees(rows: np.ndarray) -> np.ndarray:
     """``(lists, 64 * words)`` vertex degrees of word rows, by unpacking their bits."""
     return np.unpackbits(rows.view(np.uint8), axis=2, bitorder="little").sum(axis=1, dtype=np.int64)
 
 
-def _refuse(checker, chunk: list, ok: np.ndarray) -> None:
-    """Raise the checker's own error on the first instance of ``chunk`` that
-    failed a batched validation, if one did."""
-    if not ok.all():
-        checker(*chunk[int(np.argmin(ok))])
-        raise AssertionError(f"{checker.__name__} accepts an instance its batch refuses")
-
-
 def _pair_slacks(chunk: list) -> tuple[np.ndarray, np.ndarray]:
     """Slack numerators and denominators (int64) of :func:`check_pair_inequality`
-    on each ``(fam_a, fam_b)`` of ``chunk``: its validations and its two routes
-    to the totals, batched."""
+    on each ``(fam_a, fam_b)`` of ``chunk``: each instance through the checker's
+    input check, then its two routes to the totals, batched."""
+    sizes = np.array([_pair_inputs(*pair) for pair in chunk])
     fams = [fam for pair in chunk for fam in pair]  # a, b, a, b, ...
-    n, ell = np.array([[fam.num_vertices, fam.num_edges] for fam in fams]).T
-    rows = _word_rows([fam.edge_masks for fam in fams], int(n.max()))
-    k, uniform = _edge_sizes(rows)
-    same = (n[0::2] == n[1::2]) & (ell[0::2] == ell[1::2])
-    _refuse(check_pair_inequality, chunk, uniform[0::2] & uniform[1::2] & same)
+    rows = _word_rows([fam.edge_masks for fam in fams], max(fam.num_vertices for fam in fams))
     a, b = rows[0::2], rows[1::2]
-    totals = [pair_size_totals(a) + pair_size_totals(b), pair_size_totals(a, b), ell[0::2] * (k[0::2] + k[1::2])]
+    totals = [pair_size_totals(a) + pair_size_totals(b), pair_size_totals(a, b), sizes]
     deg = _vertex_degrees(rows)
     da, db = deg[0::2], deg[1::2]
     by_degree = [(da * (da - 1) + db * (db - 1)).sum(axis=1) // 2, (da * db).sum(axis=1), (da + db).sum(axis=1)]
@@ -400,29 +391,12 @@ def _pair_slacks(chunk: list) -> tuple[np.ndarray, np.ndarray]:
 def _average_slacks(chunk: list) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_pair_slacks` for :func:`check_average_lambda` on each ``(h, s, t, w)``
     of ``chunk``."""
-    hosts = [h for h, _, _, _ in chunk]
-    s_idx, t_idx, w_idx = ([list(frozenset(inst[j])) for inst in chunk] for j in (1, 2, 3))
-    m, n = np.array([[h.num_edges, h.num_vertices] for h in hosts]).T
-    ell, ell_t, x = (np.array(list(map(len, p))) for p in (s_idx, t_idx, w_idx))
-    index = np.array([i for s, t in zip(s_idx, t_idx) for i in s + t], dtype=np.int64)
-    vertex = np.array([v for w in w_idx for v in w], dtype=np.int64)
-    of_index, of_vertex = (np.repeat(np.arange(len(chunk)), c) for c in (ell + ell_t, x))
-    k, ok = _edge_sizes(_word_rows([h.edge_masks for h in hosts], int(n.max())))
-    ok &= (ell == ell_t) & (ell >= 2)
-    ok[of_index[(index < 0) | (index >= m[of_index])]] = False
-    ok[of_vertex[(vertex < 0) | (vertex >= n[of_vertex])]] = False
-    _refuse(check_average_lambda, chunk, ok)
-    sides = [[h.edge_masks[i] for i in p] for h, p in zip(hosts + hosts, s_idx + t_idx)]
-    rows = _word_rows(sides + [[mask_of(w)] for w in w_idx], int(n.max()))
-    s_rows, t_rows, w = rows[: len(chunk)], rows[len(chunk) : 2 * len(chunk)], rows[2 * len(chunk) :, :1]
-    # Zero padding rows of S hold w only if w is empty, and then every edge does.
-    ok = ((s_rows & w) == w).all(axis=2).sum(axis=1) >= ell
-    ok &= ~(t_rows & w).any(axis=2).any(axis=1)
-    top = int(m.max())
-    ok &= np.bincount(of_index * top + index, minlength=len(chunk) * top).reshape(-1, top).max(axis=1) < 2  # S, T disjoint
-    _refuse(check_average_lambda, chunk, ok)
+    k, s_masks, t_masks, x = zip(*(_average_inputs(*inst) for inst in chunk))
+    rows = _word_rows(s_masks + t_masks, max(h.num_vertices for h, _, _, _ in chunk))
+    s_rows, t_rows = rows[: len(chunk)], rows[len(chunk) :]
     within = pair_size_totals(s_rows) + pair_size_totals(t_rows)
-    lhs, rhs, den = _average_sides(within, pair_size_totals(s_rows, t_rows), ell, x, k)
+    ell = np.array(list(map(len, s_masks)))
+    lhs, rhs, den = _average_sides(within, pair_size_totals(s_rows, t_rows), ell, np.array(x), np.array(k))
     return lhs - rhs, den
 
 
@@ -431,11 +405,14 @@ def run_lemma_suite(seed: int, instances: int) -> dict:
     greedy growth spot check. Worst slacks are reported exactly.
 
     Each suite draws its instances one by one, as the generators always have,
-    and checks them ``SUITE_CHUNK`` at a time with numpy: every validation of
-    the checker, the pair totals from popcounts of ANDed word rows, and for the
-    pair inequality their re-derivation from vertex degrees. The first
-    instance of each chunk also goes through the public checker, whose
-    ``holds`` and ``slack`` must equal the batch's."""
+    and checks them ``SUITE_CHUNK`` at a time: each instance goes through the
+    checker's own input check before its chunk is packed into numpy word rows,
+    whose ANDs give the pair totals (for the pair inequality, vertex degrees
+    give them a second time). The first instance of each chunk also goes
+    through the public checker, whose ``holds`` and ``slack`` must equal the
+    batch's. A negative ``instances`` raises :class:`InvalidParameterError`."""
+    if instances < 0:
+        raise InvalidParameterError(f"instances must be non-negative, got {instances}")
     results: dict = {"seed": seed, "instances": instances}
     suites = (
         ("pair_inequality", check_pair_inequality, _pair_slacks, lambda rng, i: random_pair_instance(rng)),

@@ -18,6 +18,7 @@ from hyperspec import (
 )
 from hyperspec import lemmas
 from hyperspec.errors import (
+    InvalidParameterError,
     MismatchedEdgeCountError,
     MismatchedVertexCountError,
     NoDisjointEdgeError,
@@ -242,6 +243,11 @@ class TestLambdaSmall:
         with pytest.raises(TooFewEdgesError):
             is_lambda_small(fano_h, [3], 1)
 
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_edge_index_out_of_range(self, fano_h, bad):
+        with pytest.raises(IndexError, match=rf"^edge index {bad} out of range for Hypergraph\(n=7, m=7\)$"):
+            is_lambda_small(fano_h, [bad, 0], 2)
+
 
 class TestValidateLambdaPair:
     def test_fano_valid(self, fano_h):
@@ -262,6 +268,13 @@ class TestValidateLambdaPair:
     def test_wrong_size_reported(self, fano_h):
         res = validate_lambda_pair(fano_h, [0, 1, 2], [3], 1, 2)
         assert not res.valid
+
+    @pytest.mark.parametrize("bad", [-1, 7])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_edge_index_out_of_range(self, fano_h, side, bad):
+        x, y = ([bad, 0], [1, 2]) if side == "x" else ([0, 1], [2, bad])
+        with pytest.raises(IndexError, match=rf"^edge index {bad} out of range for Hypergraph\(n=7, m=7\)$"):
+            validate_lambda_pair(fano_h, x, y, 1, 2)
 
 
 class TestSuiteRunner:
@@ -298,6 +311,10 @@ class TestSuiteRunner:
         assert res["pair_inequality"] == {"pass": instances, "fail": 0, "worst_slack": pair_worst}
         assert res["average_lambda"] == {"pass": instances, "fail": 0, "worst_slack": average_worst}
         assert res["greedy_increase"] == {"pass": 4, "fail": 0}
+
+    def test_negative_instance_count_refused(self):
+        with pytest.raises(InvalidParameterError, match="^instances must be non-negative, got -5$"):
+            run_lemma_suite(0, -5)
 
 
 class TestBatchedSuite:
@@ -369,18 +386,32 @@ class TestBatchedSuite:
             run_lemma_suite(0, 3 * lemmas.SUITE_CHUNK)
         assert len(calls) == 3
 
-    def test_first_invalid_instance_raises_the_checker_error(self, fano_h):
+    @pytest.mark.parametrize(
+        "bad, pos, size, error",
+        [
+            pytest.param("non-uniform", 0, 6, NonUniformError, id="uniform-0"),
+            pytest.param("non-uniform", 3, 6, NonUniformError, id="uniform-3"),
+            pytest.param("vertex-counts", 5, 6, MismatchedVertexCountError, id="vertices-5"),
+            pytest.param("edge-counts", 5, 6, MismatchedEdgeCountError, id="edges-5"),
+            # The last slot (63) of a full 64-instance chunk.
+            pytest.param("edge-counts", 63, 64, MismatchedEdgeCountError, id="edges-63"),
+            pytest.param("non-uniform", 63, 64, NonUniformError, id="uniform-63"),
+        ],
+    )
+    def test_first_invalid_instance_raises_the_checker_error(self, fano_h, bad, pos, size, error):
+        instance = {
+            "non-uniform": (new_hypergraph(7, [{0, 1}, {2, 3, 4}]),) * 2,
+            "vertex-counts": (new_hypergraph(7, [{0, 1, 2}]), new_hypergraph(8, [{0, 1, 2}])),
+            "edge-counts": (fano_h, new_hypergraph(7, [{0, 1, 2}])),
+        }[bad]
         rng = substream(0, "suite/pair-inequality")
-        good = [random_pair_instance(rng) for _ in range(5)]
-        lopsided = new_hypergraph(7, [{0, 1}, {2, 3, 4}])
-        for pos in (0, 3):
-            with pytest.raises(NonUniformError):
-                lemmas._pair_slacks(good[:pos] + [(lopsided, lopsided)] + good[pos:])
-        wider = new_hypergraph(8, [{0, 1, 2}])
-        with pytest.raises(MismatchedVertexCountError):
-            lemmas._pair_slacks(good + [(new_hypergraph(7, [{0, 1, 2}]), wider)])
-        with pytest.raises(MismatchedEdgeCountError):
-            lemmas._pair_slacks(good + [(fano_h, new_hypergraph(7, [{0, 1, 2}]))])
+        good = [random_pair_instance(rng) for _ in range(size - 1)]
+        chunk = good[:pos] + [instance] + good[pos:]
+        with pytest.raises(error) as caught:
+            lemmas._pair_slacks(chunk)
+        with pytest.raises(error) as direct:
+            check_pair_inequality(*instance)
+        assert str(caught.value) == str(direct.value)
 
     @pytest.mark.parametrize(
         "s, t, w, error",
