@@ -28,10 +28,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .core import BLOCK_BYTES, Budget, Hypergraph, is_intersecting, is_uniform
-from .core import mask_of, pack_words, vertex_edges, vertex_index, vertices_of
+from .core import mask_of, np, pack_words, vertex_edges, vertex_index, vertices_of
 from .rng import substream
 from .errors import (
     CompositionWitnessError,

@@ -14,6 +14,10 @@ views (:func:`vertex_index`, :func:`vertex_edges`, :func:`vertex_edge_masks`)
 read one incidence list of vertex ids in CSR form, which one blocked unpack of
 the packed words builds (:func:`_incidences`) and a hypergraph caches.
 All averaging is exact (``fractions.Fraction``), never floating point.
+``np`` is numpy as a lazy module (the pattern of ``importlib.util.LazyLoader``,
+with a lock, so that threads may make their first kernel calls at once):
+importing the package does not load numpy, the first kernel call does;
+``coloring`` and ``lemmas`` take it from here.
 
 Edge-index sets and vertex sets are plain iterables of ints; functions
 normalize them internally. :meth:`Hypergraph.from_masks` builds a hypergraph
@@ -24,7 +28,11 @@ threads.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+import threading
 import time
+import types
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,8 +40,6 @@ from itertools import chain, combinations, product, starmap
 from math import comb
 from operator import and_, lt
 from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     DuplicateEdgeError,
@@ -45,6 +51,48 @@ from .errors import (
     ParseError,
     TooFewEdgesError,
 )
+
+
+# Reentrant: numpy's import reads the module's own attributes as it runs.
+_NUMPY_LOCK = threading.RLock()
+
+
+class _NumpyLoading(types.ModuleType):
+    """numpy while its import runs: reads from other threads wait for it."""
+
+    def __getattribute__(self, name):
+        with _NUMPY_LOCK:
+            return types.ModuleType.__getattribute__(self, name)
+
+
+class _LazyNumpy(_NumpyLoading):
+    """numpy before its import has run: the first attribute access runs it."""
+
+    def __getattribute__(self, name):
+        with _NUMPY_LOCK:
+            if type(self) is _LazyNumpy:
+                self.__class__ = _NumpyLoading
+                try:
+                    self.__spec__.loader.exec_module(self)
+                finally:
+                    self.__class__ = types.ModuleType
+        return getattr(self, name)
+
+
+def _lazy_numpy():
+    """numpy as a :class:`_LazyNumpy`, or the one in ``sys.modules`` if loaded."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    module = importlib.util.module_from_spec(spec)
+    module.__class__ = _LazyNumpy
+    sys.modules["numpy"] = module
+    return module
+
+
+np = _lazy_numpy()
 
 __all__ = [
     "Budget",
@@ -459,7 +507,7 @@ def vertex_index(h: Hypergraph) -> np.ndarray:
     return cached
 
 
-def _by_vertex(offsets: np.ndarray, vertices: np.ndarray, dtype=np.intp) -> tuple[np.ndarray, np.ndarray]:
+def _by_vertex(offsets: np.ndarray, vertices: np.ndarray, dtype="intp") -> tuple[np.ndarray, np.ndarray]:
     """``(order, edge)``: the incidence list's stable sort by vertex, and each
     incidence's edge (of ``dtype``) in that order. Unique keys (vertex,
     position) make the default sort stable, at a third of kind="stable"'s time."""

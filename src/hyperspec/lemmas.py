@@ -20,8 +20,6 @@ from math import comb
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .core import (
     Hypergraph,
     _check_indices,
@@ -30,6 +28,7 @@ from .core import (
     is_intersecting,
     is_uniform,
     mask_of,
+    np,
     pair_size_counts,
     pair_size_total,
     pair_size_totals,

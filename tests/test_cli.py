@@ -1,36 +1,22 @@
 import json
-import os
-import subprocess
-import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
-import hyperspec
 from hyperspec import core
 from hyperspec.cli import main
 from hyperspec.constructions import random_uniform
 from hyperspec.core import serialize_hypergraph
 
 import oracles
+from conftest import run_fresh
 
 
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_cli_process(args, timeout):
-    """Run the CLI in a fresh interpreter; a call still running after
-    ``timeout`` seconds is killed and fails the test with TimeoutExpired."""
-    env = {**os.environ, "PYTHONPATH": str(Path(hyperspec.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "hyperspec.cli", *args], capture_output=True, text=True, timeout=timeout, env=env
-    )
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 def strip_timings(payload):
@@ -485,9 +471,9 @@ class TestErrorsAndUsage:
         args = ["construct", "--family", family]
         for param in params:
             args += ["--param", param]
-        code, stdout, err = run_cli_process(args, timeout=5)
-        assert (code, stdout) == (1, "")
-        assert json.loads(err)["error"]["type"] == "SizeCapExceededError"
+        proc = run_fresh(["-m", "hyperspec.cli", *args], timeout=5)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr)["error"]["type"] == "SizeCapExceededError"
 
     def test_range_limits_are_inclusive(self, tmp_path, capsys):
         path = tmp_path / "fano.hg"

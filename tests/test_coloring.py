@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 import time
 from itertools import product
 from math import comb
@@ -34,6 +31,7 @@ from hyperspec.errors import (
 )
 
 import oracles
+from conftest import run_fresh
 
 
 class TestMonochromaticEdge:
@@ -207,9 +205,8 @@ class TestDecide2Coloring:
             "assert decide_2_coloring(iterated_fano(2)).method == 'modules'\n"
             "assert eager or 'numpy.ma' not in sys.modules\n"
         )
-        src = os.path.dirname(os.path.dirname(coloring.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path}, check=True, timeout=120)
+        proc = run_fresh(["-c", script], timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_budget_shared_by_sub_solves(self, itf2):
         # The second copy's solve trips the 5-node budget on the 6th node.

@@ -36,6 +36,7 @@ from hyperspec.errors import (
 )
 
 import oracles
+from conftest import run_fresh
 
 FANO_LINES = [{i, (i + 1) % 7, (i + 3) % 7} for i in range(7)]
 
@@ -841,3 +842,114 @@ class TestPlainParse:
         assert core._parse_plain(text) == (h.num_vertices, list(h.edge_masks))
         masks = sum(map(sys.getsizeof, h.edge_masks))
         assert peak < 5 * (masks + len(text)), (peak, masks, len(text))
+
+
+class TestLazyNumpy:
+    """numpy loads on the first kernel call, not on import (``core._lazy_numpy``)."""
+
+    def test_numpy_stays_unloaded_until_a_kernel_needs_it(self, tmp_path):
+        # Every module of the package is imported first, so an import-time
+        # ``np.`` access anywhere (a default, a constant, an evaluated
+        # annotation) fails the first check.
+        script = (
+            "import contextlib, io, json, pkgutil, sys\n"
+            "import hyperspec, hyperspec.cli\n"
+            "for info in pkgutil.iter_modules(hyperspec.__path__):\n"
+            "    __import__('hyperspec.' + info.name)\n"
+            "from hyperspec.cli import main\n"
+            "assert 'numpy._core' not in sys.modules\n"
+            "def run(args):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        try:\n"
+            "            code = main(args)\n"
+            "        except SystemExit as exc:\n"
+            "            code = exc.code\n"
+            "    return code, out.getvalue()\n"
+            "path = sys.argv[1]\n"
+            "for args, expected in [\n"
+            "    (['construct', '--family', 'fano'], 0),\n"
+            "    (['construct', '--family', 'iterated-fano', '--param', 'm=2', '-o', path], 0),\n"
+            "    (['construct', '--family', 'complete-subsets', '--param', 'n=6', '--param', 'k=3'], 0),\n"
+            "    (['construct', '--family', 'ramsey-clique', '--param', 'n=6', '--param', 'k=3'], 0),\n"
+            "    (['construct', '--family', 'random-uniform', '--param', 'n=10', '--param', 'k=4', '--param', 'm=3'], 0),\n"
+            "    (['--help'], 0),\n"
+            "    (['construct'], 2),\n"
+            "    (['construct', '--family', 'fano', '--param', 'm=2'], 1),\n"
+            "    (['spectrum', path + '.missing'], 1),\n"
+            "]:\n"
+            "    assert run(args)[0] == expected, args\n"
+            "    assert 'numpy._core' not in sys.modules, args\n"
+            "code, out = run(['spectrum', path])\n"
+            "assert (code, json.loads(out)['sizes']) == (0, [1, 3, 5, 7])\n"
+            "assert 'numpy._core' in sys.modules\n"
+        )
+        proc = run_fresh(["-c", script, str(tmp_path / "itf2.hg")], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_missing_numpy_raises_module_not_found(self):
+        # The finder answers for every other module as the usual finders do.
+        script = (
+            "import sys\n"
+            "finders = list(sys.meta_path)\n"
+            "class HideNumpy:\n"
+            "    @staticmethod\n"
+            "    def find_spec(name, path=None, target=None):\n"
+            "        if name.partition('.')[0] != 'numpy':\n"
+            "            return next(filter(None, (f.find_spec(name, path, target) for f in finders)), None)\n"
+            "sys.meta_path[:] = [HideNumpy]\n"
+            "for name in ('numpy', 'hyperspec'):\n"
+            "    try:\n"
+            "        __import__(name)\n"
+            "    except ModuleNotFoundError as exc:\n"
+            "        print(name, exc.name, exc)\n"
+        )
+        proc = run_fresh(["-c", script], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "numpy numpy No module named 'numpy'\nhyperspec numpy No module named 'numpy'\n"
+
+    def test_first_kernel_calls_from_many_threads(self):
+        # More threads than cores and a short switch interval: a read that
+        # slipped past the lock would see a half-imported numpy, and a second
+        # import would print numpy's reload warning.
+        script = (
+            "import sys, threading\n"
+            "from hyperspec import core\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "barrier = threading.Barrier(8)\n"
+            "results = []\n"
+            "def work():\n"
+            "    barrier.wait()\n"
+            "    results.append(core.pack_words([1, 2, 3], 3).tolist())\n"
+            "threads = [threading.Thread(target=work) for _ in range(8)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join(60)\n"
+            "assert not any(t.is_alive() for t in threads)\n"
+            "assert results == [[[1], [2], [3]]] * 8, results\n"
+        )
+        proc = run_fresh(["-c", script], timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "import sys\n"
+            "import numpy\n"
+            "before = dict(sys.modules)\n"
+            "from hyperspec import coloring, core, lemmas\n"
+            "assert core.np is coloring.np is lemmas.np is numpy is sys.modules['numpy']\n"
+            "assert all(sys.modules[name] is module for name, module in before.items())\n",
+            "import sys\n"
+            "from hyperspec import coloring, core, lemmas\n"
+            "assert 'numpy._core' not in sys.modules\n"
+            "import numpy\n"
+            "assert core.np is coloring.np is lemmas.np is numpy is sys.modules['numpy']\n"
+            "assert numpy.__version__ and int(numpy.arange(4).sum()) == 6\n",
+        ],
+        ids=["numpy-first", "hyperspec-first"],
+    )
+    def test_one_numpy_module(self, script):
+        proc = run_fresh(["-c", script], timeout=60)
+        assert proc.returncode == 0, proc.stderr
