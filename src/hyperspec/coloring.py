@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import BLOCK_BYTES, Budget, Hypergraph, is_intersecting, is_uniform
-from .core import mask_of, np, pack_words, vertex_edges, vertex_index, vertices_of
+from .core import _edge_incidences, mask_of, np, pack_words, vertex_edges, vertices_of
 from .rng import substream
 from .errors import (
     CompositionWitnessError,
@@ -249,34 +249,37 @@ def _candidate_modules(h: Hypergraph, start: np.ndarray, edges: np.ndarray):
     necessary condition holds. In a module M = {g ∪ f} with |G| outside
     parts g, every vertex x outside M has codeg(x, v) = |G_x|·|F_v| and
     deg(v) = |G|·|F_v|, where |G| divides gcd(deg(v), top codegree); so each
-    nonzero codeg(x, v) is at least deg(v) / gcd(deg(v), top). A block's
-    codegrees are counted by sorting the vertex pairs of the edges on its
-    vertices (``start`` and ``edges`` from :func:`vertex_edges`), so a pass
-    costs about the number of vertex pairs in edges, and no temporary but
-    those the size of the edge index exceeds ``BLOCK_BYTES``."""
+    nonzero codeg(x, v) is at least deg(v) / gcd(deg(v), top). Codegrees are
+    counted by sorting the slots (v, x), x in an edge on v, read from the
+    incidence list through ``start`` and ``edges`` (from :func:`vertex_edges`),
+    in blocks of whole vertices of about ``BLOCK_BYTES // 16`` slots. Only the
+    vertices in some edge are walked."""
     n = h.num_vertices
-    index = vertex_index(h)
-    w = index.shape[1]
-    deg = np.diff(start)
-    active = np.count_nonzero(deg)
-    step = max(1, BLOCK_BYTES // (8 * w))  # edge incidences per block
-    v0 = 0
-    while v0 < n:
-        v1 = max(v0 + 1, int(np.searchsorted(start, start[v0] + step, side="right")) - 1)
-        # Pair (v, x) is (v - v0)·(n + 1) + x; each v's pairs sort into one
-        # run. Sorting 32-bit keys takes half the time of 64-bit ones.
-        kind = np.int32 if (v1 - v0) * (n + 1) < 2**31 else np.int64
-        pairs = index[edges[start[v0] : start[v1]]].astype(kind)
-        pairs += np.repeat(np.arange(v1 - v0, dtype=kind) * kind(n + 1), deg[v0:v1])[:, None]
-        pairs = np.sort(pairs.ravel())
+    offsets, vertices = _edge_incidences(h)
+    act = np.flatnonzero(start[1:] != start[:-1])  # the vertices in some edge
+    begin = np.r_[start[act], len(edges)]  # where each one's entries begin
+    sizes = np.diff(offsets)[edges]
+    slots = np.r_[0, np.cumsum(sizes)]  # slots[i]: the slots before entry i
+    bound = slots[begin]
+    a0 = 0
+    while a0 < len(act):
+        a1 = max(a0 + 1, int(np.searchsorted(bound, bound[a0] + BLOCK_BYTES // 16, side="right")) - 1)
+        i0, i1 = begin[a0], begin[a1]
+        # Pair (v, x) is (v's rank in the block)·n + x, one sorted run per v; 32-bit keys sort twice as fast.
+        kind = np.int32 if (a1 - a0) * n < 2**31 else np.int64
+        at = np.repeat(offsets[edges[i0:i1]] - slots[i0:i1], sizes[i0:i1])
+        at += np.arange(slots[i0], slots[i1])  # each slot's place in ``vertices``
+        pairs = vertices[at].astype(kind)
+        pairs += np.repeat(np.arange(a1 - a0, dtype=kind) * kind(n), np.diff(bound[a0 : a1 + 1]))
+        pairs.sort()
         first = np.flatnonzero(np.r_[len(pairs) > 0, pairs[1:] != pairs[:-1]])
         co = np.diff(first, append=len(pairs))
-        row = np.repeat(np.arange(v0, v1), deg[v0:v1] * w)[first]
-        col = pairs[first] - (row - v0) * (n + 1)
-        v0 = v1
-        real = (col != row) & (col < n)  # drop v itself and the padding
-        row, col, co = row[real], col[real], co[real]
-        first = np.flatnonzero(np.r_[len(row) > 0, row[1:] != row[:-1]])  # each v's codegrees
+        rank, col = np.divmod(pairs[first], n)
+        verts, deg = act[a0:a1], np.diff(begin[a0 : a1 + 1])
+        a0 = a1
+        real = col != verts[rank]  # drop v itself
+        rank, col, co = rank[real], col[real], co[real]
+        first = np.flatnonzero(np.r_[len(rank) > 0, rank[1:] != rank[:-1]])  # each v's codegrees
         if not len(first):
             yield []
             continue
@@ -284,12 +287,12 @@ def _candidate_modules(h: Hypergraph, start: np.ndarray, edges: np.ndarray):
         grp = np.repeat(np.arange(len(first)), np.diff(first, append=len(co)))
         member = co == top[grp]
         size = np.bincount(grp[member], minlength=len(first)) + 1
-        dv = deg[row[first]]
+        dv = deg[rank[first]]
         # Outside M_v codegrees are below top: none may lie in [1, deg(v) / gcd).
         least = np.minimum(top, -(-dv // np.gcd(dv, top)))
-        keep = (np.minimum.reduceat(co, first) >= least) & (size < active)
+        keep = (np.minimum.reduceat(co, first) >= least) & (size < len(act))
         cols = np.split(col[member & keep[grp]], np.cumsum(size[keep] - 1)[:-1])
-        yield [tuple(sorted((v, *c.tolist()))) for v, c in zip(row[first][keep].tolist(), cols)]
+        yield [tuple(sorted((v, *c.tolist()))) for v, c in zip(verts[rank[first][keep]].tolist(), cols)]
 
 
 def _module_traces(
@@ -322,21 +325,26 @@ def _module_traces(
 def _quotient(h: Hypergraph, rep: np.ndarray, gone: np.ndarray) -> tuple[Hypergraph, list[int]]:
     """``h`` without the edges on a vertex v with ``gone[v]``, every vertex v
     renamed ``rep[v]``, and the vertices left in some edge renumbered in
-    order; returns it with the vertices of ``h`` that it kept, in order."""
+    order; returns it with the vertices of ``h`` that it kept, in order. Its
+    edges, deduplicated in numpy, are in lexicographic order, each before its prefixes."""
     n = h.num_vertices
-    index = vertex_index(h)
-    rows = np.sort(rep[index[~gone[index].any(axis=1)]], axis=1)
-    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = n
-    rows = np.sort(rows, axis=1)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    first = np.ones(len(rows), dtype=bool)  # the first of each run of equal rows
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    rows = rows[first]
-    used = np.flatnonzero(np.bincount(rows[rows < n], minlength=n))  # np.unique imports numpy.ma
-    rank = np.full(n + 1, n)
-    rank[used] = np.arange(len(used))
-    quotient = Hypergraph(len(used), (row[row < n].tolist() for row in rank[rows]))
-    return quotient, used.tolist()
+    offsets, vertices = _edge_incidences(h)
+    sizes = np.diff(offsets)
+    kept = np.repeat(~np.logical_or.reduceat(gone[vertices], offsets[:-1]), sizes)  # no edge is empty
+    # The (edge, renamed vertex) pairs, sorted and each once, as keys edge·n + vertex.
+    keys = np.sort(np.repeat(np.arange(len(sizes)) * n, sizes)[kept] + rep[vertices[kept]])
+    edge, vals = np.divmod(keys[np.flatnonzero(np.r_[len(keys) > 0, keys[1:] != keys[:-1]])], n)
+    used = np.flatnonzero(np.bincount(vals, minlength=n))  # np.unique imports numpy.ma
+    vals = np.searchsorted(used, vals)
+    starts = np.flatnonzero(np.r_[len(edge) > 0, edge[1:] != edge[:-1]])
+    sizes = np.diff(starts, append=len(vals))
+    edges = []
+    for k in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = vals[starts[sizes == k, None] + np.arange(k)]
+        rows = rows[np.lexsort(rows.T[::-1])]
+        edges += rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]].tolist()
+    edges.sort(key=lambda e: e + [n])  # an edge's end sorts after every vertex
+    return Hypergraph(len(used), edges), used.tolist()
 
 
 def decide_2_coloring(
@@ -388,8 +396,8 @@ def decide_2_coloring(
                 return ColorResult(ColorStatus.UNKNOWN, None, budget.spent, budget.tripped, method)
         if not found:
             break
-        rep = np.arange(current.num_vertices + 1)
-        gone = np.zeros(current.num_vertices + 1, dtype=bool)
+        rep = np.arange(current.num_vertices)
+        gone = np.zeros(current.num_vertices, dtype=bool)
         merged: dict[int, int] = {}  # the origins of the contracted modules' vertices
         modules = []
         for verts, traces in found:
@@ -428,30 +436,36 @@ def random_refute(h: Hypergraph, trials: int, seed: int) -> RefuteReport:
     appears and the mean number of monochromatic edges per trial.
 
     Trial t colors vertex v by bit v of the t-th ``getrandbits(n)`` draw of the
-    ``"refute"`` substream. Bit t of row v of ``ones`` (``zeros``) is set iff trial
-    t gives v color 1 (0); row n is set on every trial in both, so edges are read
-    through :func:`~hyperspec.core.vertex_index`, padded with vertex n."""
+    ``"refute"`` substream, and bit t of row v of ``ones`` is set iff it gives v
+    color 1. An edge is monochromatic in the trials set in the AND of its
+    vertices' rows or clear in their OR; pass j reads the j-th vertex of each
+    edge longer than j, a prefix of the edges ordered by size, largest first."""
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
     rng = substream(seed, "refute")
-    n = h.num_vertices
-    padded = vertex_index(h)
+    n, m = h.num_vertices, h.num_edges
+    offsets, vertices = _edge_incidences(h)
+    sizes = np.diff(offsets)
+    starts = offsets[np.argsort(-sizes, kind="stable")]
+    longer = m - np.cumsum(np.bincount(sizes, minlength=2))[:-1]  # longer[j]: the edges with more than j vertices
+    columns = [vertices[starts[:count] + j] for j, count in enumerate(longer.tolist())]
     # Bytes per word of 64 trials: ~160 per vertex (draw bits, color rows), ~40 per edge.
-    step = 64 * max(1, BLOCK_BYTES // (160 * (n + 1) + 40 * h.num_edges))
+    step = 64 * max(1, BLOCK_BYTES // (160 * n + 40 * m + 1))
     mono_trials = total_mono = 0
     for done in range(0, trials, step):
         count = min(step, trials - done)
-        draws = pack_words([rng.getrandbits(n) | 1 << n for _ in range(count)], n + 1).view(np.uint8)
-        bits = np.zeros((n + 1, -(-count // 64) * 64), dtype=np.uint8)
-        bits[:, :count] = np.unpackbits(draws, axis=1, count=n + 1, bitorder="little").T
+        draws = pack_words([rng.getrandbits(n) for _ in range(count)], n).view(np.uint8)
+        bits = np.zeros((n, -(-count // 64) * 64), dtype=np.uint8)
+        bits[:, :count] = np.unpackbits(draws, axis=1, count=n, bitorder="little").T
         ones = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-        zeros = ones ^ ones[n]
-        zeros[n] = ones[n]
-        mono, zero = ones[padded[:, 0]], zeros[padded[:, 0]]
-        for column in padded.T[1:]:
-            mono &= ones[column]
-            zero &= zeros[column]
-        mono |= zero
+        mono = ones[columns[0]]
+        seen = mono.copy()
+        for column in columns[1:]:
+            rows = ones[column]
+            mono[: len(column)] &= rows
+            seen[: len(column)] |= rows
+        seen[:, -1] |= np.uint64(2**64 - 2 ** (64 - -count % 64))  # no trial past the last is all 0
+        mono |= ~seen
         total_mono += int(np.bitwise_count(mono).sum())
         mono_trials += int(np.bitwise_count(np.bitwise_or.reduce(mono, axis=0)).sum())
     return RefuteReport(

@@ -9,10 +9,10 @@ vertices, by sorting the pair ids that each vertex's edge list gives; the
 kernel takes that path when ``SHARED_VERTEX_COST`` times the incidences Σ|e|
 plus the co-incidences Σ_v C(deg v, 2) is below the word scan's
 pairs × (words + 1), and the incidence arrays, at ``SHARED_VERTEX_BYTES``
-each, fit in the packed words plus one block. That count and the per-vertex
-views (:func:`vertex_index`, :func:`vertex_edges`, :func:`vertex_edge_masks`)
-read one incidence list of vertex ids in CSR form, which one blocked unpack of
-the packed words builds (:func:`_incidences`) and a hypergraph caches.
+each, fit in the packed words plus one block. That count, the per-vertex
+views (:func:`vertex_edges`, :func:`vertex_edge_masks`) and ``coloring`` read
+one read-only incidence list of vertex ids in CSR form, which one blocked
+unpack of the packed words builds (:func:`_incidences`) and a hypergraph caches.
 All averaging is exact (``fractions.Fraction``), never floating point.
 ``np`` is numpy as a lazy module (the pattern of ``importlib.util.LazyLoader``,
 with a lock, so that threads may make their first kernel calls at once):
@@ -112,7 +112,6 @@ __all__ = [
     "pair_size_totals",
     "pair_adjacency",
     "row_masks",
-    "vertex_index",
     "vertex_edges",
     "vertex_edge_masks",
     "parse_hypergraph",
@@ -468,7 +467,7 @@ def row_masks(flags: np.ndarray) -> list[int]:
 
 
 def _incidences(masks: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(offsets, vertices)``: edge i's vertices, ascending, are
+    """``(offsets, vertices)``, read-only: edge i's vertices, ascending, are
     ``vertices[offsets[i]:offsets[i + 1]]`` (CSR form). The only unpack of
     edge words into vertex ids, in blocks of edges of about ``BLOCK_BYTES``
     unpacked bits, each read with ``flatnonzero`` and freed before the next."""
@@ -482,6 +481,7 @@ def _incidences(masks: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
         found = np.flatnonzero(bits.view(bool))
         del bits
         np.remainder(found, n, out=vertices[offsets[i0] : offsets[i0] + len(found)])
+    offsets.flags.writeable = vertices.flags.writeable = False
     return offsets, vertices
 
 
@@ -490,21 +490,6 @@ def _edge_incidences(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     if "incidences" not in h._cache:
         h._cache["incidences"] = _incidences(h.edge_masks, h.num_vertices)
     return h._cache["incidences"]
-
-
-def vertex_index(h: Hypergraph) -> np.ndarray:
-    """``(m, w)`` intp array whose row i lists the vertices of edge i in
-    ascending order, padded with ``h.num_vertices`` to the widest edge's
-    size w (at least 1): the incidence list laid out in rows, cached on ``h``."""
-    cached = h._cache.get("vertex_index")
-    if cached is None:
-        offsets, vertices = _edge_incidences(h)
-        sizes = np.diff(offsets)
-        cached = np.full((h.num_edges, max(1, sizes.max(initial=0))), h.num_vertices, dtype=np.intp)
-        cached[np.arange(cached.shape[1]) < sizes[:, None]] = vertices  # row by row, as listed
-        cached.flags.writeable = False
-        h._cache["vertex_index"] = cached
-    return cached
 
 
 def _by_vertex(offsets: np.ndarray, vertices: np.ndarray, dtype="intp") -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 import random
 import time
-from itertools import product
+import tracemalloc
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -235,6 +236,39 @@ class TestDecide2Coloring:
         assert res.nodes < 200  # DPLL alone spends one node per vertex
         assert oracles.check_module_certificate(3000, list(h.edges()), res.certificate.to_json()) is True
 
+    def test_quotient_edges_come_before_their_prefixes(self):
+        # K_5^(3) on 0..4 is a module with outside parts {5, 6}, {5}, {7},
+        # {8}, {9}; it is contracted to quotient vertex 0. The quotient edge
+        # [0, 1] is a prefix of [0, 1, 2], and [2, 3] one of [2, 3, 4].
+        parts = [{5, 6}, {5}, {7}, {8}, {9}]
+        edges = [set(f) | g for g in parts for f in combinations(range(5), 3)] + [{6, 7, 8}, {6, 7}]
+        h = new_hypergraph(10, [sorted(e) for e in edges])
+        res = decide_2_coloring(h)
+        assert (res.status, res.method) == (ColorStatus.COLORABLE, "modules")
+        assert res.certificate.to_json()["quotient"] == {
+            "vertices": [[0, 1, 2, 3, 4], [5], [6], [7], [8], [9]],
+            "edges": [[0, 1, 2], [0, 1], [0, 3], [0, 4], [0, 5], [2, 3, 4], [2, 3]],
+        }
+        assert oracles.check_module_certificate(10, list(h.edges()), res.certificate.to_json()) is True
+
+    def test_one_wide_edge_stays_small(self):
+        # 3000 triples on vertices 0..199 and one edge on all 1000 vertices:
+        # nothing is laid out per edge at the widest edge's size.
+        rng = random.Random(5)
+        triples = {tuple(sorted(rng.sample(range(200), 3))) for _ in range(3000)}
+        h = new_hypergraph(1000, [*sorted(triples), range(1000)])
+        edges = list(h.edges())
+        tracemalloc.start()
+        try:
+            res = decide_2_coloring(h, budget_nodes=1000)
+            rep = random_refute(h, 100, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.status, res.method) == (ColorStatus.NOT_COLORABLE, "dpll")
+        assert (rep.mono_trials, rep.total_mono_edges) == oracles.naive_refute(1000, edges, 100, 1)
+        assert peak < 16 * 2**20
+
     def test_agrees_with_exhaustive_oracle(self):
         rng = random.Random(71)
         methods, verdicts = [], set()
@@ -291,6 +325,20 @@ class TestDecide2Coloring:
             monkeypatch.setattr(coloring, "BLOCK_BYTES", cap)
             monkeypatch.setattr(core, "BLOCK_BYTES", cap)
             assert proposals(hs) == expected[: len(hs)]
+
+    def test_candidate_pass_walks_only_vertices_in_edges(self):
+        # Three incidences among 10^7 vertices: the pass allocates nothing
+        # per vertex of the hypergraph but one flag.
+        h = new_hypergraph(10**7, [[0, 1], [1, 2]])
+        start, edges = core.vertex_edges(h)
+        tracemalloc.start()
+        try:
+            proposals = [p for block in coloring._candidate_modules(h, start, edges) for p in block]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert proposals == [(0, 1), (1, 2)]
+        assert peak < 24 * 2**20
 
 
 class TestCertificateChecker:

@@ -22,7 +22,7 @@ from hyperspec import (
     parse_hypergraph,
     serialize_hypergraph,
 )
-from hyperspec import complete_subsets, compose, core, fano, random_uniform
+from hyperspec import coloring, complete_subsets, compose, core, fano, random_uniform
 from hyperspec.core import Budget, intersection_sizes, mask_of, pack_words, pair_adjacency, pair_size_counts, vertices_of
 from hyperspec.errors import (
     DuplicateEdgeError,
@@ -433,14 +433,13 @@ class TestPairSizeTotals:
         assert core.pair_size_totals(rows, cols).tolist() == [core.pair_size_total(a, b) for a, b in zip(lists, others)]
 
 
-class TestVertexIndex:
+class TestIncidenceList:
     @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130, 400])
-    def test_rows_list_vertices_padded_with_n(self, n, monkeypatch):
+    def test_list_and_per_vertex_views(self, n, monkeypatch):
         rng = random.Random(n)
         edges = {frozenset(rng.sample(range(n), rng.randint(1, min(n, 9)))) for _ in range(40)}
         edges.add(frozenset(range(n)))
         h = Hypergraph(n, sorted(sorted(e) for e in edges))
-        expected = [list(h.edge_vertices(i)) + [n] * (n - len(h.edge_vertices(i))) for i in range(h.num_edges)]
         listed = [sorted(e) for e in h.edges()]
         # A cap of one byte builds the incidence list one edge at a time.
         for cap in (1, 4096, core.BLOCK_BYTES):
@@ -449,9 +448,10 @@ class TestVertexIndex:
             offsets, vertices = core._edge_incidences(fresh)
             assert [vertices[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])] == listed
             assert offsets[0] == 0 and offsets[-1] == len(vertices)
-            index = core.vertex_index(fresh)
-            assert index.dtype == np.intp and index.tolist() == expected
-            assert core.vertex_index(fresh) is index and not index.flags.writeable
+            assert vertices.dtype == offsets.dtype == np.intp
+            # Every reader shares the cached arrays, so none may write to them.
+            assert core._edge_incidences(fresh)[1] is vertices
+            assert not offsets.flags.writeable and not vertices.flags.writeable
             start, by_vertex = core.vertex_edges(fresh)
             assert [by_vertex[start[v] : start[v + 1]].tolist() for v in range(n)] == [
                 [i for i, e in enumerate(fresh.edges()) if v in e] for v in range(n)
@@ -473,9 +473,17 @@ class TestVertexIndex:
         assert [vertices[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])] == [list(vertices_of(m)) for m in masks]
         assert peak < 1.5 * core.BLOCK_BYTES
 
-    def test_no_edges(self):
-        assert core.vertex_index(Hypergraph(0, [])).shape == (0, 1)
-        assert core.vertex_index(Hypergraph(5, [])).shape == (0, 1)
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_no_edges(self, n):
+        h = Hypergraph(n, [])
+        offsets, vertices = core._edge_incidences(h)
+        assert (offsets.tolist(), vertices.tolist()) == ([0], [])
+        rep = coloring.random_refute(h, trials=70, seed=1)
+        assert (rep.mono_trials, rep.total_mono_edges) == (0, 0)
+        start, edges = core.vertex_edges(h)
+        assert [p for block in coloring._candidate_modules(h, start, edges) for p in block] == []
+        quotient, kept = coloring._quotient(h, np.arange(n), np.zeros(n, dtype=bool))
+        assert (quotient.num_vertices, quotient.num_edges, kept) == (0, 0, [])
 
 
 class TestLambdas:
