@@ -26,10 +26,10 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .core import BLOCK_BYTES, Budget, Hypergraph, is_intersecting, is_uniform
-from .core import _edge_incidences, mask_of, np, pack_words, vertex_edges, vertices_of
+from .core import _edge_incidences, mask_of, pack_words, vertex_edges, vertices_of
 from .rng import substream
 from .errors import (
     CompositionWitnessError,
@@ -38,6 +38,9 @@ from .errors import (
     NotIntersectingError,
     NonUniformError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ColorStatus",
@@ -162,7 +165,8 @@ def find_2_coloring(
     first decision tries only color 0 (complementing a proper coloring
     keeps it proper, so this halves the tree without losing refutations).
     Decisions live on an explicit stack, so the depth is not bounded by the
-    interpreter's recursion limit. One node is counted per decision.
+    interpreter's recursion limit. One node is counted per decision; a
+    vertex in no edge is not decided and takes color 0.
     """
     return _dpll(h, Budget(budget_nodes, budget_ms))
 
@@ -174,7 +178,8 @@ def _dpll(h: Hypergraph, budget: Budget) -> ColorResult:
     for m in h.edge_masks:
         for v in vertices_of(m):
             vert_edges[v].append(m)
-    order = sorted(range(n), key=lambda v: (-len(vert_edges[v]), v))
+    # Only the vertices in some edge are decided; the others keep color 0.
+    order = sorted((v for v in range(n) if vert_edges[v]), key=lambda v: (-len(vert_edges[v]), v))
 
     def propagate(v: int, c: int, col: list[int]) -> bool:
         # Color v with c in ``col`` and close under propagation; False on a
@@ -205,19 +210,14 @@ def _dpll(h: Hypergraph, budget: Budget) -> ColorResult:
     pos = 0
     while True:
         assigned = col[0] | col[1]
-        while pos < n and assigned >> order[pos] & 1:
+        while pos < len(order) and assigned >> order[pos] & 1:
             pos += 1
-        if pos == n:
+        if pos == len(order):
             status = ColorStatus.COLORABLE
             break
         if not budget.step():
             status = ColorStatus.UNKNOWN
             break
-        if not vert_edges[order[pos]]:
-            # Vertices in no edge come last in the order and never conflict:
-            # each is one decision, keeps color 0 and needs no frame.
-            pos += 1
-            continue
         frames.append((pos, col[0], col[1], 0))
         while frames:
             pos, c0, c1, c = frames[-1]
@@ -254,6 +254,7 @@ def _candidate_modules(h: Hypergraph, start: np.ndarray, edges: np.ndarray):
     incidence list through ``start`` and ``edges`` (from :func:`vertex_edges`),
     in blocks of whole vertices of about ``BLOCK_BYTES // 16`` slots. Only the
     vertices in some edge are walked."""
+    import numpy as np
     n = h.num_vertices
     offsets, vertices = _edge_incidences(h)
     act = np.flatnonzero(start[1:] != start[:-1])  # the vertices in some edge
@@ -327,6 +328,7 @@ def _quotient(h: Hypergraph, rep: np.ndarray, gone: np.ndarray) -> tuple[Hypergr
     renamed ``rep[v]``, and the vertices left in some edge renumbered in
     order; returns it with the vertices of ``h`` that it kept, in order. Its
     edges, deduplicated in numpy, are in lexicographic order, each before its prefixes."""
+    import numpy as np
     n = h.num_vertices
     offsets, vertices = _edge_incidences(h)
     sizes = np.diff(offsets)
@@ -365,6 +367,7 @@ def decide_2_coloring(
     the modules and re-checked on ``h``. An input without modules gets
     ``find_2_coloring``'s answer with ``method`` "dpll" and no certificate.
     """
+    import numpy as np
     budget = Budget(budget_nodes, budget_ms)
     # origins[v]: the input vertices that vertex v of ``current`` stands for;
     # None while ``current`` is the input, whose vertex v stands for 1 << v.
@@ -440,6 +443,7 @@ def random_refute(h: Hypergraph, trials: int, seed: int) -> RefuteReport:
     color 1. An edge is monochromatic in the trials set in the AND of its
     vertices' rows or clear in their OR; pass j reads the j-th vertex of each
     edge longer than j, a prefix of the edges ordered by size, largest first."""
+    import numpy as np
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
     rng = substream(seed, "refute")

@@ -14,10 +14,9 @@ views (:func:`vertex_edges`, :func:`vertex_edge_masks`) and ``coloring`` read
 one read-only incidence list of vertex ids in CSR form, which one blocked
 unpack of the packed words builds (:func:`_incidences`) and a hypergraph caches.
 All averaging is exact (``fractions.Fraction``), never floating point.
-``np`` is numpy as a lazy module (the pattern of ``importlib.util.LazyLoader``,
-with a lock, so that threads may make their first kernel calls at once):
-importing the package does not load numpy, the first kernel call does;
-``coloring`` and ``lemmas`` take it from here.
+Each function that calls numpy imports it in its body, as ``coloring`` and
+``lemmas`` do: importing the package does not load numpy, the first kernel
+call does, and Python's import lock lets threads make that call at once.
 
 Edge-index sets and vertex sets are plain iterables of ints; functions
 normalize them internally. :meth:`Hypergraph.from_masks` builds a hypergraph
@@ -29,17 +28,14 @@ threads.
 from __future__ import annotations
 
 import importlib.util
-import sys
-import threading
 import time
-import types
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product, starmap
 from math import comb
 from operator import and_, lt
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -52,47 +48,12 @@ from .errors import (
     TooFewEdgesError,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
 
-# Reentrant: numpy's import reads the module's own attributes as it runs.
-_NUMPY_LOCK = threading.RLock()
-
-
-class _NumpyLoading(types.ModuleType):
-    """numpy while its import runs: reads from other threads wait for it."""
-
-    def __getattribute__(self, name):
-        with _NUMPY_LOCK:
-            return types.ModuleType.__getattribute__(self, name)
-
-
-class _LazyNumpy(_NumpyLoading):
-    """numpy before its import has run: the first attribute access runs it."""
-
-    def __getattribute__(self, name):
-        with _NUMPY_LOCK:
-            if type(self) is _LazyNumpy:
-                self.__class__ = _NumpyLoading
-                try:
-                    self.__spec__.loader.exec_module(self)
-                finally:
-                    self.__class__ = types.ModuleType
-        return getattr(self, name)
-
-
-def _lazy_numpy():
-    """numpy as a :class:`_LazyNumpy`, or the one in ``sys.modules`` if loaded."""
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    module = importlib.util.module_from_spec(spec)
-    module.__class__ = _LazyNumpy
-    sys.modules["numpy"] = module
-    return module
-
-
-np = _lazy_numpy()
+# numpy loads on the first kernel call, but a missing numpy fails the import.
+if importlib.util.find_spec("numpy") is None:
+    raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
 
 __all__ = [
     "Budget",
@@ -305,6 +266,7 @@ SHARED_VERTEX_BYTES = 40
 
 def pack_words(masks: Sequence[int], width: int) -> np.ndarray:
     """Masks as a ``(len(masks), ceil(width / 64))`` uint64 array, low word first."""
+    import numpy as np
     nwords = max(1, -(-width // 64))
     if nwords == 1:  # one conversion, several times faster than the byte join
         return np.array(masks, dtype="<u8").reshape(len(masks), 1)
@@ -315,6 +277,7 @@ def pack_words(masks: Sequence[int], width: int) -> np.ndarray:
 def intersection_sizes(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``(len(rows), len(cols))`` intersection sizes of packed word rows in the smallest
     unsigned dtype, one word at a time in ``9 * len(rows) * len(cols)`` temporary bytes."""
+    import numpy as np
     cols_t = np.ascontiguousarray(cols.T)  # each word's column a contiguous row
     sizes = np.bitwise_count(rows[:, 0, None] & cols_t[0]).astype(np.min_scalar_type(64 * len(cols_t)), copy=False)
     for w in range(1, rows.shape[1]):
@@ -325,6 +288,7 @@ def intersection_sizes(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _size_blocks(rows: np.ndarray, cols: Optional[np.ndarray]) -> Iterator[np.ndarray]:
     """Intersection sizes of every pair, one row block at a time: all of
     rows x cols, or the pairs i < j of ``rows`` when ``cols`` is None."""
+    import numpy as np
     step = max(1, BLOCK_BYTES // (8 * max(1, len(rows if cols is None else cols))))
     upper: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # the pairs i < j, per block length
     for i0 in range(0, len(rows), step):
@@ -362,6 +326,7 @@ def _shared_vertex_list(masks: Sequence[int], rows: np.ndarray, width: int) -> O
     plus the co-incidences Σ_v C(deg v, 2) is below the word scan's
     pairs × (words + 1); else None. The list, which gives the degrees, is built
     only if the convexity bound Σ|e|·(Σ|e| − width) / (2·width) leaves it open."""
+    import numpy as np
     budget = comb(len(masks), 2) * (rows.shape[1] + 1)
     incidences = sum(map(int.bit_count, masks))
     if SHARED_VERTEX_BYTES * incidences > rows.nbytes + BLOCK_BYTES:
@@ -375,6 +340,7 @@ def _shared_vertex_list(masks: Sequence[int], rows: np.ndarray, width: int) -> O
 
 def _word_scan_counts(rows: np.ndarray, cols: Optional[np.ndarray], width: int) -> dict[int, int]:
     """:func:`pair_size_counts` by popcounts of the packed word rows."""
+    import numpy as np
     total = np.zeros(width + 1, dtype=np.int64)
     for block in _size_blocks(rows, cols):
         total += np.bincount(block.ravel(), minlength=width + 1)
@@ -389,6 +355,7 @@ def _shared_vertex_counts(offsets: np.ndarray, vertices: np.ndarray, width: int)
     The ids are formed and sorted in blocks of about ``BLOCK_BYTES // 24``
     ids, cut between first edges a, so that each pair's run lies in one
     block. The pairs that share no vertex have size 0."""
+    import numpy as np
     m = len(offsets) - 1
     pos = np.int32 if len(vertices) < 2**31 else np.intp
     order, edge = _by_vertex(offsets, vertices, pos)
@@ -442,6 +409,7 @@ def pair_size_totals(rows: np.ndarray, cols: Optional[np.ndarray] = None) -> np.
     words)`` word rows, as int64: over the pairs i < j of ``rows[l]`` or, given
     ``cols``, all of ``rows[l]`` x ``cols[l]``. Padding edges add nothing. All
     lists at once, in ``9 * edges * edges' * words`` temporary bytes per list."""
+    import numpy as np
     ordered = np.bitwise_count(rows[:, :, None] & (rows if cols is None else cols)[:, None])
     total = ordered.reshape(len(rows), -1).sum(axis=1, dtype=np.int64)
     if cols is None:  # the ordered pairs count each pair twice, and each edge with itself
@@ -460,6 +428,7 @@ def pair_adjacency(masks: Sequence[int], lam: int) -> list[int]:
 
 def row_masks(flags: np.ndarray) -> list[int]:
     """Each row of a 2-D boolean array as the bitmask of its True columns."""
+    import numpy as np
     return [int.from_bytes(bits.tobytes(), "little") for bits in np.packbits(flags, axis=1, bitorder="little")]
 
 
@@ -471,6 +440,7 @@ def _incidences(masks: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
     ``vertices[offsets[i]:offsets[i + 1]]`` (CSR form). The only unpack of
     edge words into vertex ids, in blocks of edges of about ``BLOCK_BYTES``
     unpacked bits, each read with ``flatnonzero`` and freed before the next."""
+    import numpy as np
     sizes = list(map(int.bit_count, masks))
     offsets = np.zeros(len(masks) + 1, dtype=np.intp)
     np.cumsum(sizes, out=offsets[1:])
@@ -496,6 +466,7 @@ def _by_vertex(offsets: np.ndarray, vertices: np.ndarray, dtype="intp") -> tuple
     """``(order, edge)``: the incidence list's stable sort by vertex, and each
     incidence's edge (of ``dtype``) in that order. Unique keys (vertex,
     position) make the default sort stable, at a third of kind="stable"'s time."""
+    import numpy as np
     order = np.argsort(vertices * len(vertices) + np.arange(len(vertices)))
     return order, np.repeat(np.arange(len(offsets) - 1, dtype=dtype), np.diff(offsets))[order]
 
@@ -503,6 +474,7 @@ def _by_vertex(offsets: np.ndarray, vertices: np.ndarray, dtype="intp") -> tuple
 def vertex_edges(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """``(start, edges)``: the edges on vertex v, ascending, are
     ``edges[start[v]:start[v + 1]]``, from the incidence list sorted by vertex."""
+    import numpy as np
     offsets, vertices = _edge_incidences(h)
     start = np.bincount(vertices + 1, minlength=h.num_vertices + 1).cumsum()
     return start, _by_vertex(offsets, vertices)[1]
@@ -513,6 +485,7 @@ def vertex_edge_masks(h: Hypergraph) -> tuple[int, ...]:
     contains v): the transpose of ``h.edge_masks``, cached on ``h``. Built
     without a sort: each block of a multiple of 8 edges is scattered from the
     incidence list into n bool rows of about ``BLOCK_BYTES`` in all, packed."""
+    import numpy as np
     cached = h._cache.get("vertex_edge_masks")
     if cached is None:
         n, m = h.num_vertices, h.num_edges
@@ -714,6 +687,7 @@ def _parse_plain(text: str) -> Optional[tuple[int, list[int]]]:
     alone, by whole-array operations in a few words per token plus the masks;
     None for other text, text the line loop refuses, and vertex tokens of over
     18 digits or from 2^32 on. Raises nothing but MemoryError."""
+    import numpy as np
     if not text.isascii():
         return None
     # A final line break, then room to read 18 digit columns from any token

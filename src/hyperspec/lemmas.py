@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain
 from math import comb
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .core import (
     Hypergraph,
@@ -28,7 +28,6 @@ from .core import (
     is_intersecting,
     is_uniform,
     mask_of,
-    np,
     pair_size_counts,
     pair_size_total,
     pair_size_totals,
@@ -52,6 +51,9 @@ from .errors import (
     WitnessViolationError,
 )
 from .rng import distinct_subsets, substream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "InequalityReport",
@@ -357,6 +359,7 @@ SUITE_CHUNK = 64
 
 def _word_rows(mask_lists: Sequence[Sequence[int]], width: int) -> np.ndarray:
     """Mask lists as zero-padded ``(lists, longest list, words)`` uint64 rows."""
+    import numpy as np
     lens = np.array(list(map(len, mask_lists)))
     words = pack_words(list(chain.from_iterable(mask_lists)), width)
     rows = np.zeros((len(mask_lists), max(1, lens.max()), words.shape[1]), dtype=np.uint64)
@@ -366,6 +369,7 @@ def _word_rows(mask_lists: Sequence[Sequence[int]], width: int) -> np.ndarray:
 
 def _vertex_degrees(rows: np.ndarray) -> np.ndarray:
     """``(lists, 64 * words)`` vertex degrees of word rows, by unpacking their bits."""
+    import numpy as np
     return np.unpackbits(rows.view(np.uint8), axis=2, bitorder="little").sum(axis=1, dtype=np.int64)
 
 
@@ -373,6 +377,7 @@ def _pair_slacks(chunk: list) -> tuple[np.ndarray, np.ndarray]:
     """Slack numerators and denominators (int64) of :func:`check_pair_inequality`
     on each ``(fam_a, fam_b)`` of ``chunk``: each instance through the checker's
     input check, then its two routes to the totals, batched."""
+    import numpy as np
     sizes = np.array([_pair_inputs(*pair) for pair in chunk])
     fams = [fam for pair in chunk for fam in pair]  # a, b, a, b, ...
     rows = _word_rows([fam.edge_masks for fam in fams], max(fam.num_vertices for fam in fams))
@@ -390,6 +395,7 @@ def _pair_slacks(chunk: list) -> tuple[np.ndarray, np.ndarray]:
 def _average_slacks(chunk: list) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_pair_slacks` for :func:`check_average_lambda` on each ``(h, s, t, w)``
     of ``chunk``."""
+    import numpy as np
     k, s_masks, t_masks, x = zip(*(_average_inputs(*inst) for inst in chunk))
     rows = _word_rows(s_masks + t_masks, max(h.num_vertices for h, _, _, _ in chunk))
     s_rows, t_rows = rows[: len(chunk)], rows[len(chunk) :]
@@ -410,6 +416,7 @@ def run_lemma_suite(seed: int, instances: int) -> dict:
     give them a second time). The first instance of each chunk also goes
     through the public checker, whose ``holds`` and ``slack`` must equal the
     batch's. A negative ``instances`` raises :class:`InvalidParameterError`."""
+    import numpy as np
     if instances < 0:
         raise InvalidParameterError(f"instances must be non-negative, got {instances}")
     results: dict = {"seed": seed, "instances": instances}

@@ -200,14 +200,15 @@ def counting_dpll(
     n: int, edges: Sequence[Iterable[int]], budget_nodes: Optional[int] = None
 ) -> tuple[str, Optional[tuple[int, ...]], int, Optional[str]]:
     """Recursive DPLL with per-edge color counts, following the solver's
-    trajectory: vertices by descending degree then index, color 0 before
-    color 1, only color 0 at the first decision, one node per decision, and
-    the node past ``budget_nodes`` counted before giving up.
+    trajectory: the vertices in some edge by descending degree then index,
+    color 0 before color 1, only color 0 at the first decision, one node per
+    decision, the node past ``budget_nodes`` counted before giving up, and
+    color 0 for every vertex in no edge.
 
     Returns (status, coloring or None, nodes, "nodes" or None)."""
     sets = [frozenset(e) for e in edges]
     vert_edges = [[e for e in sets if v in e] for v in range(n)]
-    order = sorted(range(n), key=lambda v: (-len(vert_edges[v]), v))
+    order = sorted((v for v in range(n) if vert_edges[v]), key=lambda v: (-len(vert_edges[v]), v))
     assign: dict[int, int] = {}
     nodes = 0
 
@@ -241,9 +242,9 @@ def counting_dpll(
 
     def search(pos: int, first: bool) -> bool:
         nonlocal nodes
-        while pos < n and order[pos] in assign:
+        while pos < len(order) and order[pos] in assign:
             pos += 1
-        if pos == n:
+        if pos == len(order):
             return True
         nodes += 1
         if budget_nodes is not None and nodes > budget_nodes:
@@ -264,7 +265,7 @@ def counting_dpll(
         return "unknown", None, nodes, "nodes"
     if not found:
         return "not_colorable", None, nodes, None
-    return "colorable", tuple(assign[v] for v in range(n)), nodes, None
+    return "colorable", tuple(assign.get(v, 0) for v in range(n)), nodes, None
 
 
 def naive_min_spectrum_search(

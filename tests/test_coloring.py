@@ -153,11 +153,25 @@ class TestFind2Coloring:
         assert res.budget_tripped == "ms"
 
     def test_deep_sparse_family(self):
-        # One decision per vertex: 3000 levels, past the default recursion limit.
+        # 1000 disjoint triples, two decisions each: 2000 levels, past the
+        # default recursion limit.
+        h = new_hypergraph(3000, [[v, v + 1, v + 2] for v in range(0, 3000, 3)])
+        res = find_2_coloring(h, budget_nodes=10**5)
+        assert (res.status, res.nodes) == (ColorStatus.COLORABLE, 2000)
+        assert monochromatic_edge(h, res.coloring) is None
         h = random_uniform(3000, 3, 50, seed=201)
         res = find_2_coloring(h, budget_nodes=10**5)
         assert res.status is ColorStatus.COLORABLE
         assert monochromatic_edge(h, res.coloring) is None
+
+    def test_vertices_in_no_edge_cost_no_node(self):
+        # One decision colors the path 0-1-2; the 997 other vertices keep color 0.
+        h = new_hypergraph(1000, [[0, 1], [1, 2]])
+        for res in (find_2_coloring(h, budget_nodes=10), decide_2_coloring(h, budget_nodes=10)):
+            assert (res.status, res.nodes, res.budget_tripped) == (ColorStatus.COLORABLE, 1, None)
+            assert res.coloring == (1, 0, 1) + (0,) * 997
+        res = find_2_coloring(new_hypergraph(5, []), budget_nodes=0)
+        assert (res.status, res.coloring, res.nodes) == (ColorStatus.COLORABLE, (0,) * 5, 0)
 
 
 def planted_instance(rng: random.Random, max_n: int = 14):
@@ -233,7 +247,7 @@ class TestDecide2Coloring:
         res = decide_2_coloring(h, budget_nodes=10**5)
         assert (res.status, res.method) == (ColorStatus.COLORABLE, "modules")
         assert monochromatic_edge(h, res.coloring) is None
-        assert res.nodes < 200  # DPLL alone spends one node per vertex
+        assert res.nodes < 200  # no more than DPLL alone, which spends 95
         assert oracles.check_module_certificate(3000, list(h.edges()), res.certificate.to_json()) is True
 
     def test_quotient_edges_come_before_their_prefixes(self):

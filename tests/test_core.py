@@ -853,7 +853,7 @@ class TestPlainParse:
 
 
 class TestLazyNumpy:
-    """numpy loads on the first kernel call, not on import (``core._lazy_numpy``)."""
+    """numpy loads on the first kernel call, not on import: each kernel imports it."""
 
     def test_numpy_stays_unloaded_until_a_kernel_needs_it(self, tmp_path):
         # Every module of the package is imported first, so an import-time
@@ -947,14 +947,24 @@ class TestLazyNumpy:
             "import numpy\n"
             "before = dict(sys.modules)\n"
             "from hyperspec import coloring, core, lemmas\n"
-            "assert core.np is coloring.np is lemmas.np is numpy is sys.modules['numpy']\n"
-            "assert all(sys.modules[name] is module for name, module in before.items())\n",
-            "import sys\n"
-            "from hyperspec import coloring, core, lemmas\n"
+            "assert all(sys.modules[name] is module for name, module in before.items())\n"
+            "assert type(core.pack_words([1], 1)) is numpy.ndarray\n",
+            "import pkgutil, sys\n"
+            "import hyperspec\n"
+            "for info in pkgutil.iter_modules(hyperspec.__path__):\n"
+            "    __import__('hyperspec.' + info.name)\n"
             "assert 'numpy._core' not in sys.modules\n"
             "import numpy\n"
-            "assert core.np is coloring.np is lemmas.np is numpy is sys.modules['numpy']\n"
-            "assert numpy.__version__ and int(numpy.arange(4).sum()) == 6\n",
+            "from hyperspec import coloring, constructions, core, lemmas\n"
+            "h = constructions.fano()\n"
+            "start, edges = core.vertex_edges(h)\n"
+            "assert type(start) is type(edges) is numpy.ndarray\n"
+            "assert coloring.random_refute(h, 64, 1).mono_trials == 64\n"
+            "quotient, kept = coloring._quotient(h, numpy.arange(7), numpy.zeros(7, dtype=bool))\n"
+            "assert (sorted(quotient.edge_masks), kept) == (sorted(h.edge_masks), list(range(7)))\n"
+            "degrees = lemmas._vertex_degrees(lemmas._word_rows([[3, 6], [5]], 3))\n"
+            "assert type(degrees) is numpy.ndarray and degrees[:, :3].tolist() == [[1, 2, 1], [1, 0, 1]]\n"
+            "assert sys.modules['numpy'] is numpy\n",
         ],
         ids=["numpy-first", "hyperspec-first"],
     )
