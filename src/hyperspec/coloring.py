@@ -26,6 +26,8 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .core import BLOCK_BYTES, Budget, Hypergraph, is_intersecting, is_uniform
@@ -174,12 +176,15 @@ def find_2_coloring(
 def _dpll(h: Hypergraph, budget: Budget) -> ColorResult:
     """:func:`find_2_coloring`'s search, drawing on (and reporting) ``budget``."""
     n = h.num_vertices
-    vert_edges: list[list[int]] = [[] for _ in range(n)]
+    # Only the vertices in some edge get a list and are decided; the others keep color 0.
+    used = vertices_of(reduce(or_, h.edge_masks, 0))
+    vert_edges: list = [()] * n
+    for v in used:
+        vert_edges[v] = []
     for m in h.edge_masks:
         for v in vertices_of(m):
             vert_edges[v].append(m)
-    # Only the vertices in some edge are decided; the others keep color 0.
-    order = sorted((v for v in range(n) if vert_edges[v]), key=lambda v: (-len(vert_edges[v]), v))
+    order = sorted(used, key=lambda v: (-len(vert_edges[v]), v))
 
     def propagate(v: int, c: int, col: list[int]) -> bool:
         # Color v with c in ``col`` and close under propagation; False on a

@@ -262,6 +262,10 @@ NUMPY_MIN_PAIRS = 512
 # 36 to 38), fit in the packed rows the word scan holds plus a block.
 SHARED_VERTEX_COST = 8
 SHARED_VERTEX_BYTES = 40
+# Values spanning at most this many integers take an equality pass each, not
+# np.bincount, which widens them to 8-byte indices and serializes on a few hot
+# counters (2.88M uint8 sizes, numpy 2.4: 0.35 ms a pass, bincount 4.6-8.5 ms).
+TALLY_SPAN = 12
 
 
 def pack_words(masks: Sequence[int], width: int) -> np.ndarray:
@@ -305,7 +309,7 @@ def pair_size_counts(masks: Sequence[int], other: Optional[Sequence[int]] = None
     the pairs i < j of ``masks`` or, given ``other``, all of masks x other.
     Within one list, the numpy path counts through shared vertices when the
     incidences and co-incidences are few next to the word scan's work and
-    memory (:func:`_shared_vertex_list`)."""
+    memory (:func:`_shared_vertex_list`). Both numpy paths count with :func:`_tally`."""
     m = len(masks)
     if (m * (m - 1) // 2 if other is None else m * len(other)) < NUMPY_MIN_PAIRS:
         pairs = combinations(masks, 2) if other is None else product(masks, other)
@@ -339,12 +343,23 @@ def _shared_vertex_list(masks: Sequence[int], rows: np.ndarray, width: int) -> O
 
 
 def _word_scan_counts(rows: np.ndarray, cols: Optional[np.ndarray], width: int) -> dict[int, int]:
-    """:func:`pair_size_counts` by popcounts of the packed word rows."""
+    """:func:`pair_size_counts` by popcounts of the packed word rows, one :func:`_tally` per block."""
     import numpy as np
     total = np.zeros(width + 1, dtype=np.int64)
     for block in _size_blocks(rows, cols):
-        total += np.bincount(block.ravel(), minlength=width + 1)
+        _tally(block, total)
     return {size: c for size, c in enumerate(total.tolist()) if c}
+
+
+def _tally(values: np.ndarray, total: np.ndarray) -> None:
+    """Add to ``total[s]`` how many ``values`` equal s (see ``TALLY_SPAN``)."""
+    import numpy as np
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, -1)
+    if hi - lo < TALLY_SPAN:  # an empty block makes no pass
+        for s in range(lo, hi + 1):
+            total[s] += np.count_nonzero(values == s)
+    else:
+        total += np.bincount(values.ravel(), minlength=len(total))
 
 
 def _shared_vertex_counts(offsets: np.ndarray, vertices: np.ndarray, width: int) -> dict[int, int]:
@@ -392,7 +407,7 @@ def _shared_vertex_counts(offsets: np.ndarray, vertices: np.ndarray, width: int)
         del ids
         cuts = np.flatnonzero(bounds)
         del bounds
-        runs += np.bincount(np.diff(cuts), minlength=width + 1)
+        _tally(np.diff(cuts).astype(np.min_scalar_type(width)), runs)  # narrow: cheaper passes
         distinct += len(cuts) - 1
         a0 = a1
     runs[0] = comb(m, 2) - distinct

@@ -173,6 +173,20 @@ class TestFind2Coloring:
         res = find_2_coloring(new_hypergraph(5, []), budget_nodes=0)
         assert (res.status, res.coloring, res.nodes) == (ColorStatus.COLORABLE, (0,) * 5, 0)
 
+    def test_vertices_in_no_edge_stay_small(self):
+        # A path on 3 of 10^6 vertices: a list per declared vertex peaked at
+        # about 72 MiB; now the peak is about 18 MiB, mostly the per-vertex
+        # slots and the witness tuple at 8 MB each.
+        h = new_hypergraph(10**6, [[0, 1], [1, 2]])
+        tracemalloc.start()
+        try:
+            res = find_2_coloring(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.status, res.nodes, res.coloring[:4]) == (ColorStatus.COLORABLE, 1, (1, 0, 1, 0))
+        assert peak < 30 * 2**20
+
 
 def planted_instance(rng: random.Random, max_n: int = 14):
     """compose(outer, inner) of two small random uniform families, with a

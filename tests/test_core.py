@@ -400,6 +400,88 @@ class TestSpectrum:
         assert a.sizes == b.sizes and a.multiplicities == b.multiplicities
 
 
+class TestTally:
+    """Each block of sizes is tallied by one equality pass per value when its
+    values span at most ``TALLY_SPAN`` integers, else by np.bincount; both
+    branches agree with the frozenset oracle. Spies on the two numpy calls
+    record which branch each count took."""
+
+    @pytest.fixture
+    def branches(self, monkeypatch):
+        taken = set()
+        bincount, count_nonzero = np.bincount, np.count_nonzero
+
+        def spy_bincount(*args, **kwargs):
+            taken.add("bincount")
+            return bincount(*args, **kwargs)
+
+        def spy_passes(*args, **kwargs):
+            taken.add("passes")
+            return count_nonzero(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", spy_bincount)
+        monkeypatch.setattr(np, "count_nonzero", spy_passes)
+        return taken
+
+    @staticmethod
+    def word_scan(edges, n, other=None):
+        rows = pack_words([mask_of(e) for e in edges], n)
+        cols = None if other is None else pack_words([mask_of(e) for e in other], n)
+        counts = core._word_scan_counts(rows, cols, n)
+        assert list(counts) == sorted(counts)
+        return counts
+
+    def test_narrow_spectra_take_equality_passes(self, itf2, branches):
+        composed = list(compose(fano(), complete_subsets(5, 3)).edges())[::7]  # all 7 outer lines
+        for n, edges in ((49, list(itf2.edges())), (35, composed)):
+            branches.clear()
+            assert self.word_scan(edges, n) == oracles.naive_spectrum(edges)
+            assert branches == {"passes"}
+        assert len(oracles.naive_spectrum(composed)) == 8 <= core.TALLY_SPAN
+
+    def test_broad_spectrum_takes_bincount(self, branches):
+        rng = random.Random(11)
+        edges = list({frozenset(rng.sample(range(130), rng.randint(1, 120))) for _ in range(60)})
+        assert self.word_scan(edges, 130) == oracles.naive_spectrum(edges)
+        assert branches == {"bincount"}
+
+    def test_span_at_the_cutoff_and_one_past(self, branches):
+        """A chain of nested edges over the 64-bit boundary: the pair of the
+        i-th and j-th shortest edges meets in the shorter one, so edges of
+        1 to s + 1 vertices give the sizes 1 to s. Both kernels are checked,
+        the shared-vertex count through its run lengths."""
+        for span, branch in ((core.TALLY_SPAN, "passes"), (core.TALLY_SPAN + 1, "bincount")):
+            chain = [frozenset(range(60, 61 + i)) for i in range(span + 1)]
+            expected = oracles.naive_spectrum(chain)
+            assert sorted(expected) == list(range(1, span + 1))
+            branches.clear()
+            assert self.word_scan(chain, 80) == expected
+            assert branches == {branch}
+            listed = core._incidences([mask_of(e) for e in chain], 80)
+            branches.clear()
+            assert core._shared_vertex_counts(*listed, 80) == expected
+            assert branches == {branch}
+
+    def test_last_block_of_one_row(self, branches, monkeypatch):
+        """With 4-row blocks, 41 edges leave a last block of one row, whose
+        triangle and tail are both empty (the tail after the last block of
+        one list is always empty)."""
+        rng = random.Random(3)
+        edges = [frozenset(rng.sample(range(100), 9)) for _ in range(41)]
+        monkeypatch.setattr(core, "BLOCK_BYTES", 4 * 8 * len(edges))
+        assert self.word_scan(edges, 100) == oracles.naive_spectrum(edges)
+        assert branches == {"passes"}
+
+    def test_cross_lists(self, branches):
+        rng = random.Random(4)
+        left = [frozenset(rng.sample(range(200), 9)) for _ in range(30)]
+        right = [frozenset(rng.sample(range(200), rng.randint(1, 200))) for _ in range(50)]
+        for rows, cols, branch in ((left, left[::-1], "passes"), (right, right[::-1], "bincount")):
+            branches.clear()
+            assert self.word_scan(rows, 200, cols) == oracles.naive_cross_spectrum(rows, cols)
+            assert branches == {branch}
+
+
 class TestIntersectionSizes:
     # 1 to 5 words; from 4 words (n > 192) the result dtype is uint16, and at
     # n = 256 the all-ones pair meets in 256 vertices, past uint8.
