@@ -19,66 +19,66 @@ extraction
     triple families, and the density-increment driver.
 search
     Exhaustive search for minimum-spectrum witnesses.
+
+Importing the package loads none of these. Each name in ``__all__``, and
+each submodule (``hyperspec.core``, ``hyperspec.cli``, ...), is imported on
+first attribute access (PEP 562), so a caller pays only for the layers it uses.
 """
 
-from .core import (
-    Budget,
-    Hypergraph,
-    Spectrum,
-    new_hypergraph,
-    is_uniform,
-    is_intersecting,
-    intersection_spectrum,
-    lambda_within,
-    lambda_across,
-    edges_containing,
-    parse_hypergraph,
-    serialize_hypergraph,
-)
-from .constructions import (
-    fano,
-    compose,
-    iterated_fano,
-    complete_subsets,
-    ramsey_clique_hypergraph,
-    random_uniform,
-)
-from .coloring import (
-    ColorResult,
-    ColorStatus,
-    Module,
-    ModuleCertificate,
-    monochromatic_edge,
-    find_2_coloring,
-    decide_2_coloring,
-    random_refute,
-    three_coloring_intersecting,
-    cover_number,
-    certificate_mono_edge,
-    compositional_mono_edge,
-)
-from .lemmas import (
-    InequalityReport,
-    check_pair_inequality,
-    check_average_lambda,
-    greedy_increase,
-    is_lambda_small,
-    validate_lambda_pair,
-)
-from .extraction import (
-    SimpleGraph,
-    ExtractionParams,
-    LambdaPair,
-    TripleFamily,
-    IncrementTrace,
-    threshold_graph,
-    dependent_random_choice,
-    find_lambda_pair_ramsey,
-    find_lambda_pair_drc,
-    build_triple_family,
-    density_increment_run,
-)
-from .search import SearchReport, min_spectrum_search, canonical_form, are_isomorphic
-from .rng import DEFAULT_SEED
+import importlib.util
+
+# numpy loads on the first kernel call, but a missing numpy fails the import.
+if importlib.util.find_spec("numpy") is None:
+    raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
 
 __version__ = "0.1.0"
+
+# The names the package re-exports, by the submodule that defines them.
+_EXPORTS = {
+    "core": (
+        "Budget", "Hypergraph", "Spectrum", "new_hypergraph", "is_uniform", "is_intersecting",
+        "intersection_spectrum", "lambda_within", "lambda_across", "edges_containing",
+        "parse_hypergraph", "serialize_hypergraph",
+    ),
+    "constructions": (
+        "fano", "compose", "iterated_fano", "complete_subsets", "ramsey_clique_hypergraph",
+        "random_uniform",
+    ),
+    "coloring": (
+        "ColorResult", "ColorStatus", "Module", "ModuleCertificate", "monochromatic_edge",
+        "find_2_coloring", "decide_2_coloring", "random_refute", "three_coloring_intersecting",
+        "cover_number", "certificate_mono_edge", "compositional_mono_edge",
+    ),
+    "lemmas": (
+        "InequalityReport", "check_pair_inequality", "check_average_lambda", "greedy_increase",
+        "is_lambda_small", "validate_lambda_pair",
+    ),
+    "extraction": (
+        "SimpleGraph", "ExtractionParams", "LambdaPair", "TripleFamily", "IncrementTrace",
+        "threshold_graph", "dependent_random_choice", "find_lambda_pair_ramsey",
+        "find_lambda_pair_drc", "build_triple_family", "density_increment_run",
+    ),
+    "search": ("SearchReport", "min_spectrum_search", "canonical_form", "are_isomorphic"),
+    "rng": ("DEFAULT_SEED",),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name: str):
+    if name in _ORIGIN:
+        value = getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+        globals()[name] = value
+        return value
+    # Any other name loads the submodule of that name, if there is one.
+    try:
+        return importlib.import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _ORIGIN.keys())

@@ -5,6 +5,9 @@ JSON payload carries a "schema" version and, for randomized runs, the seed
 that produced it; wall-clock numbers live under a separate "timings" key
 so byte-level comparisons can exclude them. Exit codes: 0 success, 1
 domain error (structured JSON on stderr), 2 usage error.
+
+Importing this module loads every layer: ``bench/tracing.py`` wraps the
+layers' public functions right after ``from hyperspec import cli``.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import constructions
-from .coloring import DEFAULT_NODE_BUDGET, decide_2_coloring, random_refute
+from .coloring import decide_2_coloring, random_refute
 from .core import (
+    DEFAULT_NODE_BUDGET,
     Hypergraph,
     intersection_spectrum,
     is_intersecting,
@@ -198,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="generate a named hypergraph family as .hg text")
     p.add_argument("--family", required=True, choices=constructions.FAMILY_PARAMS)
     p.add_argument("--param", action="append", default=[], metavar="K=V")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--size-cap", type=_at_least(1), default=constructions.DEFAULT_SIZE_CAP)
     p.add_argument("--left", help="first input .hg (compose only)")
     p.add_argument("--right", help="second input .hg (compose only)")

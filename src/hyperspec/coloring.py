@@ -30,7 +30,7 @@ from functools import reduce
 from operator import or_
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .core import BLOCK_BYTES, Budget, Hypergraph, is_intersecting, is_uniform
+from .core import BLOCK_BYTES, DEFAULT_NODE_BUDGET, Budget, Hypergraph, is_intersecting, is_uniform
 from .core import _edge_incidences, mask_of, pack_words, vertex_edges, vertices_of
 from .rng import substream
 from .errors import (
@@ -61,7 +61,6 @@ __all__ = [
     "DEFAULT_NODE_BUDGET",
 ]
 
-DEFAULT_NODE_BUDGET = 10**8
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
 
 

@@ -21,7 +21,7 @@ from .errors import (
     SizeCapExceededError,
     TooManyEdgesRequestedError,
 )
-from .rng import distinct_subsets, substream
+from .rng import DEFAULT_SEED, distinct_subsets, substream
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
@@ -169,8 +169,10 @@ def build_construction(
 ) -> Hypergraph:
     """Build ``family`` from its ``FAMILY_PARAMS`` keys in ``params``.
 
-    A key the family does not read, or input hypergraphs given to any
-    family but ``compose``, raise :class:`InvalidParameterError`.
+    Only ``random-uniform`` reads ``seed`` (``DEFAULT_SEED`` when None). A
+    key the family does not read, input hypergraphs given to any family but
+    ``compose``, or a seed given to any family but ``random-uniform`` raise
+    :class:`InvalidParameterError`.
     """
     if family not in FAMILY_PARAMS:
         raise InvalidParameterError(f"unknown family {family!r}; choose from {tuple(FAMILY_PARAMS)}")
@@ -184,9 +186,14 @@ def build_construction(
     if family == "compose":
         if len(inputs) != 2:
             raise InvalidParameterError("compose needs --left and --right input files")
-        return compose(*inputs, size_cap=size_cap)
-    if inputs:
+    elif inputs:
         raise InvalidParameterError(f"family {family!r} reads no input files; only compose does")
+    if family == "random-uniform":
+        return random_uniform(*args, DEFAULT_SEED if seed is None else seed, size_cap=size_cap)
+    if seed is not None:
+        raise InvalidParameterError(f"family {family!r} reads no --seed; only random-uniform does")
+    if family == "compose":
+        return compose(*inputs, size_cap=size_cap)
     if family == "fano":
         if size_cap < 7:
             raise SizeCapExceededError(f"the Fano plane has 7 edges, cap is {size_cap}")
@@ -195,8 +202,4 @@ def build_construction(
         return iterated_fano(*args, size_cap=size_cap)
     if family == "complete-subsets":
         return complete_subsets(*args, size_cap=size_cap)
-    if family == "ramsey-clique":
-        return ramsey_clique_hypergraph(*args, size_cap=size_cap)
-    if seed is None:
-        raise InvalidParameterError("random-uniform needs a seed")
-    return random_uniform(*args, seed, size_cap=size_cap)
+    return ramsey_clique_hypergraph(*args, size_cap=size_cap)

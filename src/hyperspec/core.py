@@ -27,7 +27,6 @@ threads.
 
 from __future__ import annotations
 
-import importlib.util
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -51,11 +50,8 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy loads on the first kernel call, but a missing numpy fails the import.
-if importlib.util.find_spec("numpy") is None:
-    raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-
 __all__ = [
+    "DEFAULT_NODE_BUDGET",
     "Budget",
     "Hypergraph",
     "Spectrum",
@@ -593,6 +589,8 @@ def edges_containing(h: Hypergraph, vertices: Iterable[int]) -> frozenset[int]:
 
 
 # -- budgets -------------------------------------------------------------
+
+DEFAULT_NODE_BUDGET = 10**8
 
 
 class Budget:

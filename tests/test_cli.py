@@ -8,6 +8,7 @@ from hyperspec import core
 from hyperspec.cli import main
 from hyperspec.constructions import random_uniform
 from hyperspec.core import serialize_hypergraph
+from hyperspec.rng import DEFAULT_SEED
 
 import oracles
 from conftest import run_fresh
@@ -423,6 +424,40 @@ class TestErrorsAndUsage:
         assert json.loads(err)["error"]["type"] == "SizeCapExceededError"
         code, stdout, _ = run_cli(["construct", *args[:-1], "12"], capsys)
         assert code == 0 and stdout
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--family", "fano"],
+            ["--family", "iterated-fano", "--param", "m=1"],
+            ["--family", "complete-subsets", "--param", "n=5", "--param", "k=3"],
+            ["--family", "ramsey-clique", "--param", "n=5", "--param", "k=3"],
+            ["--family", "compose", "--left", "FANO", "--right", "FANO"],
+        ],
+        ids=["fano", "iterated-fano", "complete-subsets", "ramsey-clique", "compose"],
+    )
+    def test_unread_seed_is_refused(self, args, tmp_path, capsys):
+        path = tmp_path / "fano.hg"
+        run_cli(["construct", "--family", "fano", "-o", str(path)], capsys)
+        args = ["construct", *(str(path) if a == "FANO" else a for a in args)]
+        code, stdout, err = run_cli([*args, "--seed", "9"], capsys)
+        assert (code, stdout) == (1, "")
+        message = f"family {args[2]!r} reads no --seed; only random-uniform does"
+        assert json.loads(err)["error"] == {"type": "InvalidParameterError", "message": message}
+        assert run_cli(args, capsys)[0] == 0
+
+    @pytest.mark.parametrize(
+        "seed, text",
+        [
+            (["--seed", "7"], "10 3\n1 5 7 8\n2 5 6 8\n4 5 6 8\n"),
+            ([], "10 3\n1 3 4 7\n1 4 5 9\n2 4 5 7\n"),
+            (["--seed", str(DEFAULT_SEED)], "10 3\n1 3 4 7\n1 4 5 9\n2 4 5 7\n"),
+        ],
+        ids=["seed-7", "no-seed", "default-seed"],
+    )
+    def test_random_uniform_reads_its_seed(self, seed, text, capsys):
+        args = ["construct", "--family", "random-uniform", "--param", "n=10", "--param", "k=4", "--param", "m=3"]
+        assert run_cli([*args, *seed], capsys) == (0, text, "")
 
     def test_random_uniform_with_no_edges(self, capsys):
         args = ["construct", "--family", "random-uniform", "--param", "n=5", "--param", "k=2", "--param", "m=0"]

@@ -15,6 +15,7 @@ from hyperspec import (
 )
 from hyperspec.coloring import ColorStatus
 from hyperspec.constructions import build_construction
+from hyperspec.rng import DEFAULT_SEED
 from hyperspec.errors import (
     InvalidParameterError,
     NonUniformError,
@@ -213,3 +214,24 @@ class TestBuildConstruction:
     def test_refuses_unread_input(self, fano_h, family, params, inputs, message):
         with pytest.raises(InvalidParameterError, match=message):
             build_construction(family, params, seed=0, inputs=(fano_h,) * inputs)
+
+    @pytest.mark.parametrize(
+        "family, params, inputs",
+        [
+            ("fano", {}, 0),
+            ("iterated-fano", {"m": 1}, 0),
+            ("complete-subsets", {"n": 5, "k": 3}, 0),
+            ("ramsey-clique", {"n": 5, "k": 3}, 0),
+            ("compose", {}, 2),
+        ],
+        ids=["fano", "iterated-fano", "complete-subsets", "ramsey-clique", "compose"],
+    )
+    def test_refuses_unread_seed(self, fano_h, family, params, inputs):
+        with pytest.raises(InvalidParameterError, match=f"family '{family}' reads no --seed"):
+            build_construction(family, params, seed=0, inputs=(fano_h,) * inputs)
+
+    def test_random_uniform_seed_defaults(self):
+        params = {"n": 10, "k": 4, "m": 3}
+        default = build_construction("random-uniform", params)
+        assert default == random_uniform(10, 4, 3, seed=DEFAULT_SEED)
+        assert default != build_construction("random-uniform", params, seed=7)

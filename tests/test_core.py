@@ -1,3 +1,5 @@
+import importlib
+import json
 import random
 import sys
 import time
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperspec
 from hyperspec import (
     Hypergraph,
     edges_containing,
@@ -1053,3 +1056,109 @@ class TestLazyNumpy:
     def test_one_numpy_module(self, script):
         proc = run_fresh(["-c", script], timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+# Every name the package re-exports, by the submodule that defines it.
+EXPORTED = {
+    "core": [
+        "Budget", "Hypergraph", "Spectrum", "new_hypergraph", "is_uniform", "is_intersecting",
+        "intersection_spectrum", "lambda_within", "lambda_across", "edges_containing",
+        "parse_hypergraph", "serialize_hypergraph",
+    ],
+    "constructions": [
+        "fano", "compose", "iterated_fano", "complete_subsets", "ramsey_clique_hypergraph", "random_uniform",
+    ],
+    "coloring": [
+        "ColorResult", "ColorStatus", "Module", "ModuleCertificate", "monochromatic_edge", "find_2_coloring",
+        "decide_2_coloring", "random_refute", "three_coloring_intersecting", "cover_number",
+        "certificate_mono_edge", "compositional_mono_edge",
+    ],
+    "lemmas": [
+        "InequalityReport", "check_pair_inequality", "check_average_lambda", "greedy_increase",
+        "is_lambda_small", "validate_lambda_pair",
+    ],
+    "extraction": [
+        "SimpleGraph", "ExtractionParams", "LambdaPair", "TripleFamily", "IncrementTrace", "threshold_graph",
+        "dependent_random_choice", "find_lambda_pair_ramsey", "find_lambda_pair_drc", "build_triple_family",
+        "density_increment_run",
+    ],
+    "search": ["SearchReport", "min_spectrum_search", "canonical_form", "are_isomorphic"],
+    "rng": ["DEFAULT_SEED"],
+}
+EXPORTED_NAMES = {name for names in EXPORTED.values() for name in names}
+
+# What the benchmark's set-up imports, and every module ``hyperspec.cli`` loads.
+SETUP = ["hyperspec", "hyperspec.constructions", "hyperspec.core", "hyperspec.errors", "hyperspec.rng"]
+ALL = SETUP + ["hyperspec." + m for m in ("cli", "coloring", "extraction", "lemmas", "search")]
+
+
+class TestLazyNamespace:
+    """``hyperspec`` resolves its names on first access, so a caller loads
+    only the layers it uses; the CLI loads every layer."""
+
+    @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTED.items() for n in names])
+    def test_name_resolves_to_its_definition(self, module, name):
+        value = getattr(importlib.import_module(f"hyperspec.{module}"), name)
+        assert getattr(hyperspec, name) is value
+        assert vars(hyperspec)[name] is value  # cached: the next access is a plain lookup
+
+    def test_dir_and_star_import_cover_every_name(self):
+        assert EXPORTED_NAMES <= set(dir(hyperspec))
+        namespace = {}
+        exec("from hyperspec import *", namespace)
+        assert EXPORTED_NAMES <= namespace.keys()
+        assert set(hyperspec.__all__) == EXPORTED_NAMES
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'hyperspec' has no attribute 'no_such_name'"):
+            hyperspec.no_such_name
+        assert not hasattr(hyperspec, "__wrapped__")
+
+    def test_submodule_loads_on_attribute_access(self):
+        script = (
+            "import sys\n"
+            "import hyperspec\n"
+            "assert 'hyperspec.coloring' not in sys.modules\n"
+            "assert hyperspec.coloring is sys.modules['hyperspec.coloring']\n"
+            "assert hyperspec.coloring.DEFAULT_NODE_BUDGET == hyperspec.core.DEFAULT_NODE_BUDGET == 10**8\n"
+            "assert hyperspec.cli.main is sys.modules['hyperspec.cli'].main\n"
+        )
+        proc = run_fresh(["-c", script], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, code, loaded",
+        [
+            ([], None, ["hyperspec"]),
+            (["SET-UP"], None, SETUP),
+            (["--help"], 0, ALL),
+            (["construct"], 2, ALL),
+            (["construct", "--family", "fano", "-o", "FILE"], 0, ALL),
+            (["spectrum", "FILE"], 0, ALL),
+        ],
+        ids=["import", "set-up", "help", "usage-error", "construct", "spectrum"],
+    )
+    def test_modules_loaded_in_a_fresh_process(self, args, code, loaded, tmp_path):
+        path = tmp_path / "fano.hg"
+        path.write_text(serialize_hypergraph(fano()))
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import hyperspec\n"
+            "code = None\n"
+            "if sys.argv[1:] == ['SET-UP']:\n"
+            "    from hyperspec import constructions\n"
+            "    from hyperspec.core import serialize_hypergraph\n"
+            "    serialize_hypergraph(constructions.iterated_fano(2))\n"
+            "elif sys.argv[1:]:\n"
+            "    from hyperspec.cli import main\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            code = main(sys.argv[1:])\n"
+            "        except SystemExit as exc:\n"
+            "            code = exc.code\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.partition('.')[0] == 'hyperspec')]))\n"
+        )
+        argv = [str(path) if a == "FILE" else a for a in args]
+        proc = run_fresh(["-c", script, *argv], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [code, sorted(loaded)]
