@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 # The names the package re-exports, by the submodule that defines them.
 _EXPORTS = {
     "core": (
-        "Budget", "Hypergraph", "Spectrum", "new_hypergraph", "is_uniform", "is_intersecting",
+        "Budget", "Hypergraph", "Spectrum", "is_uniform", "is_intersecting",
         "intersection_spectrum", "lambda_within", "lambda_across", "edges_containing",
         "parse_hypergraph", "serialize_hypergraph",
     ),

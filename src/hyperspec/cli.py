@@ -127,6 +127,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
+    if args.seed is not None and not args.trials:
+        raise InvalidParameterError("color reads --seed only with --trials")
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     h = _load(args.file)
     started = time.monotonic()
     result = decide_2_coloring(h, budget_nodes=args.budget_nodes, budget_ms=args.budget_ms)
@@ -139,10 +142,10 @@ def cmd_color(args: argparse.Namespace) -> int:
         "method": result.method,
         "certificate": None if result.certificate is None else result.certificate.to_json(),
         "mono_fraction": None,
-        "seed": args.seed,
+        "seed": seed,
     }
     if args.trials:
-        report = random_refute(h, args.trials, args.seed)
+        report = random_refute(h, args.trials, seed)
         payload["mono_fraction"] = report.mono_fraction
         payload["mean_mono_edges"] = report.mean_mono_edges
     payload["timings"] = {"elapsed_ms": (time.monotonic() - started) * 1000.0}
@@ -170,7 +173,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         **tuning, seed=args.seed, budget_ms=args.budget_ms, paper_constants=args.paper_constants
     )
     trace = density_increment_run(h, params)
-    payload = {"schema": SCHEMA, **trace.to_json(include_timings=True)}
+    payload = {"schema": SCHEMA, **trace.to_json()}
     payload["timings"] = {"elapsed_ms": (time.monotonic() - started) * 1000.0}
     _emit(payload)
     return 0
@@ -182,12 +185,11 @@ def cmd_search(args: argparse.Namespace) -> int:
         args.max_vertices,
         budget_ms=args.budget_ms,
         budget_nodes=args.budget_nodes,
-        seed=args.seed,
     )
     if args.witness_out and report.witness is not None:
         with open(args.witness_out, "w", encoding="utf-8") as fh:
             fh.write(serialize_hypergraph(report.witness))
-    _emit({"schema": SCHEMA, **report.to_json(include_timings=True)})
+    _emit({"schema": SCHEMA, "seed": args.seed, **report.to_json()})
     return 0
 
 
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-nodes", type=_at_least(0), default=DEFAULT_NODE_BUDGET)
     p.add_argument("--budget-ms", type=_at_least(0, float), default=None)
     p.add_argument("--trials", type=_at_least(0), default=0)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("verify", help="run a randomized inequality suite")

@@ -55,7 +55,6 @@ __all__ = [
     "Budget",
     "Hypergraph",
     "Spectrum",
-    "new_hypergraph",
     "is_uniform",
     "is_intersecting",
     "intersection_spectrum",
@@ -143,10 +142,7 @@ class Hypergraph:
             if not edge or min(edge) < 0 or max(edge) >= num_vertices:
                 _raise_first_fault(num_vertices, masks)  # a repeat before this edge comes first
                 raise _edge_fault(pos, edge, num_vertices)
-            m = 0
-            for v in edge:
-                m |= 1 << v
-            masks.append(m)
+            masks.append(mask_of(edge))
         self._adopt(num_vertices, tuple(masks))
 
     @classmethod
@@ -197,11 +193,6 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.num_vertices}, m={self.num_edges})"
-
-
-def new_hypergraph(num_vertices: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
-    """Validate and build a hypergraph (alias for the constructor)."""
-    return Hypergraph(num_vertices, edges)
 
 
 @dataclass(frozen=True)

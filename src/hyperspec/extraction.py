@@ -164,11 +164,9 @@ def threshold_graph(h: Hypergraph, edge_set: Iterable[int], lam: int) -> SimpleG
 @dataclass(frozen=True)
 class DrcResult:
     """An accepted set U, which has no bad t-subset, and the attempt that
-    found it. ``bad_fraction`` is always 0 and ``exhaustive`` always True:
-    every U is decided exactly."""
+    found it. ``exhaustive`` is always True: every U is decided exactly."""
 
     u: frozenset[int]
-    bad_fraction: Fraction
     exhaustive: bool
     attempts: int
     removed: int
@@ -253,14 +251,14 @@ def dependent_random_choice(
         if len(members) <= 2 * n:
             continue
         if _common_neighbor_floor(g, members, t) >= n:
-            return DrcResult(frozenset(members), Fraction(0), True, attempt, 0)
+            return DrcResult(frozenset(members), True, attempt, 0)
         if comb(len(members), t) > ENUM_CAP:
             continue  # undecided
         _, bad_subsets = _count_bad_subsets(g, members, t, n)
         kept, removed = _cleanup_bad_subsets(members, bad_subsets)
         if len(kept) > 2 * n:
             # Every bad subset lost a member, so none survives in kept.
-            return DrcResult(frozenset(kept), Fraction(0), True, attempt, removed)
+            return DrcResult(frozenset(kept), True, attempt, removed)
     return None
 
 
@@ -436,7 +434,6 @@ class TripleFamily:
     anchor: int
     triples: tuple[tuple[int, int, frozenset[int]], ...]
     x: int
-    maximal_certified: bool
 
 
 def build_triple_family(
@@ -450,8 +447,8 @@ def build_triple_family(
     Scans ordered candidate pairs (A, B) of unused pool edges in
     lexicographic order and admits a pair when at least x vertices of
     A's overlap with the anchor avoid B, taking X_i as the x smallest such
-    vertices. The scan order is deterministic. A final rescan certifies
-    maximality.
+    vertices. The scan order is deterministic. The family is maximal: an A
+    that found no B had scanned every member still unused.
     """
     members = sorted(frozenset(pool))
     if not members:
@@ -485,12 +482,7 @@ def build_triple_family(
                 break
             i += 1
         resume[au] = i
-
-    # A final rescan of every pair of unused members certifies maximality.
-    unused = [(b, free[i]) for i, b in enumerate(members) if b not in used]
-    wide = [(a, au) for a, _ in unused if (au := masks[a] & u_mask).bit_count() >= x]
-    certified = not any((au & fb).bit_count() >= x for a, au in wide for b, fb in unused if b != a)
-    return TripleFamily(anchor, tuple(triples), x, certified)
+    return TripleFamily(anchor, tuple(triples), x)
 
 
 @dataclass(frozen=True)
@@ -557,11 +549,11 @@ class IncrementTrace:
     def lambdas(self) -> list[int]:
         return [lvl.pair.lam for lvl in self.levels]
 
-    def to_json(self, include_timings: bool = True) -> dict:
+    def to_json(self) -> dict:
         levels = []
         for lvl in self.levels:
             pair = lvl.pair
-            row = {
+            levels.append({
                 "lambda": pair.lam,
                 "branch": lvl.branch,
                 "pool_size": lvl.pool_size,
@@ -570,12 +562,8 @@ class IncrementTrace:
                 "validated": pair.validated,
                 "extractor": lvl.extractor,
                 "notes": list(pair.notes),
-            }
-            if include_timings:
-                row["timings"] = {
-                    k: getattr(lvl, k) for k in ("elapsed_ms", "triple_family_ms", "growth_ms")
-                }
-            levels.append(row)
+                "timings": {k: getattr(lvl, k) for k in ("elapsed_ms", "triple_family_ms", "growth_ms")},
+            })
         p = self.params
         # A paper-constants run stopped by the input check never learns k,
         # so it has no t, x or d.

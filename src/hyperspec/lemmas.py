@@ -141,10 +141,8 @@ def _degrees(masks: Sequence[int], n: int) -> list[int]:
     """Degree of each of the n vertices, counted edge by edge."""
     deg = [0] * n
     for m in masks:
-        while m:
-            low = m & -m
-            deg[low.bit_length() - 1] += 1
-            m ^= low
+        for v in vertices_of(m):
+            deg[v] += 1
     return deg
 
 

@@ -25,7 +25,6 @@ from .coloring import ColorStatus, find_2_coloring
 from .core import Budget, Hypergraph, intersection_sizes, intersection_spectrum, pack_words
 from .core import mask_of, pair_size_counts, row_masks, vertices_of
 from .errors import InvalidParameterError
-from .rng import DEFAULT_SEED
 
 __all__ = [
     "SearchReport",
@@ -90,11 +89,10 @@ class SearchReport:
     nodes: int
     elapsed_ms: float
     method: str
-    seed: int
     budget_tripped: Optional[str]  # "nodes", "ms", or None
 
-    def to_json(self, include_timings: bool = True) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "k": self.k,
             "max_vertices": self.max_vertices,
             "edge_space": self.edge_space,
@@ -109,11 +107,8 @@ class SearchReport:
             "nodes": self.nodes,
             "budget_tripped": self.budget_tripped,
             "method": self.method,
-            "seed": self.seed,
+            "timings": {"elapsed_ms": self.elapsed_ms},
         }
-        if include_timings:
-            out["timings"] = {"elapsed_ms": self.elapsed_ms}
-        return out
 
 
 def min_spectrum_search(
@@ -121,7 +116,6 @@ def min_spectrum_search(
     max_vertices: int,
     budget_ms: Optional[float] = None,
     budget_nodes: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
 ) -> SearchReport:
     """Minimize the spectrum size over intersecting k-uniform
     non-2-colorable hypergraphs on at most ``max_vertices`` vertices.
@@ -133,8 +127,8 @@ def min_spectrum_search(
     solves families with no node limit, outside ``nodes``. The search keeps per-edge masks over all
     C(max_vertices, k) candidate edges, so its memory grows as the square of
     that count; above ``EDGE_SPACE_CAP`` candidates it raises
-    :class:`~hyperspec.errors.InvalidParameterError`. ``seed`` is only
-    echoed in the report: the search draws nothing.
+    :class:`~hyperspec.errors.InvalidParameterError`. The search draws
+    nothing, so it takes no seed.
     """
     if k < 2 or max_vertices < k:
         raise InvalidParameterError("need k >= 2 and max_vertices >= k")
@@ -228,6 +222,5 @@ def min_spectrum_search(
         nodes=budget.spent,
         elapsed_ms=budget.elapsed_ms(),
         method="iterative-deepening",
-        seed=seed,
         budget_tripped=budget.tripped,
     )

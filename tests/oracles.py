@@ -22,6 +22,15 @@ def read_hg(text: str) -> tuple[int, list[frozenset[int]]]:
     return int(rows[0][0]), [frozenset(map(int, row)) for row in rows[1:]]
 
 
+def strip_timings(payload):
+    """``payload`` without its ``timings`` keys, at every depth."""
+    if isinstance(payload, dict):
+        return {k: strip_timings(v) for k, v in payload.items() if k != "timings"}
+    if isinstance(payload, list):
+        return [strip_timings(v) for v in payload]
+    return payload
+
+
 def naive_spectrum(edges: Sequence[Iterable[int]]) -> dict[int, int]:
     sets = [frozenset(e) for e in edges]
     counts: Counter[int] = Counter()
@@ -349,20 +358,25 @@ def naive_triple_family(
     free, with X the x smallest. Also returns whether no pair of the members
     left unused could still be admitted."""
     members = sorted(set(pool))
-    u = set(edges[anchor])
+    sets = [frozenset(e) for e in edges]
+    u = sets[anchor]
     used: set[int] = set()
     triples = []
     for a in members:
-        if a in used or len(set(edges[a]) & u) < x:
+        if a in used or len(sets[a] & u) < x:
             continue
         for b in members:
-            free = sorted((set(edges[a]) & u) - set(edges[b]))
-            if b != a and b not in used and len(free) >= x:
+            if b == a or b in used:
+                continue
+            free = sorted((sets[a] & u) - sets[b])
+            if len(free) >= x:
                 used.update((a, b))
                 triples.append((a, b, frozenset(free[:x])))
                 break
     unused = [e for e in members if e not in used]
-    stuck = all(len((set(edges[a]) & u) - set(edges[b])) < x for a in unused for b in unused if a != b)
+    # An A with fewer than x anchor vertices leaves fewer than x free for any B.
+    wide = [a for a in unused if len(sets[a] & u) >= x]
+    stuck = all(len((sets[a] & u) - sets[b]) < x for a in wide for b in unused if a != b)
     return tuple(triples), stuck
 
 

@@ -20,15 +20,6 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def strip_timings(payload):
-    """``payload`` without its ``timings`` keys, at every depth."""
-    if isinstance(payload, dict):
-        return {k: strip_timings(v) for k, v in payload.items() if k != "timings"}
-    if isinstance(payload, list):
-        return [strip_timings(v) for v in payload]
-    return payload
-
-
 class TestConstructSpectrumPipeline:
     def test_fano_pipeline(self, tmp_path, capsys):
         out = tmp_path / "fano.hg"
@@ -143,6 +134,21 @@ class TestColor:
         assert (payload["status"], payload["coloring"], payload["mono_fraction"]) == ("colorable", [], 0.0)
 
 
+    def test_unread_seed_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "fano.hg"
+        run_cli(["construct", "--family", "fano", "-o", str(path)], capsys)
+        for trials in ([], ["--trials", "0"]):
+            code, stdout, err = run_cli(["color", str(path), "--seed", "3", *trials], capsys)
+            assert (code, stdout) == (1, "")
+            message = "color reads --seed only with --trials"
+            assert json.loads(err)["error"] == {"type": "InvalidParameterError", "message": message}
+        # Every accepted call still prints the seed.
+        accepted = [(["--trials", "5", "--seed", "3"], 3), (["--trials", "5"], DEFAULT_SEED), ([], DEFAULT_SEED)]
+        for args, seed in accepted:
+            code, stdout, _ = run_cli(["color", str(path), *args], capsys)
+            assert (code, json.loads(stdout)["seed"]) == (0, seed)
+
+
 class TestVerify:
     def test_lemma_suite_deterministic(self, capsys):
         args = ["verify", "--suite", "lemmas", "--seed", "5", "--instances", "30"]
@@ -150,7 +156,7 @@ class TestVerify:
         assert code == 0
         _, out2, _ = run_cli(args, capsys)
         a, b = json.loads(out1), json.loads(out2)
-        assert strip_timings(a) == strip_timings(b)
+        assert oracles.strip_timings(a) == oracles.strip_timings(b)
         assert a["pair_inequality"]["fail"] == 0
 
     def test_unknown_suite(self, capsys):
@@ -249,7 +255,15 @@ class TestExtract:
         path.write_text(serialize_hypergraph(itf2))
         code, stdout, _ = run_cli(["extract", str(path), *flags], capsys)
         assert code == 0
-        assert strip_timings(json.loads(stdout)) == expected
+        assert oracles.strip_timings(json.loads(stdout)) == expected
+
+    def test_witness_coloring_is_proper(self, tmp_path, capsys):
+        path = tmp_path / "star.hg"
+        path.write_text("4 3\n0 1\n0 2\n0 3\n")
+        code, stdout, _ = run_cli(["extract", str(path), "--t", "2", "--x", "1", "--seed", "0"], capsys)
+        coloring = json.loads(stdout)["witness_coloring"]
+        assert (code, len(coloring)) == (0, 4)
+        assert oracles.mono_edge_count([{0, 1}, {0, 2}, {0, 3}], coloring) == 0
 
     @pytest.mark.parametrize(
         "text, flags",
@@ -566,5 +580,5 @@ class TestErrorsAndUsage:
             assert code == 0
             code, color, _ = run_cli(["color", str(path), "--trials", "200", "--seed", "3"], capsys)
             assert code == 0
-            outputs.add((spectrum, json.dumps(strip_timings(json.loads(color)), sort_keys=True)))
+            outputs.add((spectrum, json.dumps(oracles.strip_timings(json.loads(color)), sort_keys=True)))
         assert len(outputs) == 1

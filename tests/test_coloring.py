@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from hyperspec import (
+    Hypergraph,
     certificate_mono_edge,
     complete_subsets,
     compose,
@@ -16,7 +17,6 @@ from hyperspec import (
     fano,
     find_2_coloring,
     monochromatic_edge,
-    new_hypergraph,
     ramsey_clique_hypergraph,
     random_refute,
     random_uniform,
@@ -62,7 +62,7 @@ class TestMonochromaticEdge:
         # Two edges over 10^6 vertices. Building a color's mask one vertex at
         # a time costs about n²/128 word operations: seconds here.
         n = 10**6
-        h = new_hypergraph(n, [[0, n - 1], [1, n - 2]])
+        h = Hypergraph(n, [[0, n - 1], [1, n - 2]])
         colors = [0] * n
         colors[n - 1] = 1
         started = time.monotonic()
@@ -79,7 +79,7 @@ class TestFind2Coloring:
         assert oracles.exhaustive_two_coloring(7, list(fano_h.edges())) is None
 
     def test_single_edge(self):
-        res = find_2_coloring(new_hypergraph(3, [{0, 1, 2}]))
+        res = find_2_coloring(Hypergraph(3, [{0, 1, 2}]))
         assert res.status is ColorStatus.COLORABLE
         assert len(set(res.coloring)) == 2
 
@@ -122,7 +122,7 @@ class TestFind2Coloring:
             for _ in range(rng.randint(0, 30 if n <= 14 else 60)):
                 kmin = 1 if rng.random() < 0.05 else min(2, n)
                 edges.add(frozenset(rng.sample(range(n), rng.randint(kmin, kmax))))
-            h = new_hypergraph(n, sorted(sorted(e) for e in edges))
+            h = Hypergraph(n, sorted(sorted(e) for e in edges))
             budget = rng.choice([None, 1, 3, 10, 50])
             res = find_2_coloring(h, budget_nodes=budget)
             expected = oracles.counting_dpll(n, list(h.edges()), budget)
@@ -134,7 +134,7 @@ class TestFind2Coloring:
         assert res.coloring is None
 
     def test_empty_hypergraph(self):
-        res = find_2_coloring(new_hypergraph(3, []))
+        res = find_2_coloring(Hypergraph(3, []))
         assert res.status is ColorStatus.COLORABLE
 
     def test_nodes_counted(self, fano_h):
@@ -155,7 +155,7 @@ class TestFind2Coloring:
     def test_deep_sparse_family(self):
         # 1000 disjoint triples, two decisions each: 2000 levels, past the
         # default recursion limit.
-        h = new_hypergraph(3000, [[v, v + 1, v + 2] for v in range(0, 3000, 3)])
+        h = Hypergraph(3000, [[v, v + 1, v + 2] for v in range(0, 3000, 3)])
         res = find_2_coloring(h, budget_nodes=10**5)
         assert (res.status, res.nodes) == (ColorStatus.COLORABLE, 2000)
         assert monochromatic_edge(h, res.coloring) is None
@@ -166,18 +166,18 @@ class TestFind2Coloring:
 
     def test_vertices_in_no_edge_cost_no_node(self):
         # One decision colors the path 0-1-2; the 997 other vertices keep color 0.
-        h = new_hypergraph(1000, [[0, 1], [1, 2]])
+        h = Hypergraph(1000, [[0, 1], [1, 2]])
         for res in (find_2_coloring(h, budget_nodes=10), decide_2_coloring(h, budget_nodes=10)):
             assert (res.status, res.nodes, res.budget_tripped) == (ColorStatus.COLORABLE, 1, None)
             assert res.coloring == (1, 0, 1) + (0,) * 997
-        res = find_2_coloring(new_hypergraph(5, []), budget_nodes=0)
+        res = find_2_coloring(Hypergraph(5, []), budget_nodes=0)
         assert (res.status, res.coloring, res.nodes) == (ColorStatus.COLORABLE, (0,) * 5, 0)
 
     def test_vertices_in_no_edge_stay_small(self):
         # A path on 3 of 10^6 vertices: a list per declared vertex peaked at
         # about 72 MiB; now the peak is about 18 MiB, mostly the per-vertex
         # slots and the witness tuple at 8 MB each.
-        h = new_hypergraph(10**6, [[0, 1], [1, 2]])
+        h = Hypergraph(10**6, [[0, 1], [1, 2]])
         tracemalloc.start()
         try:
             res = find_2_coloring(h)
@@ -204,13 +204,13 @@ def planted_instance(rng: random.Random, max_n: int = 14):
     if extra:
         side = {frozenset(rng.sample(range(extra), rng.randint(1, min(3, extra)))) for _ in range(rng.randint(1, 5))}
         edges += [[base + v for v in sorted(e)] for e in side]
-    return new_hypergraph(base + extra, edges)
+    return Hypergraph(base + extra, edges)
 
 
 def random_instance(rng: random.Random, max_n: int = 14):
     n = rng.randint(1, max_n)
     edges = {frozenset(rng.sample(range(n), rng.randint(1, min(n, 4)))) for _ in range(rng.randint(0, 25))}
-    return new_hypergraph(n, sorted(sorted(e) for e in edges))
+    return Hypergraph(n, sorted(sorted(e) for e in edges))
 
 
 class TestDecide2Coloring:
@@ -270,7 +270,7 @@ class TestDecide2Coloring:
         # [0, 1] is a prefix of [0, 1, 2], and [2, 3] one of [2, 3, 4].
         parts = [{5, 6}, {5}, {7}, {8}, {9}]
         edges = [set(f) | g for g in parts for f in combinations(range(5), 3)] + [{6, 7, 8}, {6, 7}]
-        h = new_hypergraph(10, [sorted(e) for e in edges])
+        h = Hypergraph(10, [sorted(e) for e in edges])
         res = decide_2_coloring(h)
         assert (res.status, res.method) == (ColorStatus.COLORABLE, "modules")
         assert res.certificate.to_json()["quotient"] == {
@@ -284,7 +284,7 @@ class TestDecide2Coloring:
         # nothing is laid out per edge at the widest edge's size.
         rng = random.Random(5)
         triples = {tuple(sorted(rng.sample(range(200), 3))) for _ in range(3000)}
-        h = new_hypergraph(1000, [*sorted(triples), range(1000)])
+        h = Hypergraph(1000, [*sorted(triples), range(1000)])
         edges = list(h.edges())
         tracemalloc.start()
         try:
@@ -343,7 +343,7 @@ class TestDecide2Coloring:
         def proposals(hs):
             out = []
             for h in hs:
-                fresh = new_hypergraph(h.num_vertices, h.edges())
+                fresh = Hypergraph(h.num_vertices, h.edges())
                 out.append([p for block in coloring._candidate_modules(fresh, *core.vertex_edges(fresh)) for p in block])
             return out
 
@@ -357,7 +357,7 @@ class TestDecide2Coloring:
     def test_candidate_pass_walks_only_vertices_in_edges(self):
         # Three incidences among 10^7 vertices: the pass allocates nothing
         # per vertex of the hypergraph but one flag.
-        h = new_hypergraph(10**7, [[0, 1], [1, 2]])
+        h = Hypergraph(10**7, [[0, 1], [1, 2]])
         start, edges = core.vertex_edges(h)
         tracemalloc.start()
         try:
@@ -374,7 +374,7 @@ class TestCertificateChecker:
     def fano_with_isolated_edge():
         # The edge {7, 8, 9} is a module with colorable traces; the Fano
         # plane beside it is one with non-colorable traces.
-        h = new_hypergraph(10, [*fano().edges(), {7, 8, 9}])
+        h = Hypergraph(10, [*fano().edges(), {7, 8, 9}])
         res = decide_2_coloring(h)
         assert res.status is ColorStatus.NOT_COLORABLE
         return h, res.certificate.to_json()
@@ -420,7 +420,7 @@ class TestRandomRefute:
 
     def test_single_edge_expectation(self):
         k = 5
-        h = new_hypergraph(k, [set(range(k))])
+        h = Hypergraph(k, [set(range(k))])
         rep = random_refute(h, trials=10_000, seed=13)
         assert abs(rep.mean_mono_edges - 2 ** (1 - k)) < 0.01
 
@@ -455,7 +455,7 @@ class TestRandomRefute:
         mixed = {frozenset(rng.sample(range(n), rng.randint(1, min(n, 6)))) for _ in range(30)}
         mixed |= {frozenset({n - 1}), frozenset(range(n))}
         for edges in (sorted(sparse, key=sorted), sorted(mixed, key=sorted), []):
-            h = new_hypergraph(n, edges)
+            h = Hypergraph(n, edges)
             for trials in (1, 63, 64, 65, 129, 1000):
                 expected = oracles.naive_refute(n, edges, trials, n + trials)
                 # Caps of one and of a few 64-trial words per block, so the
@@ -466,7 +466,7 @@ class TestRandomRefute:
                     assert (rep.mono_trials, rep.total_mono_edges) == expected
 
     def test_no_vertices(self):
-        rep = random_refute(new_hypergraph(0, []), trials=70, seed=1)
+        rep = random_refute(Hypergraph(0, []), trials=70, seed=1)
         assert (rep.mono_trials, rep.total_mono_edges, rep.mono_fraction) == (0, 0, 0.0)
 
 
@@ -479,7 +479,7 @@ class TestThreeColoring:
         assert all(colors[v] == 0 for v in range(7) if v not in line0)
 
     def test_single_edge_of_size_two(self):
-        h = new_hypergraph(2, [{0, 1}])
+        h = Hypergraph(2, [{0, 1}])
         assert three_coloring_intersecting(h) == (1, 2)
 
     def test_iterated_fano(self, itf2):
@@ -488,11 +488,11 @@ class TestThreeColoring:
 
     def test_not_intersecting_rejected(self):
         with pytest.raises(NotIntersectingError):
-            three_coloring_intersecting(new_hypergraph(4, [{0, 1}, {2, 3}]))
+            three_coloring_intersecting(Hypergraph(4, [{0, 1}, {2, 3}]))
 
     def test_non_uniform_rejected(self):
         with pytest.raises(NonUniformError):
-            three_coloring_intersecting(new_hypergraph(3, [{0, 1}, {0, 1, 2}]))
+            three_coloring_intersecting(Hypergraph(3, [{0, 1}, {0, 1, 2}]))
 
 
 class TestCoverNumber:
@@ -501,7 +501,12 @@ class TestCoverNumber:
         assert oracles.naive_cover_number(7, list(fano_h.edges())) == 3
 
     def test_single_edge(self):
-        assert cover_number(new_hypergraph(4, [{1, 2}])) == 1
+        assert cover_number(Hypergraph(4, [{1, 2}])) == 1
+
+    def test_search_improves_on_greedy(self):
+        # The greedy cover takes 5 vertices here; the search finds 4.
+        edges = [(3, 4), (2, 7), (3, 7), (6, 8), (5, 7), (1, 4), (2, 6), (1, 3)]
+        assert cover_number(Hypergraph(9, edges)) == oracles.naive_cover_number(9, edges) == 4
 
     def test_complete_subsets(self):
         h = complete_subsets(5, 3)
@@ -526,7 +531,7 @@ class TestCoverNumber:
     def test_disjoint_triangles_deeper_than_recursion_limit(self):
         # Cover number 2 per triangle; a branch is 1200 decisions deep.
         edges = [(a + i, a + j) for a in range(0, 1800, 3) for i, j in ((0, 1), (0, 2), (1, 2))]
-        assert cover_number(new_hypergraph(1800, edges), budget_nodes=10**5) in (1200, None)
+        assert cover_number(Hypergraph(1800, edges), budget_nodes=10**5) in (1200, None)
 
     def test_at_most_k_for_uniform_intersecting(self, fano_h):
         assert cover_number(fano_h) <= 3
@@ -554,7 +559,7 @@ class TestCompositionalMonoEdge:
         # A single-edge inner factor is 2-colorable, so some copy has no
         # forced monochromatic inner edge under a suitable coloring.
         tri = complete_subsets(3, 2)
-        inner = new_hypergraph(2, [{0, 1}])
+        inner = Hypergraph(2, [{0, 1}])
         prod = compose(tri, inner)
         colors = [0, 1] * 3
         with pytest.raises(CompositionWitnessError):

@@ -1,6 +1,7 @@
 import pytest
 
 from hyperspec import (
+    Hypergraph,
     complete_subsets,
     compose,
     fano,
@@ -9,7 +10,6 @@ from hyperspec import (
     is_intersecting,
     is_uniform,
     iterated_fano,
-    new_hypergraph,
     ramsey_clique_hypergraph,
     random_uniform,
 )
@@ -50,13 +50,13 @@ class TestCompose:
         assert is_uniform(h) == 9
 
     def test_identity_like(self, fano_h):
-        unit = new_hypergraph(1, [{0}])
+        unit = Hypergraph(1, [{0}])
         prod = compose(unit, fano_h)
         assert prod.num_vertices == fano_h.num_vertices
         assert set(prod.edge_masks) == set(fano_h.edge_masks)
 
     def test_non_uniform_rejected(self):
-        mixed = new_hypergraph(3, [{0, 1}, {0, 1, 2}])
+        mixed = Hypergraph(3, [{0, 1}, {0, 1, 2}])
         with pytest.raises(NonUniformError):
             compose(mixed, mixed)
 

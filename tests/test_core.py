@@ -1061,7 +1061,7 @@ class TestLazyNumpy:
 # Every name the package re-exports, by the submodule that defines it.
 EXPORTED = {
     "core": [
-        "Budget", "Hypergraph", "Spectrum", "new_hypergraph", "is_uniform", "is_intersecting",
+        "Budget", "Hypergraph", "Spectrum", "is_uniform", "is_intersecting",
         "intersection_spectrum", "lambda_within", "lambda_across", "edges_containing",
         "parse_hypergraph", "serialize_hypergraph",
     ],

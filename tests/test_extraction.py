@@ -8,6 +8,7 @@ import pytest
 import oracles
 
 from hyperspec import (
+    Hypergraph,
     build_triple_family,
     complete_subsets,
     compose,
@@ -19,7 +20,6 @@ from hyperspec import (
     intersection_spectrum,
     iterated_fano,
     monochromatic_edge,
-    new_hypergraph,
     random_uniform,
     threshold_graph,
     validate_lambda_pair,
@@ -58,7 +58,7 @@ def spread_case_instance():
         edge = {1 + 8 * i + j for i in range(8)}
         edge.add(apex)
         transversals.append(edge)
-    return new_hypergraph(66, petals + transversals)
+    return Hypergraph(66, petals + transversals)
 
 
 class TestSimpleGraph:
@@ -121,7 +121,8 @@ class TestDependentRandomChoice:
         res = dependent_random_choice(g, Fraction(1, 2), 2, n, seed=1)
         assert res is not None
         assert len(res.u) > 2 * n
-        assert res.bad_fraction == 0 and res.exhaustive
+        assert res.exhaustive
+        assert extraction._count_bad_subsets(g, sorted(res.u), 2, n)[0] == 0
 
     def test_empty_graph_violates(self):
         g = SimpleGraph(64, [])
@@ -150,8 +151,7 @@ class TestDependentRandomChoice:
             for a, b in combinations(members, 2)
             if len(adj_sets[a] & adj_sets[b]) < 8
         )
-        assert Fraction(bad, comb(len(members), 2)) == res.bad_fraction
-        assert res.bad_fraction < Fraction(1, 16)
+        assert bad == 0 == extraction._count_bad_subsets(g, members, 2, 8)[0]
 
     def test_deletion_cleanup(self):
         # Clique plus two pendants: every pair touching a pendant has a
@@ -206,7 +206,8 @@ class TestDependentRandomChoice:
         res = dependent_random_choice(g, Fraction(9, 10), 2, 2, seed=0)
         assert [bad for bad, _ in counted] == [0]
         assert res == floor_res
-        assert (len(res.u), res.bad_fraction, res.removed, res.attempts) == (38, 0, 0, 1)
+        assert (len(res.u), res.removed, res.attempts) == (38, 0, 1)
+        assert real(g, sorted(res.u), 2, 2)[0] == 0
 
 
     def test_small_common_neighborhood_retries(self):
@@ -285,7 +286,7 @@ class TestDrcPair:
         assert len(pair.x) == 2
 
     def test_disjoint_pool_rejected(self):
-        h = new_hypergraph(8, [{0, 1}, {2, 3}, {4, 5}, {6, 7}])
+        h = Hypergraph(8, [{0, 1}, {2, 3}, {4, 5}, {6, 7}])
         params = ExtractionParams(t=2, x=1, seed=0)
         with pytest.raises(HypothesesViolatedError):
             find_lambda_pair_drc(h, range(4), 1, params)
@@ -382,7 +383,7 @@ class TestTripleFamily:
     def test_fano_enumeration(self, fano_h):
         pool = [1, 2, 3, 4, 5, 6]
         fam = build_triple_family(fano_h, pool, anchor=0, x=1)
-        assert fam.maximal_certified
+        assert oracles.naive_triple_family(list(fano_h.edges()), pool, 0, 1) == (fam.triples, True)
         used = set()
         for a, b, xi in fam.triples:
             assert a in pool and b in pool and a != b
@@ -396,7 +397,6 @@ class TestTripleFamily:
     def test_greedy_matches_independent_rescan(self, itf2):
         pool = list(range(1, 400))
         fam = build_triple_family(itf2, pool, anchor=0, x=4)
-        assert fam.maximal_certified
         used = {e for a, b, _ in fam.triples for e in (a, b)}
         unused = [e for e in pool if e not in used]
         u_set = set(itf2.edge_vertices(0))
@@ -432,7 +432,22 @@ class TestTripleFamily:
         for h, pool, anchor, x in cases:
             fam = build_triple_family(h, pool, anchor, x)
             edges = [h.edge_vertices(i) for i in range(h.num_edges)]
-            assert (fam.triples, fam.maximal_certified) == oracles.naive_triple_family(edges, pool, anchor, x)
+            assert oracles.naive_triple_family(edges, pool, anchor, x) == (fam.triples, True)
+
+    @pytest.mark.parametrize("seed", [0, 4002])
+    def test_driver_families_are_maximal(self, itf2, monkeypatch, seed):
+        # Each family the driver builds on itf2 is the restarting scan's, and
+        # no pair of its unused members could still be admitted.
+        built = []
+        real = extraction.build_triple_family
+        monkeypatch.setattr(
+            extraction, "build_triple_family", lambda *a: built.append((a, real(*a))) or built[-1][1]
+        )
+        density_increment_run(itf2, ExtractionParams(seed=seed))
+        assert built
+        edges = [itf2.edge_vertices(i) for i in range(itf2.num_edges)]
+        for (_, pool, anchor, x), fam in built:
+            assert oracles.naive_triple_family(edges, pool, anchor, x) == (fam.triples, True)
 
 
 class TestDensityIncrementRun:
@@ -466,7 +481,7 @@ class TestDensityIncrementRun:
         # Disjoint petals through one center: 2-colorable, so the greedy
         # growth inside the concentrated branch must hit the center and
         # surface the implied proper coloring.
-        star = new_hypergraph(
+        star = Hypergraph(
             9, [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {0, 7, 8}]
         )
         trace = density_increment_run(star, ExtractionParams(t=2, x=2, seed=0))
@@ -474,9 +489,21 @@ class TestDensityIncrementRun:
         assert monochromatic_edge(star, trace.witness_coloring) is None
         assert "witness" in trace.stop_reason
 
+    def test_witness_coloring_in_json(self):
+        star = Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
+        payload = density_increment_run(star, ExtractionParams(t=2, x=1, seed=0)).to_json()
+        assert len(payload["witness_coloring"]) == 4
+        assert oracles.mono_edge_count(list(star.edges()), payload["witness_coloring"]) == 0
+
+    def test_zero_budget_stops_before_the_first_level(self):
+        # A fresh input's spectrum is counted before the first budget step,
+        # so the clock has always moved past 0 ms by then.
+        trace = density_increment_run(iterated_fano(2), ExtractionParams(budget_ms=0))
+        assert (trace.levels, trace.stop_reason) == ([], "budget exhausted")
+
     def test_level_timings_split_by_phase(self, itf2):
         trace = density_increment_run(itf2, ExtractionParams(t=4, x=4, seed=0))
-        rows = trace.to_json(include_timings=True)["levels"]
+        rows = trace.to_json()["levels"]
         assert rows and all(
             set(row["timings"]) == {"elapsed_ms", "triple_family_ms", "growth_ms"}
             and min(row["timings"].values()) >= 0
@@ -485,27 +512,26 @@ class TestDensityIncrementRun:
         # The first level runs its triple family and growth before the next.
         assert rows[0]["timings"]["triple_family_ms"] > 0
         assert rows[0]["timings"]["growth_ms"] > 0
-        assert all("timings" not in row for row in trace.to_json(include_timings=False)["levels"])
 
     @pytest.mark.parametrize(
         "edges", [[], [{0, 1, 2}], [{0, 1, 2}, {0, 3}]], ids=["no-edges", "one-edge", "non-uniform"]
     )
     def test_input_check_trace(self, edges):
         # The edge count is checked before uniformity, which needs an edge.
-        trace = density_increment_run(new_hypergraph(4, edges), ExtractionParams(t=2, x=1, seed=0))
+        trace = density_increment_run(Hypergraph(4, edges), ExtractionParams(t=2, x=1, seed=0))
         assert (trace.levels, trace.stop_reason) == ([], "input must be uniform with at least two edges")
 
     def test_trace_json_round_trip(self, fano_h):
         import json
 
         trace = density_increment_run(fano_h, ExtractionParams(t=2, x=1, seed=0))
-        payload = trace.to_json(include_timings=False)
+        payload = trace.to_json()
         assert json.loads(json.dumps(payload)) == payload
 
     def test_deterministic(self, itf2):
         a = density_increment_run(itf2, ExtractionParams(t=4, x=4, seed=3))
         b = density_increment_run(itf2, ExtractionParams(t=4, x=4, seed=3))
-        assert a.to_json(include_timings=False) == b.to_json(include_timings=False)
+        assert oracles.strip_timings(a.to_json()) == oracles.strip_timings(b.to_json())
 
     def test_paper_constants_mode_runs(self, fano_h):
         params = ExtractionParams.paper_scale(3, seed=0)
@@ -521,7 +547,7 @@ class TestDensityIncrementRun:
         flagged = density_increment_run(h, ExtractionParams(paper_constants=True, seed=seed))
         scaled = density_increment_run(h, ExtractionParams.paper_scale(k, seed=seed))
         assert flagged.params == scaled.params
-        assert flagged.to_json(include_timings=False) == scaled.to_json(include_timings=False)
+        assert oracles.strip_timings(flagged.to_json()) == oracles.strip_timings(scaled.to_json())
 
     @pytest.mark.parametrize(
         "build, params, lambdas, branches, extractors, stop",
@@ -603,7 +629,7 @@ class TestDriverSteps:
         assert check["union_identity_lhs"] == check["union_identity_rhs"] == "6"
 
     def test_same_intersection_step_star_witness(self):
-        star = new_hypergraph(9, [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {0, 7, 8}])
+        star = Hypergraph(9, [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {0, 7, 8}])
         pair, family = self.first_level(star, 2, 2)
         assert not family.triples
         with pytest.raises(NoDisjointEdgeError) as info:
@@ -741,7 +767,7 @@ class TestExactBoundsBeforeSampling:
         monkeypatch.setattr(
             extraction, "_lambda_small_fraction", lambda *a: calls.append(a) or real(*a)
         )
-        h = new_hypergraph(8, [{0, 1}, {2, 3}, {4, 5}, {6, 7}])
+        h = Hypergraph(8, [{0, 1}, {2, 3}, {4, 5}, {6, 7}])
         with pytest.raises(HypothesesViolatedError):
             find_lambda_pair_drc(h, range(4), 1, ExtractionParams(t=2, x=1, seed=0))
         assert len(calls) == 1

@@ -13,7 +13,6 @@ from hyperspec import (
     greedy_increase,
     intersection_spectrum,
     is_lambda_small,
-    new_hypergraph,
     validate_lambda_pair,
 )
 from hyperspec import lemmas
@@ -43,7 +42,7 @@ import oracles
 
 class TestPairInequality:
     def test_identical_single_edge_tight(self):
-        a = new_hypergraph(4, [{0, 1, 2, 3}])
+        a = Hypergraph(4, [{0, 1, 2, 3}])
         rep = check_pair_inequality(a, a)
         assert rep.holds and rep.slack == 0
         assert rep.lhs == 0 and rep.rhs == 0
@@ -64,14 +63,14 @@ class TestPairInequality:
             assert rep.slack == rep.lhs - rep.rhs
 
     def test_mismatched_vertices(self):
-        a = new_hypergraph(4, [{0, 1}])
-        b = new_hypergraph(5, [{0, 1}])
+        a = Hypergraph(4, [{0, 1}])
+        b = Hypergraph(5, [{0, 1}])
         with pytest.raises(MismatchedVertexCountError):
             check_pair_inequality(a, b)
 
     def test_mismatched_edges(self):
-        a = new_hypergraph(4, [{0, 1}])
-        b = new_hypergraph(4, [{0, 1}, {2, 3}])
+        a = Hypergraph(4, [{0, 1}])
+        b = Hypergraph(4, [{0, 1}, {2, 3}])
         with pytest.raises(MismatchedEdgeCountError):
             check_pair_inequality(a, b)
 
@@ -95,7 +94,7 @@ class TestAverageLambda:
             {3, 4, 6, 7, 9, 10},
             {4, 5, 7, 8, 9, 10},
         ]
-        h = new_hypergraph(11, s_edges + t_edges)
+        h = Hypergraph(11, s_edges + t_edges)
         rep = check_average_lambda(h, [0, 1, 2], [3, 4, 5], [0, 1, 2])
         assert rep.holds
 
@@ -112,7 +111,7 @@ class TestAverageLambda:
             check_average_lambda(fano_h, [0, 1], [2, 3], [0, 1])
         s_edges = [{0, 1, 2}, {0, 1, 3}]
         t_edges = [{0, 4, 5}, {1, 4, 6}]
-        h = new_hypergraph(7, s_edges + t_edges)
+        h = Hypergraph(7, s_edges + t_edges)
         with pytest.raises(WitnessViolationError):
             # vertex 0 appears in a T edge
             check_average_lambda(h, [0, 1], [2, 3], [0])
@@ -172,7 +171,7 @@ class TestGreedyIncrease:
         assert res.fraction == Fraction(len(containing), 2401)
 
     def test_no_disjoint_edge_witness(self):
-        star = new_hypergraph(4, [{0, 1}, {0, 2}, {0, 3}])
+        star = Hypergraph(4, [{0, 1}, {0, 2}, {0, 3}])
         with pytest.raises(NoDisjointEdgeError) as err:
             greedy_increase(star, {0}, 1)
         witness = err.value.witness_coloring
@@ -232,7 +231,7 @@ class TestLambdaSmall:
         assert not is_lambda_small(fano_h, range(7), 1)
 
     def test_disjoint_edges(self):
-        h = new_hypergraph(4, [{0, 1}, {2, 3}])
+        h = Hypergraph(4, [{0, 1}, {2, 3}])
         assert is_lambda_small(h, [0, 1], 1)
 
     def test_no_small_pair_at_minimum(self, fano_h):
@@ -400,9 +399,9 @@ class TestBatchedSuite:
     )
     def test_first_invalid_instance_raises_the_checker_error(self, fano_h, bad, pos, size, error):
         instance = {
-            "non-uniform": (new_hypergraph(7, [{0, 1}, {2, 3, 4}]),) * 2,
-            "vertex-counts": (new_hypergraph(7, [{0, 1, 2}]), new_hypergraph(8, [{0, 1, 2}])),
-            "edge-counts": (fano_h, new_hypergraph(7, [{0, 1, 2}])),
+            "non-uniform": (Hypergraph(7, [{0, 1}, {2, 3, 4}]),) * 2,
+            "vertex-counts": (Hypergraph(7, [{0, 1, 2}]), Hypergraph(8, [{0, 1, 2}])),
+            "edge-counts": (fano_h, Hypergraph(7, [{0, 1, 2}])),
         }[bad]
         rng = substream(0, "suite/pair-inequality")
         good = [random_pair_instance(rng) for _ in range(size - 1)]
@@ -436,12 +435,12 @@ class TestBatchedSuite:
         assert str(caught.value) == str(direct.value)
 
     def test_average_batch_refuses_a_non_uniform_host(self):
-        h = new_hypergraph(6, [{0, 1}, {0, 2}, {3, 4, 5}, {1, 3}])
+        h = Hypergraph(6, [{0, 1}, {0, 2}, {3, 4, 5}, {1, 3}])
         with pytest.raises(NonUniformError):
             lemmas._average_slacks([(h, [0, 1], [2, 3], [])])
 
     def test_witness_in_a_t_edge_is_refused(self):
-        h = new_hypergraph(7, [{0, 1, 2}, {0, 1, 3}, {0, 4, 5}, {1, 4, 6}])
+        h = Hypergraph(7, [{0, 1, 2}, {0, 1, 3}, {0, 4, 5}, {1, 4, 6}])
         with pytest.raises(WitnessViolationError, match="T touches"):
             lemmas._average_slacks([(h, [0, 1], [2, 3], [0])])
 

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from hyperspec import (
+    Hypergraph,
     are_isomorphic,
     canonical_form,
     complete_subsets,
@@ -14,7 +15,6 @@ from hyperspec import (
     is_intersecting,
     is_uniform,
     min_spectrum_search,
-    new_hypergraph,
 )
 from hyperspec import search
 from hyperspec.coloring import ColorStatus
@@ -27,13 +27,13 @@ import oracles
 class TestCanonicalForm:
     def test_relabel_invariance(self, fano_h):
         perm = [3, 0, 6, 2, 5, 1, 4]
-        relabeled = new_hypergraph(7, [{perm[v] for v in e} for e in fano_h.edges()])
+        relabeled = Hypergraph(7, [{perm[v] for v in e} for e in fano_h.edges()])
         assert canonical_form(relabeled) == canonical_form(fano_h)
         assert are_isomorphic(relabeled, fano_h)
 
     def test_distinguishes(self):
-        a = new_hypergraph(4, [{0, 1}, {2, 3}])
-        b = new_hypergraph(4, [{0, 1}, {1, 2}])
+        a = Hypergraph(4, [{0, 1}, {2, 3}])
+        b = Hypergraph(4, [{0, 1}, {1, 2}])
         assert not are_isomorphic(a, b)
 
     def test_signature_prefilter(self, fano_h):
@@ -41,7 +41,7 @@ class TestCanonicalForm:
         assert invariant_signature(tri) != invariant_signature(fano_h)
 
     def test_vertex_cap(self):
-        big = new_hypergraph(12, [{0, 1}])
+        big = Hypergraph(12, [{0, 1}])
         with pytest.raises(ValueError):
             canonical_form(big)
 
