@@ -259,20 +259,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HypergraphError as exc:
-        _emit(
-            {
-                "schema": SCHEMA,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            },
-            stream=sys.stderr,
-        )
-        return 1
-    except OSError as exc:
-        _emit(
-            {"schema": SCHEMA, "error": {"type": "OSError", "message": str(exc)}},
-            stream=sys.stderr,
-        )
+    except (HypergraphError, OSError) as exc:
+        kind = type(exc).__name__ if isinstance(exc, HypergraphError) else "OSError"
+        _emit({"schema": SCHEMA, "error": {"type": kind, "message": str(exc)}}, stream=sys.stderr)
         return 1
 
 

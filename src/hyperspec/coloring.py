@@ -133,12 +133,17 @@ class RefuteReport:
     mean_mono_edges: float
 
 
-def monochromatic_edge(h: Hypergraph, coloring: Sequence[int]) -> Optional[int]:
-    """Smallest index of an edge whose vertices all share one color."""
+def _check_length(h: Hypergraph, coloring: Sequence[int]) -> None:
+    """Raise :class:`LengthMismatchError` unless ``coloring`` has one entry per vertex."""
     if len(coloring) != h.num_vertices:
         raise LengthMismatchError(
             f"coloring has {len(coloring)} entries, hypergraph has {h.num_vertices} vertices"
         )
+
+
+def monochromatic_edge(h: Hypergraph, coloring: Sequence[int]) -> Optional[int]:
+    """Smallest index of an edge whose vertices all share one color."""
+    _check_length(h, coloring)
     digits = {c: bytearray(b"0" * len(coloring)) for c in set(coloring)}  # a binary digit per vertex, vertex 0 first
     for v, c in enumerate(coloring):
         digits[c][v] = 49  # b"1"
@@ -574,10 +579,7 @@ def certificate_mono_edge(h: Hypergraph, certificate: ModuleCertificate, colorin
     quotient is not 2-colorable), and replacing each contracted module in it
     by its chosen trace, last round first, gives a monochromatic edge of h.
     """
-    if len(coloring) != h.num_vertices:
-        raise LengthMismatchError(
-            f"coloring has {len(coloring)} entries, hypergraph has {h.num_vertices} vertices"
-        )
+    _check_length(h, coloring)
     given = ones = mask_of(v for v, c in enumerate(coloring) if c)
     chosen: list[tuple[int, int]] = []  # (contracted module, its monochromatic trace)
     for r, modules in enumerate(certificate.rounds):

@@ -18,7 +18,7 @@ by enumerating at most ``ENUM_CAP`` t-subsets, or else left undecided.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt, sqrt
@@ -172,16 +172,9 @@ class DrcResult:
     removed: int
 
 
-def _count_bad_subsets(
-    g: SimpleGraph, members: list[int], t: int, n: int
-) -> tuple[int, list[tuple[int, ...]]]:
-    bad = 0
-    bad_subsets: list[tuple[int, ...]] = []
-    for sub in combinations(members, t):
-        if g.common_neighbors_mask(sub).bit_count() < n:
-            bad += 1
-            bad_subsets.append(sub)
-    return bad, bad_subsets
+def _bad_subsets(g: SimpleGraph, members: list[int], t: int, n: int) -> list[tuple[int, ...]]:
+    """The t-subsets of ``members`` with fewer than n common neighbors."""
+    return [sub for sub in combinations(members, t) if g.common_neighbors_mask(sub).bit_count() < n]
 
 
 def _common_neighbor_floor(g: SimpleGraph, members: list[int], t: int) -> int:
@@ -254,8 +247,7 @@ def dependent_random_choice(
             return DrcResult(frozenset(members), True, attempt, 0)
         if comb(len(members), t) > ENUM_CAP:
             continue  # undecided
-        _, bad_subsets = _count_bad_subsets(g, members, t, n)
-        kept, removed = _cleanup_bad_subsets(members, bad_subsets)
+        kept, removed = _cleanup_bad_subsets(members, _bad_subsets(g, members, t, n))
         if len(kept) > 2 * n:
             # Every bad subset lost a member, so none survives in kept.
             return DrcResult(frozenset(kept), True, attempt, removed)
@@ -364,8 +356,9 @@ def find_lambda_pair_drc(
     and whose threshold-graph common neighborhood, of at least the demand,
     becomes Y (all t-subsets, or ``SEARCH_TRIES`` drawn by ``distinct_subsets``
     on ``"drc-pair/<lam>"``). When the lemma hypotheses are unsatisfiable at
-    the pool's scale the search runs over the whole pool with a demand of
-    one; the fallback is recorded in the pair's notes.
+    the pool's scale, or no DRC attempt is accepted, the search runs over
+    the whole pool with a demand of one; the pair's notes name the fallback
+    and its cause.
     """
     labels = sorted(frozenset(edge_set))
     m = len(labels)
@@ -387,17 +380,19 @@ def find_lambda_pair_drc(
     g = threshold_graph(h, labels, lam)
     d = params.d if params.d is not None else Fraction(2 * g.num_edges, m * m)
     n_target = int(m * d**t / (5 * t))
-    members, demand = list(range(m)), 1
-    note = "drc hypotheses unsatisfiable at this scale; direct search over the pool"
-    # The DRC checks its own hypotheses; 4*t*d^-t*n_target <= 4m/5 < m always.
-    try:
-        res = dependent_random_choice(g, d, t, n_target, params.seed) if n_target >= t else None
-    except HypothesesViolatedError:
-        res = None
-    if res is not None:
+    res, fallback = None, "drc hypotheses unsatisfiable at this scale"
+    if n_target >= t:
+        try:  # the DRC checks its own hypotheses; 4*t*d^-t*n_target <= 4m/5 < m always
+            res = dependent_random_choice(g, d, t, n_target, params.seed)
+            fallback = f"drc accepted no U in {DRC_RETRIES} attempts"
+        except HypothesesViolatedError:
+            pass
+    if res is None:
+        members, demand = list(range(m)), 1
+        notes.append(f"{fallback}; direct search over the pool")
+    else:
         members, demand = sorted(res.u), n_target
-        note = f"drc accepted |U|={len(res.u)} with demand n={n_target}"
-    notes.append(note)
+        notes.append(f"drc accepted |U|={len(res.u)} with demand n={n_target}")
 
     pool_masks = [h.edge_masks[i] for i in labels]
     candidates = (
@@ -524,17 +519,15 @@ class ExtractionParams:
 @dataclass(frozen=True)
 class TraceLevel:
     """One driver level; its lambda, X, Y, validation and notes are those
-    of ``pair``. Times in ms: ``elapsed_ms`` is the lambda-pair
-    extraction, then the triple family and the growth (branch, core growth,
-    next pool); these two stay 0 when the level stops before them."""
+    of ``pair``. ``timings`` (ms, filled in as the level runs): ``elapsed_ms``
+    for the lambda-pair extraction, ``triple_family_ms`` and ``growth_ms``
+    (branch, core growth, next pool), which stay 0 if the level stops first."""
 
     pair: LambdaPair
     branch: str  # how this level's pool was reached
     pool_size: int
     extractor: str
-    elapsed_ms: float
-    triple_family_ms: float = 0.0
-    growth_ms: float = 0.0
+    timings: dict[str, float]
 
 
 @dataclass
@@ -562,7 +555,7 @@ class IncrementTrace:
                 "validated": pair.validated,
                 "extractor": lvl.extractor,
                 "notes": list(pair.notes),
-                "timings": {k: getattr(lvl, k) for k in ("elapsed_ms", "triple_family_ms", "growth_ms")},
+                "timings": dict(lvl.timings),
             })
         p = self.params
         # A paper-constants run stopped by the input check never learns k,
@@ -647,21 +640,20 @@ def _same_intersection_step(
 def _certify_spread(
     h: Hypergraph, k: int, lam: int, xi: frozenset[int], group: list[tuple[int, int]], t: int,
     trace: IncrementTrace,
-) -> None:
+) -> Optional[str]:
     """Record the averaging identity and the exclusive-common-vertex
-    inequality of the same-X' ``group`` in ``trace``, or note why not."""
-    # The split needs two edges per side, so certification requires
-    # an even t of at least 4 and a group of at least t triples.
-    if len(group) < t or t % 2 or t < 4:
-        trace.notes.append(f"spread group too small for certification at lambda={lam}")
-        return
+    inequality of the same-X' ``group`` in ``trace`` and return None, or
+    return why not, recording nothing: t is odd or below 4, the group holds
+    fewer than t triples, or its A or B edges have no small t-subset."""
+    # The split needs two edges per side, hence an even t of at least 4.
+    if t % 2 or t < 4:
+        return f"t={t} is not an even number of at least 4"
+    if len(group) < t:
+        return f"the group's size {len(group)} is below t={t}"
     s_full = _find_small_subset(h, [a for a, _ in group], lam, t)
     t_full = _find_small_subset(h, [b for _, b in group], lam, t)
     if s_full is None or t_full is None:
-        trace.notes.append(
-            f"spread group at lambda={lam} had no small {t}-subsets; certification skipped"
-        )
-        return
+        return f"no {t}-subset of the group's A or B edges meets pairwise in at most {lam}"
     half = t // 2
     s_half, t_half = s_full[:half], t_full[:half]
     lam_s = lambda_within(h, s_half)
@@ -684,22 +676,25 @@ def _certify_spread(
             "separation_value": float(lam_union) - (lam - 2 * sqrt(k)),
         }
     )
+    return None
 
 
 def _spread_out_step(
     h: Hypergraph, k: int, pair: LambdaPair, family: TripleFamily, t: int, trace: IncrementTrace
 ) -> tuple[list[int], dict[int, int]]:
     """Spread route: certify the largest same-X' group of ``family`` (see
-    :func:`_certify_spread`), then return the edges containing X' and their
-    pair counts. X' lies in an A and the anchor, so those edges raise lambda
-    when |X'| > lambda; when they do not, X' first grows to lambda + 1 <= k."""
+    :func:`_certify_spread`), note the outcome, then return the edges
+    containing X' and their pair counts. X' lies in an A and the anchor, so
+    those edges raise lambda when |X'| > lambda; when they do not, X' first
+    grows to lambda + 1 <= k."""
     groups: dict[frozenset[int], list[tuple[int, int]]] = {}
     for a, b, xi in family.triples:
         groups.setdefault(xi, []).append((a, b))
     core = max(sorted(groups, key=sorted), key=lambda key: len(groups[key]))
-    _certify_spread(h, k, pair.lam, core, groups[core], t, trace)
+    reason = _certify_spread(h, k, pair.lam, core, groups[core], t, trace)
+    outcome = "certified numerically" if reason is None else f"not certified ({reason})"
     trace.notes.append(
-        "spread case certified numerically; advancing via the popular "
+        f"spread case at lambda={pair.lam} {outcome}; advancing via the popular "
         "anchor-subset superset route"
     )
     pool, counts = _pool_through(h, core)
@@ -731,13 +726,14 @@ def _level(
     # lambda. Y is nonempty: the DRC's best common neighborhood has a member,
     # and the majority filter's Y is its last nonempty bucket.
     assert pair.y and (not trace.levels or pair.lam > trace.levels[-1].pair.lam)
-    level = TraceLevel(pair, branch, len(pool), extractor, (time.monotonic() - start) * 1000.0)
-    trace.levels.append(level)
+    timings = {"elapsed_ms": (time.monotonic() - start) * 1000.0, "triple_family_ms": 0.0, "growth_ms": 0.0}
+    trace.levels.append(TraceLevel(pair, branch, len(pool), extractor, timings))
     if not pair.validated:
         raise _Stop("extracted pair failed validation")
     family_start = time.monotonic()
     family = build_triple_family(h, pair.y, min(pair.x), min(params.x, k))
     growth_start = time.monotonic()
+    timings["triple_family_ms"] = (growth_start - family_start) * 1000.0
     try:
         if len(family.triples) < len(pair.y) / 4:
             branch = "same-intersection"
@@ -749,11 +745,7 @@ def _level(
             raise _Stop("no progress: next pool has fewer than two edges")
         return pool, counts, branch
     finally:
-        trace.levels[-1] = replace(
-            level,
-            triple_family_ms=(growth_start - family_start) * 1000.0,
-            growth_ms=(time.monotonic() - growth_start) * 1000.0,
-        )
+        timings["growth_ms"] = (time.monotonic() - growth_start) * 1000.0
 
 
 def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementTrace:
@@ -767,13 +759,13 @@ def density_increment_run(h: Hypergraph, params: ExtractionParams) -> IncrementT
     among the untouched Y edges and grow it greedily until the common set
     is larger than the current lambda, recursing on the edges that contain
     it. A large family follows the spread route
-    (:func:`_spread_out_step`): the largest same-X' group yields S and T
-    whose averaging identity and exclusive-common-vertex inequality are
-    certified exactly, and the driver advances through the edges
-    containing X'. In the source argument the spread case ends in a
+    (:func:`_spread_out_step`): where it can, the largest same-X' group
+    yields S and T whose averaging identity and exclusive-common-vertex
+    inequality are certified exactly, and the driver advances through the
+    edges containing X'. In the source argument the spread case ends in a
     contradiction rather than a construction; the executable driver
     records the certified inequalities as evidence and continues via the
-    concentrated-style superset route, which is flagged in every trace.
+    concentrated-style superset route, noting whether it certified.
 
     Each lambda is an intersection size of ``h`` and strictly rises, so a
     run has at most |I(H)| levels. It stops on the input check (uniform,

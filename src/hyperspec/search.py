@@ -62,12 +62,12 @@ def canonical_form(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
 
 def invariant_signature(h: Hypergraph) -> tuple:
     """Cheap permutation-invariant fingerprint: vertex count, sorted degree
-    sequence, sorted edge sizes, and the sorted pairwise intersection
-    multiset."""
+    sequence, sorted edge sizes, and the pairwise intersection multiset as
+    ascending (size, pair count) items."""
     degrees = sorted(h.degree(v) for v in range(h.num_vertices))
     sizes = sorted(m.bit_count() for m in h.edge_masks)
-    pairs = [size for size, c in pair_size_counts(h.edge_masks).items() for _ in range(c)]
-    return (h.num_vertices, tuple(degrees), tuple(sizes), tuple(pairs))
+    pairs = tuple(pair_size_counts(h.edge_masks).items())
+    return (h.num_vertices, tuple(degrees), tuple(sizes), pairs)
 
 
 def are_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:

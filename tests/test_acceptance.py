@@ -45,7 +45,7 @@ from hyperspec import (
     are_isomorphic,
 )
 from hyperspec.coloring import ColorStatus
-from hyperspec.extraction import ExtractionParams, _count_bad_subsets, gnp_random_graph
+from hyperspec.extraction import ExtractionParams, _bad_subsets, gnp_random_graph
 from hyperspec.lemmas import planted_average_instance, random_pair_instance
 from hyperspec.rng import DEFAULT_SEED, substream
 
@@ -257,7 +257,7 @@ def run_criterion_8() -> dict:
             res is not None
             and len(res.u) > 16
             and res.exhaustive
-            and _count_bad_subsets(g, sorted(res.u), 2, 8)[0] == 0
+            and _bad_subsets(g, sorted(res.u), 2, 8) == []
         )
         successes += ok
         rows.append({"seed": seed, "ok": bool(ok), "u": len(res.u) if res else 0})

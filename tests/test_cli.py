@@ -235,10 +235,10 @@ class TestExtract:
                     ],
                     "notes": [
                         "desk-scale thresholds: measured density, fraction-based demands",
-                        "spread group too small for certification at lambda=1",
-                        "spread case certified numerically; advancing via the popular anchor-subset superset route",
-                        "spread group too small for certification at lambda=5",
-                        "spread case certified numerically; advancing via the popular anchor-subset superset route",
+                        "spread case at lambda=1 not certified (t=3 is not an even number of at least 4); "
+                        "advancing via the popular anchor-subset superset route",
+                        "spread case at lambda=5 not certified (t=3 is not an even number of at least 4); "
+                        "advancing via the popular anchor-subset superset route",
                     ],
                     "params": {"d": None, "paper_constants": False, "seed": 0, "t": 3, "x": 2},
                     "schema": "1",
@@ -308,6 +308,28 @@ class TestErrorsAndUsage:
         code, _, err = run_cli(["spectrum", "/does/not/exist.hg"], capsys)
         assert code == 1
         assert json.loads(err)["error"]["type"] == "OSError"
+
+    @pytest.mark.parametrize(
+        "args, payload",
+        [
+            (["spectrum", "DIR"], {"type": "OSError", "message": "[Errno 21] Is a directory: 'DIR'"}),
+            (
+                ["color", "FANO", "--seed", "3"],
+                {"type": "InvalidParameterError", "message": "color reads --seed only with --trials"},
+            ),
+        ],
+        ids=["directory", "invalid-parameter"],
+    )
+    def test_error_payload_on_stderr(self, args, payload, tmp_path, capsys):
+        # An OSError subclass is reported as "OSError", a domain error by its class name.
+        path = tmp_path / "fano.hg"
+        run_cli(["construct", "--family", "fano", "-o", str(path)], capsys)
+        paths = {"DIR": str(tmp_path), "FANO": str(path)}
+        code, stdout, err = run_cli([paths.get(a, a) for a in args], capsys)
+        message = payload["message"].replace("DIR", str(tmp_path))
+        expected = {"error": {"message": message, "type": payload["type"]}, "schema": "1"}
+        assert (code, stdout) == (1, "")
+        assert err == json.dumps(expected, sort_keys=True) + "\n"
 
     def test_domain_error(self, capsys):
         code, _, err = run_cli(

@@ -122,7 +122,7 @@ class TestDependentRandomChoice:
         assert res is not None
         assert len(res.u) > 2 * n
         assert res.exhaustive
-        assert extraction._count_bad_subsets(g, sorted(res.u), 2, n)[0] == 0
+        assert extraction._bad_subsets(g, sorted(res.u), 2, n) == []
 
     def test_empty_graph_violates(self):
         g = SimpleGraph(64, [])
@@ -151,13 +151,13 @@ class TestDependentRandomChoice:
             for a, b in combinations(members, 2)
             if len(adj_sets[a] & adj_sets[b]) < 8
         )
-        assert bad == 0 == extraction._count_bad_subsets(g, members, 2, 8)[0]
+        assert bad == 0 == len(extraction._bad_subsets(g, members, 2, 8))
 
     def test_deletion_cleanup(self):
         # Clique plus two pendants: every pair touching a pendant has a
         # tiny common neighborhood. The greedy hitting set must remove
         # exactly the pendants and leave no bad pair behind.
-        from hyperspec.extraction import _cleanup_bad_subsets, _count_bad_subsets
+        from hyperspec.extraction import _bad_subsets, _cleanup_bad_subsets
 
         m = 20
         edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
@@ -165,12 +165,11 @@ class TestDependentRandomChoice:
         g = SimpleGraph(m + 2, edges)
         members = list(range(m + 2))
         n = 3
-        bad, bad_subsets = _count_bad_subsets(g, members, 2, n)
-        assert bad > 0
+        bad_subsets = _bad_subsets(g, members, 2, n)
+        assert len(bad_subsets) > 0
         kept, removed = _cleanup_bad_subsets(members, bad_subsets)
         assert removed == 2 and set(members) - set(kept) == {m, m + 1}
-        rebad, _ = _count_bad_subsets(g, kept, 2, n)
-        assert rebad == 0
+        assert len(_bad_subsets(g, kept, 2, n)) == 0
 
     def test_undecided_attempts_fail(self, monkeypatch):
         # Each attempt's U is large, the floor leaves it open and C(|U|, 5)
@@ -198,16 +197,16 @@ class TestDependentRandomChoice:
         g = SimpleGraph(40, [(i, j) for i in range(40) for j in range(i + 1, 40)])
         floor_res = dependent_random_choice(g, Fraction(9, 10), 2, 2, seed=0)
         counted = []
-        real = extraction._count_bad_subsets
+        real = extraction._bad_subsets
         monkeypatch.setattr(extraction, "_common_neighbor_floor", lambda *a: -1)
         monkeypatch.setattr(
-            extraction, "_count_bad_subsets", lambda *a: counted.append(real(*a)) or counted[-1]
+            extraction, "_bad_subsets", lambda *a: counted.append(real(*a)) or counted[-1]
         )
         res = dependent_random_choice(g, Fraction(9, 10), 2, 2, seed=0)
-        assert [bad for bad, _ in counted] == [0]
+        assert [len(bad) for bad in counted] == [0]
         assert res == floor_res
         assert (len(res.u), res.removed, res.attempts) == (38, 0, 1)
-        assert real(g, sorted(res.u), 2, 2)[0] == 0
+        assert real(g, sorted(res.u), 2, 2) == []
 
 
     def test_small_common_neighborhood_retries(self):
@@ -241,9 +240,9 @@ class TestDependentRandomChoice:
         edges += [(r, u[2 * i + sides.randrange(2)]) for r in rest for i in range(10)]
         g = SimpleGraph(m, edges)
         assert sorted(vertices_of(g.common_neighbors_mask(drawn))) == u
-        bad, bad_subsets = extraction._count_bad_subsets(g, u, t, n)
+        bad_subsets = extraction._bad_subsets(g, u, t, n)
         assert sorted(bad_subsets) == [(u[2 * i], u[2 * i + 1]) for i in range(10)]
-        assert Fraction(bad, comb(20, 2)) < Fraction(1, (2 * t) ** t)
+        assert Fraction(len(bad_subsets), comb(20, 2)) < Fraction(1, (2 * t) ** t)
         assert len(extraction._cleanup_bad_subsets(u, bad_subsets)[0]) == 2 * n
         monkeypatch.setattr(extraction, "_common_neighbor_floor", lambda *a: -1)
         assert dependent_random_choice(g, Fraction(1, 2), t, n, seed=seed, retries=1) is None
@@ -278,6 +277,22 @@ class TestRamseyPair:
 
 class TestDrcPair:
     FALLBACK = "drc hypotheses unsatisfiable at this scale; direct search over the pool"
+
+    def test_rejected_drc_fallback_names_its_cause(self):
+        # The hypotheses hold (n_target >= t), yet every DRC attempt is
+        # undecided or too small, so the note names the rejection, not the scale.
+        h = compose(fano(), complete_subsets(5, 3))
+        params = ExtractionParams(t=4, x=4, seed=0)
+        g = threshold_graph(h, range(7000), 2)
+        d = Fraction(2 * g.num_edges, 7000 * 7000)
+        n_target = int(7000 * d**4 / 20)
+        assert n_target >= 4
+        assert dependent_random_choice(g, d, 4, n_target, 0) is None
+        pair = find_lambda_pair_drc(h, range(7000), 2, params)
+        assert pair.notes == (
+            f"drc accepted no U in {extraction.DRC_RETRIES} attempts; direct search over the pool",
+        )
+        assert pair.validated
 
     def test_fano_degenerate(self, fano_h):
         params = ExtractionParams(t=2, x=1, seed=0)
@@ -476,6 +491,48 @@ class TestDensityIncrementRun:
         check = trace.identity_checks[0]
         assert check["union_identity_holds"]
         assert check["average_lambda_holds"]
+
+    @pytest.mark.parametrize(
+        "instance, t, x, seed, lambdas, certified",
+        [
+            ("itf2", 3, 2, 0, [1, 5], []),
+            ("itf2", 3, 2, 1, [1, 5], []),
+            ("spread", 4, 1, 0, [1], [1]),
+        ],
+        ids=["itf2-t3-seed-0", "itf2-t3-seed-1", "spread-case"],
+    )
+    def test_spread_notes_follow_certification(self, itf2, instance, t, x, seed, lambdas, certified):
+        h = itf2 if instance == "itf2" else spread_case_instance()
+        trace = density_increment_run(h, ExtractionParams(t=t, x=x, seed=seed))
+        prefix, route = "spread case at lambda=", "; advancing via the popular anchor-subset superset route"
+        spread = [note for note in trace.notes if note.startswith(prefix)]
+        # One note per spread step, each naming its level's lambda.
+        assert all(note.endswith(route) for note in spread)
+        assert [int(note[len(prefix):].split(" ")[0]) for note in spread] == lambdas
+        assert set(lambdas) <= set(trace.lambdas())
+        # A note says "certified numerically" exactly when an identity check was recorded.
+        said = [lam for lam, note in zip(lambdas, spread) if "certified numerically" in note]
+        assert [check["level_lambda"] for check in trace.identity_checks] == said == certified
+        assert sum("certified numerically" in note for note in trace.notes) == len(trace.identity_checks)
+        assert all(" not certified (" in note for lam, note in zip(lambdas, spread) if lam not in certified)
+
+    @pytest.mark.parametrize(
+        "instance, t, x, seed, reason",
+        [
+            ("itf2", 3, 2, 0, "t=3 is not an even number of at least 4"),
+            ("spread", 6, 1, 0, "the group's size 2 is below t=6"),
+            ("itf2", 4, 2, 1, "no 4-subset of the group's A or B edges meets pairwise in at most 1"),
+        ],
+        ids=["odd-t", "small-group", "no-small-subset"],
+    )
+    def test_uncertified_spread_note_names_its_reason(self, itf2, instance, t, x, seed, reason):
+        h = itf2 if instance == "itf2" else spread_case_instance()
+        trace = density_increment_run(h, ExtractionParams(t=t, x=x, seed=seed))
+        assert not trace.identity_checks
+        assert (
+            f"spread case at lambda=1 not certified ({reason}); "
+            "advancing via the popular anchor-subset superset route"
+        ) in trace.notes
 
     def test_two_colorable_input_yields_witness(self):
         # Disjoint petals through one center: 2-colorable, so the greedy
@@ -687,7 +744,7 @@ class TestExactBoundsBeforeSampling:
                 if floor >= 1:
                     # The bound decides every demand n <= floor: no bad subset.
                     decided += 1
-                    assert extraction._count_bad_subsets(g, members, t, floor)[0] == 0
+                    assert extraction._bad_subsets(g, members, t, floor) == []
         assert decided >= 12
 
     def test_floor_is_tight_without_matched_members(self):
@@ -703,8 +760,8 @@ class TestExactBoundsBeforeSampling:
         assert len(members) == 10
         floor = extraction._common_neighbor_floor(g, members, t)
         assert floor == 20 - 2 * t
-        assert extraction._count_bad_subsets(g, members, t, floor)[0] == 0
-        assert extraction._count_bad_subsets(g, members, t, floor + 1)[0] > 0
+        assert extraction._bad_subsets(g, members, t, floor) == []
+        assert len(extraction._bad_subsets(g, members, t, floor + 1)) > 0
 
     def test_pair_share_bounds_small_fraction(self):
         shares = set()

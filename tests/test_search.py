@@ -40,6 +40,14 @@ class TestCanonicalForm:
         tri = complete_subsets(3, 2)
         assert invariant_signature(tri) != invariant_signature(fano_h)
 
+    def test_signature_of_relabelings_agree(self, fano_h):
+        # Two relabelings give one signature; its pair multiset is the
+        # ascending (size, count) items.
+        perms = ([3, 0, 6, 2, 5, 1, 4], [6, 5, 4, 3, 2, 1, 0])
+        a, b = (Hypergraph(7, [{p[v] for v in e} for e in fano_h.edges()]) for p in perms)
+        assert invariant_signature(a) == invariant_signature(b) == invariant_signature(fano_h)
+        assert invariant_signature(a)[3] == ((1, 21),)
+
     def test_vertex_cap(self):
         big = Hypergraph(12, [{0, 1}])
         with pytest.raises(ValueError):
