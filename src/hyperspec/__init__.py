@@ -54,7 +54,7 @@ _EXPORTS = {
         "is_lambda_small", "validate_lambda_pair",
     ),
     "extraction": (
-        "SimpleGraph", "ExtractionParams", "LambdaPair", "TripleFamily", "IncrementTrace",
+        "ExtractionParams", "LambdaPair", "TripleFamily", "IncrementTrace",
         "threshold_graph", "dependent_random_choice", "find_lambda_pair_ramsey",
         "find_lambda_pair_drc", "build_triple_family", "density_increment_run",
     ),

@@ -85,11 +85,26 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+# Set bits above which vertices_of scans the binary digits once. Each step
+# of the low-bit loop copies the mask, yet up to about 64 set bits it was as
+# fast as the scan or faster, on masks 64 to 10^6 bits wide.
+UNPACK_LOOP_BITS = 64
+
+
 def vertices_of(mask: int) -> tuple[int, ...]:
-    """Unpack a bitmask into an ascending vertex tuple."""
+    """Unpack a bitmask into an ascending vertex tuple: one low-bit step per
+    vertex up to ``UNPACK_LOOP_BITS`` vertices, else one scan of the
+    reversed binary digits, in time linear in the mask's width."""
     if mask < 0:
         raise ValueError(f"negative mask {mask} has no finite vertex set")
     out = []
+    if mask.bit_count() > UNPACK_LOOP_BITS:
+        digits = format(mask, "b")[::-1]
+        v = digits.find("1")
+        while v >= 0:
+            out.append(v)
+            v = digits.find("1", v + 1)
+        return tuple(out)
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
@@ -420,12 +435,12 @@ def pair_size_totals(rows: np.ndarray, cols: Optional[np.ndarray] = None) -> np.
     return total
 
 
-def pair_adjacency(masks: Sequence[int], lam: int) -> list[int]:
+def pair_adjacency(masks: Sequence[int], lam: int) -> tuple[int, ...]:
     """Adjacency bitmasks of the graph on ``masks`` that joins i != j iff
     masks i and j meet in at least ``lam`` vertices."""
     rows = pack_words(masks, max(map(int.bit_length, masks), default=0))
     adj = [row for sizes in _size_blocks(rows, rows) for row in row_masks(sizes >= lam)]
-    return [row & ~(1 << i) for i, row in enumerate(adj)]
+    return tuple(row & ~(1 << i) for i, row in enumerate(adj))
 
 
 def row_masks(flags: np.ndarray) -> list[int]:
@@ -633,14 +648,6 @@ class Budget:
 # :class:`ParseError`. Both give the same hypergraphs.
 
 
-class _TokenValues(dict):
-    """``int()`` of each token, converted once on its first lookup."""
-
-    def __missing__(self, token: str) -> int:
-        value = self[token] = int(token)
-        return value
-
-
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse ``.hg`` text. Raises :class:`ParseError` with a line number."""
     return Hypergraph.from_masks(*(_parse_plain(text) or _parse_lines(text)))
@@ -650,7 +657,6 @@ def _parse_lines(text: str) -> tuple[int, list[int]]:
     """``(num_vertices, edge masks)`` of ``.hg`` text, line by line."""
     header: Optional[tuple[int, int]] = None
     edges: list[int] = []
-    values = _TokenValues()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -670,7 +676,7 @@ def _parse_lines(text: str) -> tuple[int, list[int]]:
         if len(edges) >= header[1]:
             raise ParseError("more edge lines than the header announced", lineno)
         try:
-            vs = tuple(map(values.__getitem__, tokens))
+            vs = tuple(map(int, tokens))
         except ValueError:
             raise ParseError("malformed vertex index", lineno) from None
         if not all(map(lt, vs, vs[1:])):

@@ -54,7 +54,6 @@ from .lemmas import (
 from .rng import DEFAULT_SEED, distinct_subsets, substream
 
 __all__ = [
-    "SimpleGraph",
     "ExtractionParams",
     "LambdaPair",
     "TripleFamily",
@@ -79,63 +78,9 @@ SEARCH_TRIES = 4000
 INPUT_CHECK_STOP = "input must be uniform with at least two edges"
 
 
-class SimpleGraph:
-    """Loop-free undirected graph stored as per-vertex adjacency bitmasks."""
-
-    __slots__ = ("num_vertices", "adj", "_edge_count")
-
-    def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]] = ()):
-        if num_vertices < 0:
-            raise ValueError("vertex count must be non-negative")
-        adj = [0] * num_vertices
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self.num_vertices = num_vertices
-        self.adj: tuple[int, ...] = tuple(adj)
-        self._edge_count = sum(m.bit_count() for m in adj) // 2
-
-    @classmethod
-    def from_adjacency(cls, adj: list[int]) -> "SimpleGraph":
-        g = cls.__new__(cls)
-        g.num_vertices = len(adj)
-        g.adj = tuple(adj)
-        g._edge_count = sum(m.bit_count() for m in adj) // 2
-        return g
-
-    @property
-    def num_edges(self) -> int:
-        return self._edge_count
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.num_vertices):
-            m = self.adj[u] >> (u + 1) << (u + 1)
-            out.extend((u, v) for v in vertices_of(m))
-        return out
-
-    def common_neighbors_mask(self, vertices: Iterable[int]) -> int:
-        m = (1 << self.num_vertices) - 1
-        for v in vertices:
-            m &= self.adj[v]
-        return m
-
-    def __repr__(self) -> str:
-        return f"SimpleGraph(n={self.num_vertices}, m={self.num_edges})"
-
-
-def gnp_random_graph(n: int, p: float, seed: int) -> SimpleGraph:
-    """Erdos-Renyi G(n, p), deterministic per seed."""
+def gnp_random_graph(n: int, p: float, seed: int) -> tuple[int, ...]:
+    """Erdos-Renyi G(n, p) as adjacency masks (bit j of entry i: i and j
+    adjacent), deterministic per seed."""
     rng = substream(seed, "gnp")
     adj = [0] * n
     for i in range(n - 1):
@@ -143,12 +88,13 @@ def gnp_random_graph(n: int, p: float, seed: int) -> SimpleGraph:
             if rng.random() < p:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return SimpleGraph.from_adjacency(adj)
+    return tuple(adj)
 
 
-def threshold_graph(h: Hypergraph, edge_set: Iterable[int], lam: int) -> SimpleGraph:
+def threshold_graph(h: Hypergraph, edge_set: Iterable[int], lam: int) -> tuple[int, ...]:
     """Graph on the edges of ``edge_set`` (in ascending index order) with
-    adjacency iff the two edges meet in at least ``lam`` vertices."""
+    adjacency iff the two edges meet in at least ``lam`` vertices, as one
+    loop-free adjacency mask per edge (:func:`pair_adjacency`)."""
     labels = sorted(frozenset(edge_set))
     na = len(labels)
     if na < 2:
@@ -157,8 +103,16 @@ def threshold_graph(h: Hypergraph, edge_set: Iterable[int], lam: int) -> SimpleG
     # graph is complete; this skips the quadratic scan on full edge sets.
     if lam <= intersection_spectrum(h).sizes[0]:
         full = (1 << na) - 1
-        return SimpleGraph.from_adjacency([full ^ (1 << i) for i in range(na)])
-    return SimpleGraph.from_adjacency(pair_adjacency([h.edge_masks[i] for i in labels], lam))
+        return tuple(full ^ (1 << i) for i in range(na))
+    return pair_adjacency([h.edge_masks[i] for i in labels], lam)
+
+
+def _common_neighbors(adj: Sequence[int], vertices: Iterable[int]) -> int:
+    """Mask of the vertices adjacent to each of ``vertices`` in ``adj``."""
+    mask = (1 << len(adj)) - 1
+    for v in vertices:
+        mask &= adj[v]
+    return mask
 
 
 @dataclass(frozen=True)
@@ -172,16 +126,17 @@ class DrcResult:
     removed: int
 
 
-def _bad_subsets(g: SimpleGraph, members: list[int], t: int, n: int) -> list[tuple[int, ...]]:
+def _bad_subsets(adj: Sequence[int], members: list[int], t: int, n: int) -> list[tuple[int, ...]]:
     """The t-subsets of ``members`` with fewer than n common neighbors."""
-    return [sub for sub in combinations(members, t) if g.common_neighbors_mask(sub).bit_count() < n]
+    return [sub for sub in combinations(members, t) if _common_neighbors(adj, sub).bit_count() < n]
 
 
-def _common_neighbor_floor(g: SimpleGraph, members: list[int], t: int) -> int:
+def _common_neighbor_floor(adj: Sequence[int], members: list[int], t: int) -> int:
     """A lower bound on the common neighborhood of any t of ``members``:
     each member misses itself and its m - 1 - deg non-neighbors, so t of
     them miss at most t * (m - min deg) vertices."""
-    return g.num_vertices - t * (g.num_vertices - min(map(g.degree, members)))
+    m = len(adj)
+    return m - t * (m - min(adj[v].bit_count() for v in members))
 
 
 def _cleanup_bad_subsets(
@@ -205,7 +160,7 @@ def _cleanup_bad_subsets(
 
 
 def dependent_random_choice(
-    g: SimpleGraph,
+    adj: Sequence[int],
     d: Fraction | float | int,
     t: int,
     n: int,
@@ -213,7 +168,8 @@ def dependent_random_choice(
     retries: int = DRC_RETRIES,
 ) -> Optional[DrcResult]:
     """Find a vertex set U with |U| > 2n in which every t-subset has at
-    least n common neighbors.
+    least n common neighbors in the graph of adjacency masks ``adj``
+    (:func:`threshold_graph`, :func:`gnp_random_graph`).
 
     Draws t vertices with repetition and takes their common neighborhood.
     U is accepted when :func:`_common_neighbor_floor` reaches n. Otherwise,
@@ -227,27 +183,27 @@ def dependent_random_choice(
     d = Fraction(d)
     if d <= 0:
         raise HypothesesViolatedError("density parameter must be positive")
-    m = g.num_vertices
+    m = len(adj)
     if not m > 4 * t * d**-t * n:
         raise HypothesesViolatedError(
             f"vertex count {m} does not exceed 4*t*d^-t*n = {4 * t * d**-t * n}"
         )
-    if not g.num_edges >= d * m * m / 2:
+    num_edges = sum(map(int.bit_count, adj)) // 2
+    if not num_edges >= d * m * m / 2:
         raise HypothesesViolatedError(
-            f"edge count {g.num_edges} is below d*m^2/2 = {d * m * m / 2}"
+            f"edge count {num_edges} is below d*m^2/2 = {d * m * m / 2}"
         )
     rng = substream(seed, "drc")
     for attempt in range(1, retries + 1):
         sample = [rng.randrange(m) for _ in range(t)]
-        u_mask = g.common_neighbors_mask(sample)
-        members = list(vertices_of(u_mask))
+        members = list(vertices_of(_common_neighbors(adj, sample)))
         if len(members) <= 2 * n:
             continue
-        if _common_neighbor_floor(g, members, t) >= n:
+        if _common_neighbor_floor(adj, members, t) >= n:
             return DrcResult(frozenset(members), True, attempt, 0)
         if comb(len(members), t) > ENUM_CAP:
             continue  # undecided
-        kept, removed = _cleanup_bad_subsets(members, _bad_subsets(g, members, t, n))
+        kept, removed = _cleanup_bad_subsets(members, _bad_subsets(adj, members, t, n))
         if len(kept) > 2 * n:
             # Every bad subset lost a member, so none survives in kept.
             return DrcResult(frozenset(kept), True, attempt, removed)
@@ -337,6 +293,12 @@ def _small_pair_share(pair_counts: dict[int, int], lam: int) -> Fraction:
     return Fraction(small, sum(pair_counts.values()))
 
 
+def _threshold_density(pair_counts: dict[int, int], lam: int, m: int) -> Fraction:
+    """2e/m^2 for the e edges of the m-edge pool's threshold graph at
+    ``lam``, which are the pool's pairs meeting in at least lam vertices."""
+    return Fraction(2 * sum(c for size, c in pair_counts.items() if size >= lam), m * m)
+
+
 def find_lambda_pair_drc(
     h: Hypergraph,
     edge_set: Iterable[int],
@@ -349,16 +311,16 @@ def find_lambda_pair_drc(
     Requires that at most half of the t-subsets of the pool are
     lam-small, which only a :func:`_small_pair_share` above 1/2 leaves
     open (``pair_counts``: the pool's :func:`pair_size_counts`); a share
-    too large to count is noted as undecided. Builds the
-    threshold graph, derives the density and the common-neighbor demand
-    from it, applies dependent random choice, and searches the resulting
-    subset for a t-subset X whose pairwise intersections stay at most lam
-    and whose threshold-graph common neighborhood, of at least the demand,
-    becomes Y (all t-subsets, or ``SEARCH_TRIES`` drawn by ``distinct_subsets``
-    on ``"drc-pair/<lam>"``). When the lemma hypotheses are unsatisfiable at
-    the pool's scale, or no DRC attempt is accepted, the search runs over
-    the whole pool with a demand of one; the pair's notes name the fallback
-    and its cause.
+    too large to count is noted as undecided. Builds the threshold graph,
+    reads its density from the pair counts (:func:`_threshold_density`),
+    derives the common-neighbor demand, applies dependent random choice,
+    and searches the resulting subset for a t-subset X whose pairwise
+    intersections stay at most lam and whose threshold-graph common
+    neighborhood, of at least the demand, becomes Y (all t-subsets, or
+    ``SEARCH_TRIES`` drawn by ``distinct_subsets`` on ``"drc-pair/<lam>"``).
+    When the lemma hypotheses are unsatisfiable at the pool's scale, or no
+    DRC attempt is accepted, the search runs over the whole pool with a
+    demand of one; the pair's notes name the fallback and its cause.
     """
     labels = sorted(frozenset(edge_set))
     m = len(labels)
@@ -377,13 +339,13 @@ def find_lambda_pair_drc(
             raise HypothesesViolatedError(
                 f"{fraction} of {t}-subsets are {lam}-small; need at most 1/2"
             )
-    g = threshold_graph(h, labels, lam)
-    d = params.d if params.d is not None else Fraction(2 * g.num_edges, m * m)
+    adj = threshold_graph(h, labels, lam)
+    d = params.d if params.d is not None else _threshold_density(pair_counts, lam, m)
     n_target = int(m * d**t / (5 * t))
     res, fallback = None, "drc hypotheses unsatisfiable at this scale"
     if n_target >= t:
         try:  # the DRC checks its own hypotheses; 4*t*d^-t*n_target <= 4m/5 < m always
-            res = dependent_random_choice(g, d, t, n_target, params.seed)
+            res = dependent_random_choice(adj, d, t, n_target, params.seed)
             fallback = f"drc accepted no U in {DRC_RETRIES} attempts"
         except HypothesesViolatedError:
             pass
@@ -407,7 +369,7 @@ def find_lambda_pair_drc(
     # there the first X with small pairwise intersections meets the demand.
     for sub in candidates:
         if _pairwise_at_most(pool_masks, sub, lam):
-            common = g.common_neighbors_mask(sub)  # no member of X is its own neighbor
+            common = _common_neighbors(adj, sub)  # no member of X is its own neighbor
             if common.bit_count() >= demand:
                 break
     else:
@@ -504,16 +466,11 @@ class ExtractionParams:
             raise InvalidParameterError("need t >= 2 and x >= 1")
 
     @classmethod
-    def paper_scale(cls, k: int, seed: int = DEFAULT_SEED, **overrides) -> "ExtractionParams":
+    def paper_scale(
+        cls, k: int, seed: int = DEFAULT_SEED, budget_ms: Optional[float] = None
+    ) -> "ExtractionParams":
         t = 2 * (isqrt(k - 1) + 1)  # 2 * ceil(sqrt(k))
-        return cls(
-            t=t,
-            x=10 * t,
-            d=Fraction(1, 8 * k),
-            seed=seed,
-            paper_constants=True,
-            **overrides,
-        )
+        return cls(t=t, x=10 * t, d=Fraction(1, 8 * k), seed=seed, budget_ms=budget_ms, paper_constants=True)
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,18 @@ def naive_vertex_edge_masks(n: int, edges: Sequence[Iterable[int]]) -> tuple[int
     return tuple(sum(2**i for i, e in enumerate(sets) if v in e) for v in range(n))
 
 
+def graph_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Adjacency masks of the loop-free graph on n vertices with ``edges``:
+    bit v of entry u is set iff (u, v) or (v, u) is an edge."""
+    adj = [0] * n
+    for u, v in edges:
+        assert u != v, f"loop at vertex {u}"
+        assert 0 <= u < n and 0 <= v < n, f"edge ({u}, {v}) out of range"
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
 def naive_greedy_increase(
     n: int, edges: Sequence[Iterable[int]], start: Iterable[int], steps: int
 ) -> tuple[Optional[list[tuple[int, int, int, int]]], frozenset[int], object]:

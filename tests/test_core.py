@@ -125,6 +125,19 @@ class TestConstruction:
             with pytest.raises(ValueError, match="^negative mask"):
                 vertices_of(mask)
 
+    def test_unpack_matches_a_bit_loop_on_both_sides_of_the_crossover(self):
+        # Up to UNPACK_LOOP_BITS set bits the low-bit loop unpacks, above it
+        # the digit scan; both read the bits a naive loop reads.
+        rng = random.Random(0)
+        cross = core.UNPACK_LOOP_BITS
+        masks = [1, (1 << 64) - 1, (1 << 65) - 1, (1 << 10**4) - 1, 1 << 10**4 - 1]  # widths 1, 64, 65, 10^4
+        for bits in (1, cross - 1, cross, cross + 1, 3 * cross):
+            for width in (bits, bits + 1, 2 * bits, 10**4):
+                masks += [mask_of(rng.sample(range(width), bits)) for _ in range(3)]
+        assert {m.bit_count() for m in masks} >= {cross, cross + 1}
+        for mask in masks:
+            assert vertices_of(mask) == tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
 
 def vertex_lists(n, masks):
     """The vertex lists that give ``Hypergraph(n, ...)`` the edges ``masks``.
@@ -1078,7 +1091,7 @@ EXPORTED = {
         "is_lambda_small", "validate_lambda_pair",
     ],
     "extraction": [
-        "SimpleGraph", "ExtractionParams", "LambdaPair", "TripleFamily", "IncrementTrace", "threshold_graph",
+        "ExtractionParams", "LambdaPair", "TripleFamily", "IncrementTrace", "threshold_graph",
         "dependent_random_choice", "find_lambda_pair_ramsey", "find_lambda_pair_drc", "build_triple_family",
         "density_increment_run",
     ],

@@ -37,7 +37,6 @@ from hyperspec import extraction
 from hyperspec.core import vertices_of
 from hyperspec.extraction import (
     ExtractionParams,
-    SimpleGraph,
     gnp_random_graph,
 )
 from hyperspec.rng import substream
@@ -61,53 +60,63 @@ def spread_case_instance():
     return Hypergraph(66, petals + transversals)
 
 
-class TestSimpleGraph:
-    def test_basics(self):
-        g = SimpleGraph(4, [(0, 1), (1, 2), (2, 3)])
-        assert g.num_edges == 3
-        assert g.degree(1) == 2
-        assert g.has_edge(0, 1) and not g.has_edge(0, 2)
-        assert g.edges() == [(0, 1), (1, 2), (2, 3)]
+def num_edges(adj):
+    return sum(map(int.bit_count, adj)) // 2
 
-    def test_no_loops(self):
-        with pytest.raises(ValueError):
-            SimpleGraph(3, [(1, 1)])
+
+class TestSimpleGraph:
+    """Graphs as adjacency-mask tuples."""
 
     def test_common_neighbors(self):
-        g = SimpleGraph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4)])
-        mask = g.common_neighbors_mask([0, 1])
+        adj = oracles.graph_adjacency(5, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4)])
+        mask = extraction._common_neighbors(adj, [0, 1])
         assert mask == (1 << 2) | (1 << 3)
 
     def test_gnp_deterministic(self):
         a = gnp_random_graph(60, 0.4, seed=5)
         b = gnp_random_graph(60, 0.4, seed=5)
-        assert a.adj == b.adj
+        assert a == b and all(type(row) is int for row in a)
         c = gnp_random_graph(60, 0.4, seed=6)
-        assert a.adj != c.adj
+        assert a != c
 
 
 class TestThresholdGraph:
     def test_fano_complete_at_one(self, fano_h):
         g = threshold_graph(fano_h, range(7), 1)
-        assert g.num_edges == comb(7, 2)
+        assert num_edges(g) == comb(7, 2)
 
     def test_fano_empty_at_two(self, fano_h):
         g = threshold_graph(fano_h, range(7), 2)
-        assert g.num_edges == 0
+        assert num_edges(g) == 0
 
     def test_iterated_fano_matches_multiplicities(self, itf2):
         sp = intersection_spectrum(itf2)
         g = threshold_graph(itf2, range(2401), 7)
-        assert g.num_edges == sp.multiplicity_of(7) == 21609
+        assert num_edges(g) == sp.multiplicity_of(7) == 21609
 
     def test_subset_with_labels(self, fano_h):
         g = threshold_graph(fano_h, [2, 5, 6], 1)
-        assert g.num_vertices == 3
-        assert g.num_edges == 3
+        assert len(g) == 3
+        assert num_edges(g) == 3
 
     def test_too_few(self, fano_h):
         with pytest.raises(TooFewEdgesError):
             threshold_graph(fano_h, [1], 1)
+
+    def test_pair_count_density_is_the_graph_density(self, itf2):
+        # The DRC extractor reads its density from the pool's pair counts:
+        # the threshold graph's edges are the pairs meeting in >= lam vertices.
+        h = compose(fano(), complete_subsets(5, 3))
+        rng = random.Random(0)
+        cases = [(itf2, range(2401), lam) for lam in (3, 5, 7)]
+        cases += [(h, rng.sample(range(h.num_edges), 600), 2) for _ in range(2)]
+        for hg, pool, lam in cases:
+            g = threshold_graph(hg, pool, lam)
+            m = len(g)
+            assert type(g) is tuple and {type(row) for row in g} == {int}
+            assert m == len(pool) and 0 < num_edges(g) < comb(m, 2)  # not complete
+            counts = extraction._pool_pair_counts(hg, sorted(pool))
+            assert extraction._threshold_density(counts, lam, m) == Fraction(2 * num_edges(g), m * m)
 
 
 class TestDependentRandomChoice:
@@ -117,7 +126,7 @@ class TestDependentRandomChoice:
         # subsets. Hypotheses need m > 4*t*d^-t*n = 32n here.
         m = 512
         n = 8
-        g = SimpleGraph(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
+        g = oracles.graph_adjacency(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
         res = dependent_random_choice(g, Fraction(1, 2), 2, n, seed=1)
         assert res is not None
         assert len(res.u) > 2 * n
@@ -125,12 +134,12 @@ class TestDependentRandomChoice:
         assert extraction._bad_subsets(g, sorted(res.u), 2, n) == []
 
     def test_empty_graph_violates(self):
-        g = SimpleGraph(64, [])
+        g = oracles.graph_adjacency(64, [])
         with pytest.raises(HypothesesViolatedError):
             dependent_random_choice(g, Fraction(1, 2), 2, 8, seed=1)
 
     def test_too_few_vertices_violates(self):
-        g = SimpleGraph(10, [(i, j) for i in range(10) for j in range(i + 1, 10)])
+        g = oracles.graph_adjacency(10, [(i, j) for i in range(10) for j in range(i + 1, 10)])
         with pytest.raises(HypothesesViolatedError):
             dependent_random_choice(g, Fraction(1, 2), 2, 8, seed=1)
 
@@ -142,9 +151,10 @@ class TestDependentRandomChoice:
         assert res.exhaustive
         # independent recount with adjacency sets
         adj_sets = [set() for _ in range(512)]
-        for u, v in g.edges():
-            adj_sets[u].add(v)
-            adj_sets[v].add(u)
+        for u, v in combinations(range(512), 2):
+            if g[u] >> v & 1:
+                adj_sets[u].add(v)
+                adj_sets[v].add(u)
         members = sorted(res.u)
         bad = sum(
             1
@@ -162,7 +172,7 @@ class TestDependentRandomChoice:
         m = 20
         edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
         edges += [(m, 0), (m + 1, 0)]
-        g = SimpleGraph(m + 2, edges)
+        g = oracles.graph_adjacency(m + 2, edges)
         members = list(range(m + 2))
         n = 3
         bad_subsets = _bad_subsets(g, members, 2, n)
@@ -180,7 +190,7 @@ class TestDependentRandomChoice:
         expected = substream(1, "drc")
         for _ in range(2):
             draws = [expected.randrange(1200) for _ in range(t)]
-            members = list(vertices_of(g.common_neighbors_mask(draws)))
+            members = list(vertices_of(extraction._common_neighbors(g, draws)))
             assert len(members) > 2 * n
             assert extraction._common_neighbor_floor(g, members, t) < n
             assert comb(len(members), t) > extraction.ENUM_CAP
@@ -194,7 +204,7 @@ class TestDependentRandomChoice:
     def test_enumeration_without_bad_subsets_keeps_u(self, monkeypatch):
         # With the floor disabled, K_40's U is enumerated, has no bad pair and
         # goes through the cleanup unchanged: the same result as the floor's.
-        g = SimpleGraph(40, [(i, j) for i in range(40) for j in range(i + 1, 40)])
+        g = oracles.graph_adjacency(40, [(i, j) for i in range(40) for j in range(i + 1, 40)])
         floor_res = dependent_random_choice(g, Fraction(9, 10), 2, 2, seed=0)
         counted = []
         real = extraction._bad_subsets
@@ -214,7 +224,7 @@ class TestDependentRandomChoice:
         # has no common neighbor, so |U| <= 2n and the next attempt draws
         # again. The first draw inside the clique is accepted by the floor.
         m, clique, t, n, seed = 300, 180, 2, 2, 0
-        g = SimpleGraph(m, combinations(range(clique), 2))
+        g = oracles.graph_adjacency(m, combinations(range(clique), 2))
         expected = substream(seed, "drc")
         attempts = 1
         while not all(v < clique for v in [expected.randrange(m) for _ in range(t)]):
@@ -238,8 +248,8 @@ class TestDependentRandomChoice:
         # pair (u_2i, u_2i+1) has a common neighbor outside the draw.
         sides = random.Random(0)
         edges += [(r, u[2 * i + sides.randrange(2)]) for r in rest for i in range(10)]
-        g = SimpleGraph(m, edges)
-        assert sorted(vertices_of(g.common_neighbors_mask(drawn))) == u
+        g = oracles.graph_adjacency(m, edges)
+        assert sorted(vertices_of(extraction._common_neighbors(g, drawn))) == u
         bad_subsets = extraction._bad_subsets(g, u, t, n)
         assert sorted(bad_subsets) == [(u[2 * i], u[2 * i + 1]) for i in range(10)]
         assert Fraction(len(bad_subsets), comb(20, 2)) < Fraction(1, (2 * t) ** t)
@@ -284,7 +294,7 @@ class TestDrcPair:
         h = compose(fano(), complete_subsets(5, 3))
         params = ExtractionParams(t=4, x=4, seed=0)
         g = threshold_graph(h, range(7000), 2)
-        d = Fraction(2 * g.num_edges, 7000 * 7000)
+        d = Fraction(2 * num_edges(g), 7000 * 7000)
         n_target = int(7000 * d**4 / 20)
         assert n_target >= 4
         assert dependent_random_choice(g, d, 4, n_target, 0) is None
@@ -703,7 +713,7 @@ def clique_with_pendants(seed, q, core, sparse):
     rng = random.Random(seed)
     edges = [(i, j) for i in range(core) for j in range(i + 1, core)]
     edges += [(c, s) for s in range(core, core + sparse) for c in range(core) if rng.random() < q]
-    return SimpleGraph(core + sparse, edges)
+    return oracles.graph_adjacency(core + sparse, edges)
 
 
 def clique_minus_matching(m, seed):
@@ -714,7 +724,7 @@ def clique_minus_matching(m, seed):
     partner = {}
     for a, b in zip(order[::2], order[1::2]):
         partner[a], partner[b] = b, a
-    return SimpleGraph(m, [(i, j) for i in range(m) for j in range(i + 1, m) if partner.get(i) != j])
+    return oracles.graph_adjacency(m, [(i, j) for i in range(m) for j in range(i + 1, m) if partner.get(i) != j])
 
 
 class TestExactBoundsBeforeSampling:
@@ -730,8 +740,8 @@ class TestExactBoundsBeforeSampling:
             graphs.append(clique_minus_matching(22 + seed, seed))
         decided = 0
         for i, g in enumerate(graphs):
-            m = g.num_vertices
-            neighbors = [frozenset(v for v in range(m) if g.has_edge(u, v)) for u in range(m)]
+            m = len(g)
+            neighbors = [frozenset(v for v in range(m) if g[u] >> v & 1) for u in range(m)]
             rng = random.Random(i)
             for _ in range(3):
                 members = sorted(rng.sample(range(m), rng.randrange(t, min(m, 20) + 1)))
@@ -755,7 +765,7 @@ class TestExactBoundsBeforeSampling:
         t = 3
         members = []
         for v in range(20):
-            if all(g.has_edge(v, u) for u in members):
+            if all(g[v] >> u & 1 for u in members):
                 members.append(v)
         assert len(members) == 10
         floor = extraction._common_neighbor_floor(g, members, t)
