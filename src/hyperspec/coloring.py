@@ -177,17 +177,26 @@ def find_2_coloring(
     return _dpll(h, Budget(budget_nodes, budget_ms))
 
 
-def _dpll(h: Hypergraph, budget: Budget) -> ColorResult:
-    """:func:`find_2_coloring`'s search, drawing on (and reporting) ``budget``."""
+def _dpll(h: Hypergraph, budget: Budget, by_vertex: Optional[tuple[np.ndarray, np.ndarray]] = None) -> ColorResult:
+    """:func:`find_2_coloring`'s search, drawing on (and reporting) ``budget``. Each vertex's
+    edges come from ``by_vertex``, ``h``'s :func:`vertex_edges`, if given, else from each edge's unpack."""
     n = h.num_vertices
     # Only the vertices in some edge get a list and are decided; the others keep color 0.
-    used = vertices_of(reduce(or_, h.edge_masks, 0))
     vert_edges: list = [()] * n
-    for v in used:
-        vert_edges[v] = []
-    for m in h.edge_masks:
-        for v in vertices_of(m):
-            vert_edges[v].append(m)
+    if by_vertex is None:  # the search's tiny solves: building a list would cost them more
+        used = vertices_of(reduce(or_, h.edge_masks, 0))
+        for v in used:
+            vert_edges[v] = []
+        for m in h.edge_masks:
+            for v in vertices_of(m):
+                vert_edges[v].append(m)
+    else:
+        start, edges = by_vertex
+        act = (start[1:] > start[:-1]).nonzero()[0]
+        ordered = [h.edge_masks[i] for i in edges.tolist()]  # ascending edge index per vertex
+        used = act.tolist()
+        for v, a, b in zip(used, start[act].tolist(), start[act + 1].tolist()):
+            vert_edges[v] = ordered[a:b]
     order = sorted(used, key=lambda v: (-len(vert_edges[v]), v))
 
     def propagate(v: int, c: int, col: list[int]) -> bool:
@@ -429,7 +438,7 @@ def decide_2_coloring(
         current, kept = _quotient(current, rep, gone)
         origins = tuple(merged[v] if v in merged else union([v]) for v in kept)
 
-    res = _dpll(current, budget)
+    res = _dpll(current, budget, (start, edges))
     if not rounds or res.status is ColorStatus.UNKNOWN:
         method = "modules" if rounds else "dpll"
         return ColorResult(res.status, res.coloring, budget.spent, budget.tripped, method)

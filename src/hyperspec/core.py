@@ -11,8 +11,8 @@ plus the co-incidences Σ_v C(deg v, 2) is below the word scan's
 pairs × (words + 1), and the incidence arrays, at ``SHARED_VERTEX_BYTES``
 each, fit in the packed words plus one block. That count, the per-vertex
 views (:func:`vertex_edges`, :func:`vertex_edge_masks`) and ``coloring`` read
-one read-only incidence list of vertex ids in CSR form, which one blocked
-unpack of the packed words builds (:func:`_incidences`) and a hypergraph caches.
+one read-only incidence list of vertex ids in CSR form, which a hypergraph
+caches: the numpy parse fills it, else one blocked unpack builds it (:func:`_incidences`).
 All averaging is exact (``fractions.Fraction``), never floating point.
 Each function that calls numpy imports it in its body, as ``coloring`` and
 ``lemmas`` do: importing the package does not load numpy, the first kernel
@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product, starmap
 from math import comb
 from operator import and_, lt
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -306,28 +306,33 @@ def _size_blocks(rows: np.ndarray, cols: Optional[np.ndarray]) -> Iterator[np.nd
         yield intersection_sizes(block, rows[i0 + len(block) :] if cols is None else cols)
 
 
-def pair_size_counts(masks: Sequence[int], other: Optional[Sequence[int]] = None) -> dict[int, int]:
+def pair_size_counts(
+    masks: Sequence[int], other: Optional[Sequence[int]] = None, listing: Optional[Callable] = None
+) -> dict[int, int]:
     """Pair count per realized intersection size, ascending by size, over
     the pairs i < j of ``masks`` or, given ``other``, all of masks x other.
     Within one list, the numpy path counts through shared vertices when the
     incidences and co-incidences are few next to the word scan's work and
-    memory (:func:`_shared_vertex_list`). Both numpy paths count with :func:`_tally`."""
+    memory (:func:`_shared_vertex_list`; ``listing()`` may give the incidence
+    list of ``masks``). Both numpy paths count with :func:`_tally`."""
     m = len(masks)
     if (m * (m - 1) // 2 if other is None else m * len(other)) < NUMPY_MIN_PAIRS:
         pairs = combinations(masks, 2) if other is None else product(masks, other)
         return dict(sorted(Counter(map(int.bit_count, starmap(and_, pairs))).items()))
     width = max(chain(masks, other or ())).bit_length()
     rows = pack_words(masks, width)
-    listed = _shared_vertex_list(masks, rows, width) if other is None else None
+    listed = _shared_vertex_list(masks, rows, width, listing) if other is None else None
     if listed is not None:
         del rows  # freed: the shared-vertex count reads the incidence list, not the words
         return _shared_vertex_counts(*listed, width)
     return _word_scan_counts(rows, None if other is None else pack_words(other, width), width)
 
 
-def _shared_vertex_list(masks: Sequence[int], rows: np.ndarray, width: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The :func:`_incidences` of ``masks`` if the shared-vertex count's
-    arrays, at ``SHARED_VERTEX_BYTES`` per incidence, fit in the packed
+def _shared_vertex_list(
+    masks: Sequence[int], rows: np.ndarray, width: int, listing: Optional[Callable] = None
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The :func:`_incidences` of ``masks`` (or ``listing()``) if the shared-vertex
+    count's arrays, at ``SHARED_VERTEX_BYTES`` per incidence, fit in the packed
     ``rows`` plus a block, and ``SHARED_VERTEX_COST`` times the incidences Σ|e|
     plus the co-incidences Σ_v C(deg v, 2) is below the word scan's
     pairs × (words + 1); else None. The list, which gives the degrees, is built
@@ -339,7 +344,7 @@ def _shared_vertex_list(masks: Sequence[int], rows: np.ndarray, width: int) -> O
         return None
     if SHARED_VERTEX_COST * (incidences + incidences * (incidences - width) // (2 * max(1, width))) >= budget:
         return None
-    listed = _incidences(masks, width)
+    listed = _incidences(masks, width) if listing is None else listing()
     deg = np.bincount(listed[1])
     return listed if SHARED_VERTEX_COST * (incidences + int(deg @ (deg - 1)) // 2) < budget else None
 
@@ -529,13 +534,13 @@ def is_intersecting(h: Hypergraph) -> bool:
 
 
 def intersection_spectrum(h: Hypergraph) -> Spectrum:
-    """Exact spectrum over all C(m, 2) unordered edge pairs, cached on ``h``."""
+    """Exact spectrum over all C(m, 2) edge pairs, cached on ``h``, as is any incidence list it reads."""
     cached = h._cache.get("spectrum")
     if cached is not None:
         return cached
     if h.num_edges < 2:
         raise TooFewEdgesError("a spectrum needs at least two edges")
-    counts = pair_size_counts(h.edge_masks)
+    counts = pair_size_counts(h.edge_masks, listing=lambda: _edge_incidences(h))
     spectrum = Spectrum(tuple(counts), tuple(counts.values()))
     h._cache["spectrum"] = spectrum
     return spectrum
@@ -643,14 +648,18 @@ class Budget:
 # strictly ascending vertex indices. Canonical output sorts edges
 # lexicographically and uses LF endings with no trailing whitespace.
 # Text of ASCII digits, spaces and "\n" alone, as canonical output is, takes
-# one numpy pass (:func:`_parse_plain`); other text, and text it cannot
-# certify, the line loop (:func:`_parse_lines`), which raises every
-# :class:`ParseError`. Both give the same hypergraphs.
+# one numpy pass (:func:`_parse_plain`), which also gives the incidence list;
+# other text, and text it cannot certify, the line loop (:func:`_parse_lines`),
+# which raises every :class:`ParseError`. Both give the same hypergraphs.
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse ``.hg`` text. Raises :class:`ParseError` with a line number."""
-    return Hypergraph.from_masks(*(_parse_plain(text) or _parse_lines(text)))
+    plain = _parse_plain(text)
+    h = Hypergraph.from_masks(*(plain[:2] if plain else _parse_lines(text)))
+    if plain:  # the numpy pass read the incidence list too
+        h._cache["incidences"] = plain[2]
+    return h
 
 
 def _parse_lines(text: str) -> tuple[int, list[int]]:
@@ -692,10 +701,10 @@ def _parse_lines(text: str) -> tuple[int, list[int]]:
     return header[0], edges
 
 
-def _parse_plain(text: str) -> Optional[tuple[int, list[int]]]:
-    """``(num_vertices, edge masks)`` of text of ASCII digits, spaces and "\\n"
-    alone, by whole-array operations in a few words per token plus the masks;
-    None for other text, text the line loop refuses, and vertex tokens of over
+def _parse_plain(text: str) -> Optional[tuple[int, list[int], tuple[np.ndarray, np.ndarray]]]:
+    """``(num_vertices, edge masks, the :func:`_incidences` list)`` of text of ASCII
+    digits, spaces and "\\n" alone, by whole-array operations in a few words per
+    token plus the masks; None for other text, text the line loop refuses, and vertex tokens of over
     18 digits or from 2^32 on. Raises nothing but MemoryError."""
     import numpy as np
     if not text.isascii():
@@ -715,7 +724,7 @@ def _parse_plain(text: str) -> Optional[tuple[int, list[int]]]:
         return None  # the first line must hold just the header's two tokens
     n, m = int(text[starts[0] : ends[0]]), int(text[starts[1] : ends[1]])
     if len(starts) == 2:
-        return (n, []) if m == 0 else None
+        return (n, [], _incidences([], n)) if m == 0 else None
     starts, first = starts[2:], first[2:-1]
     lengths = ends[2:] - starts
     if lengths.max() > 18:
@@ -742,11 +751,13 @@ def _parse_plain(text: str) -> Optional[tuple[int, list[int]]]:
     cut = np.flatnonzero(np.diff(word, prepend=-1))
     words = np.zeros(int(ends[-1]), dtype=np.uint64)
     words[word[cut]] = np.bitwise_or.reduceat(bits, cut)
-    del v, word, bits, cut
+    del word, bits, cut
+    listed = np.append(firsts, len(v)), v.astype(np.intp, copy=False)  # the tokens themselves, not a copy
+    listed[0].flags.writeable = listed[1].flags.writeable = False
     if len(words) == m:
-        return n, words.tolist()
+        return n, words.tolist(), listed
     buf = words.tobytes()
-    return n, [int.from_bytes(buf[8 * (i - r) : 8 * i], "little") for i, r in zip(ends.tolist(), runs.tolist())]
+    return n, [int.from_bytes(buf[8 * (i - r) : 8 * i], "little") for i, r in zip(ends.tolist(), runs.tolist())], listed
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:

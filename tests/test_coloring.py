@@ -222,6 +222,11 @@ class TestDecide2Coloring:
         cert = res.certificate.to_json()
         assert [len(r) for r in cert["rounds"]] == [7]
         assert all(m["verdict"] == "not_colorable" for m in cert["rounds"][0])
+        lines = sorted(sorted(e) for e in fano().edges())
+        assert [(m["vertices"], m["traces"]) for m in cert["rounds"][0]] == [
+            (list(range(7 * a, 7 * a + 7)), [[7 * a + v for v in line] for line in lines]) for a in range(7)
+        ]
+        assert cert["quotient"] == {"vertices": [list(range(7 * a, 7 * a + 7)) for a in range(7)], "edges": lines}
         assert oracles.check_module_certificate(49, list(itf2.edges()), cert) is False
 
     def test_does_not_import_numpy_ma(self):
@@ -249,12 +254,31 @@ class TestDecide2Coloring:
         rng = random.Random(5)
         cases = [(fano_h, None), (ramsey_clique_hypergraph(6, 3), 3)]
         cases += [(random_uniform(40, 5, 60, seed=s), rng.choice([None, 2, 20])) for s in range(6)]
+        cases += [(random_uniform(400, 8, 600, seed=3), budget) for budget in (None, 2)]  # 7 words, a trip
+        tripped = False
         for h, budget in cases:
             res = decide_2_coloring(h, budget_nodes=budget)
             plain = find_2_coloring(h, budget_nodes=budget)
             assert (res.method, res.certificate) == ("dpll", None)
             assert (res.status, res.coloring, res.nodes, res.budget_tripped) == (
                 plain.status, plain.coloring, plain.nodes, plain.budget_tripped)
+            tripped |= res.budget_tripped == "nodes"
+        assert tripped
+
+    def test_list_fed_solve_matches_the_unpack(self, itf2):
+        """The solve that reads each vertex's edges from ``vertex_edges``, as
+        the last solve of ``decide_2_coloring`` does, gives the per-edge
+        unpack's status, witness, nodes and trip, at every budget."""
+        rng = random.Random(74)
+        cases = [random_instance(rng) for _ in range(60)] + [planted_instance(rng) for _ in range(60)]
+        cases += [random_uniform(400, 8, 600, seed=3), random_uniform(1000, 4, 80, seed=5), Hypergraph(10**5, [[0, 1], [1, 2]])]
+        seen = set()
+        for h, budget in [(h, b) for h in cases for b in (None, 2, 20)] + [(itf2, 300)]:
+            plain = coloring._dpll(h, core.Budget(budget))
+            fed = coloring._dpll(h, core.Budget(budget), core.vertex_edges(h))
+            assert fed == plain
+            seen.add((plain.status, plain.budget_tripped))
+        assert seen == {(ColorStatus.COLORABLE, None), (ColorStatus.NOT_COLORABLE, None), (ColorStatus.UNKNOWN, "nodes")}
 
     def test_isolated_edges_dropped(self):
         h = random_uniform(3000, 3, 50, seed=201)

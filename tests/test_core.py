@@ -531,6 +531,15 @@ class TestPairSizeTotals:
         assert core.pair_size_totals(rows, cols).tolist() == [core.pair_size_total(a, b) for a, b in zip(lists, others)]
 
 
+def assert_incidences(n, masks, listed):
+    """``listed`` is the blocked unpack's read-only intp list of ``masks``."""
+    offsets, vertices = listed
+    want = core._incidences(masks, n)
+    assert offsets.tolist() == want[0].tolist() and vertices.tolist() == want[1].tolist()
+    assert offsets.dtype == vertices.dtype == np.intp
+    assert not offsets.flags.writeable and not vertices.flags.writeable
+
+
 class TestIncidenceList:
     @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130, 400])
     def test_list_and_per_vertex_views(self, n, monkeypatch):
@@ -582,6 +591,44 @@ class TestIncidenceList:
         assert [p for block in coloring._candidate_modules(h, start, edges) for p in block] == []
         quotient, kept = coloring._quotient(h, np.arange(n), np.zeros(n, dtype=bool))
         assert (quotient.num_vertices, quotient.num_edges, kept) == (0, 0, [])
+
+    def test_numpy_parse_seeds_the_list(self, itf2):
+        """The numpy parse caches the list it read; the line loop leaves it
+        to the first reader, which unpacks the same one."""
+        rnd = random.Random(3)
+        triples = sorted({tuple(sorted(rnd.sample(range(200), 3))) for _ in range(300)})
+        families = [
+            itf2,
+            random_uniform(400, 8, 600, seed=3),  # masks of seven 64-bit words
+            Hypergraph(10_000, triples + [tuple(range(10_000))]),
+            Hypergraph(7, []),
+        ]
+        for family in families:
+            text = serialize_hypergraph(family)
+            h = parse_hypergraph(text)
+            assert (h.num_vertices, sorted(h.edge_masks)) == (family.num_vertices, sorted(family.edge_masks))
+            assert_incidences(h.num_vertices, h.edge_masks, h._cache["incidences"])
+            assert core._edge_incidences(h) is h._cache["incidences"]
+            for other in (text.replace("\n", "\r\n"), "# comment\n" + text):
+                looped = parse_hypergraph(other)
+                assert looped == h and "incidences" not in looped._cache
+                assert_incidences(looped.num_vertices, looped.edge_masks, core._edge_incidences(looped))
+
+    def test_spectrum_reads_and_keeps_the_cached_list(self, monkeypatch):
+        """The shared-vertex count of ``intersection_spectrum`` unpacks no
+        second list: a parsed family's list is read, a built one's is listed
+        once and stays cached for the later per-vertex views."""
+        calls = []
+        incidences = core._incidences
+        monkeypatch.setattr(core, "_incidences", lambda masks, n: calls.append(n) or incidences(masks, n))
+        built = random_uniform(400, 8, 600, seed=3)
+        parsed = parse_hypergraph(serialize_hypergraph(built))
+        assert intersection_spectrum(parsed) == intersection_spectrum(built)
+        core.vertex_edges(built)
+        core.vertex_edges(parsed)
+        assert calls == [400]
+        sp = intersection_spectrum(built)
+        assert dict(zip(sp.sizes, sp.multiplicities)) == oracles.naive_spectrum(list(built.edges()))
 
 
 class TestLambdas:
@@ -906,16 +953,19 @@ class TestPlainParse:
     @given(families(), st.randoms(use_true_random=False))
     def test_plain_pass_agrees_with_the_line_loop(self, h, rnd):
         text = serialize_hypergraph(h)
-        assert core._parse_plain(text) == core._parse_lines(text) == (h.num_vertices, list(h.edge_masks))
+        plain = core._parse_plain(text)
+        assert plain[:2] == core._parse_lines(text) == (h.num_vertices, list(h.edge_masks))
+        assert_incidences(*plain)
         text = mutate(text, rnd)
         plain = core._parse_plain(text)  # never raises
         if plain is not None:
-            assert core._parse_lines(text) == plain  # and the loop does not raise either
+            assert core._parse_lines(text) == plain[:2]  # and the loop does not raise either
+            assert_incidences(*plain)
 
     def test_token_widths(self):
         # Up to 18 digit columns are read; a 19-digit token goes to the loop.
         text = f"5 2\n{'3'.zfill(18)} 4\n1 {'2'.zfill(17)} 3\n"
-        assert core._parse_plain(text) == (5, [0b11000, 0b1110])
+        assert core._parse_plain(text)[:2] == (5, [0b11000, 0b1110])
         assert core._parse_plain(text.replace("0" * 15, "0" * 16, 1)) is None
         assert parse_hypergraph(text.replace("0" * 15, "0" * 16, 1)).edge_masks == (0b11000, 0b1110)
         assert core._parse_plain("10000000000 1\n4294967296\n") is None  # a vertex from 2^32 on
@@ -929,8 +979,8 @@ class TestPlainParse:
 
     def test_blank_lines_spaces_and_no_final_newline(self):
         text = "\n  \n 3  2 \n\n0   1\n \n 1 2"
-        assert core._parse_plain(text) == core._parse_lines(text) == (3, [0b011, 0b110])
-        assert core._parse_plain("7 0\n\n") == (7, [])
+        assert core._parse_plain(text)[:2] == core._parse_lines(text) == (3, [0b011, 0b110])
+        assert core._parse_plain("7 0\n\n")[:2] == (7, [])
 
     def test_peak_memory_is_linear_in_the_masks_and_the_text(self):
         # 3,000 edges within the first 200 vertices and one edge on all
@@ -945,7 +995,7 @@ class TestPlainParse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert core._parse_plain(text) == (h.num_vertices, list(h.edge_masks))
+        assert core._parse_plain(text)[:2] == (h.num_vertices, list(h.edge_masks))
         masks = sum(map(sys.getsizeof, h.edge_masks))
         assert peak < 5 * (masks + len(text)), (peak, masks, len(text))
 
