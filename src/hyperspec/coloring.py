@@ -24,10 +24,11 @@ and `NOT_COLORABLE` is only reported after the search tree is exhausted.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .core import BLOCK_BYTES, DEFAULT_NODE_BUDGET, Budget, Hypergraph, is_intersecting, is_uniform
@@ -267,17 +268,69 @@ def _candidate_modules(h: Hypergraph, start: np.ndarray, edges: np.ndarray):
     necessary condition holds. In a module M = {g ∪ f} with |G| outside
     parts g, every vertex x outside M has codeg(x, v) = |G_x|·|F_v| and
     deg(v) = |G|·|F_v|, where |G| divides gcd(deg(v), top codegree); so each
-    nonzero codeg(x, v) is at least deg(v) / gcd(deg(v), top). Codegrees are
-    counted by sorting the slots (v, x), x in an edge on v, read from the
-    incidence list through ``start`` and ``edges`` (from :func:`vertex_edges`),
-    in blocks of whole vertices of about ``BLOCK_BYTES // 16`` slots. Only the
-    vertices in some edge are walked."""
+    nonzero codeg(x, v) is at least least = min(top, ⌈deg(v) / gcd⌉), and a
+    proposal leaves out some of the |act| vertices in edges. Let v's d edges
+    have S slots (v, x ≠ v), a union U of N + 1 vertices and an intersection
+    X of I + 1; the N nonzero codegrees sum to S. (a) I ≥ 1: X ∖ {v} has
+    codeg d = top, so least = 1 and v proposes X. (b) I = 0, S = N ≥ 1: every
+    codeg is 1 = top, so v proposes U. (c) I = 0, N < S < 2N: some codeg is 1
+    and 2 ≤ top < d, so least ≥ 2 and v proposes nothing. U and X are OR and
+    AND reductions of the packed edge words, taken first, in blocks of about
+    ``BLOCK_BYTES``, for the vertices with S < 2(|act| − 1) if their Σ d·⌈n/64⌉
+    words are at most their Σ|e| slots; :func:`_sorted_candidates` counts the
+    codegrees of the rest. Only the vertices in some edge are walked."""
+    import numpy as np
+    n, masks = h.num_vertices, h.edge_masks
+    act = np.flatnonzero(start[1:] != start[:-1])  # the vertices in some edge
+    deg = start[act + 1] - start[act]
+    S = np.add.reduceat(np.diff(_edge_incidences(h)[0])[edges], start[act]) - deg  # v's slots besides itself
+    words = -(-n // 64)
+    near = S < 2 * (len(act) - 1)
+    near &= words * int(deg[near].sum()) <= int((S + deg)[near].sum())
+    inner = np.flatnonzero(np.repeat(near, deg))  # the entries of ``edges`` on those vertices
+    near = np.flatnonzero(near)
+    cuts = np.r_[0, np.cumsum(deg[near])]  # where each one's entries begin in ``inner``
+    at = np.empty(len(masks), dtype=np.intp)  # each packed edge's row in its block
+    settled = np.zeros(len(act), dtype=bool)
+    early = []  # the settled vertices' (vertex, proposal) pairs, in order
+    b0 = 0
+    while b0 < len(near):
+        b1 = max(b0 + 1, int(np.searchsorted(cuts, cuts[b0] + BLOCK_BYTES // (8 * words), side="right")) - 1)
+        r, eid, cut = near[b0:b1], edges[inner[cuts[b0] : cuts[b1]]], cuts[b0:b1] - cuts[b0]
+        b0 = b1
+        need = np.sort(eid)
+        need = need[np.diff(need, prepend=-1) != 0]  # each edge packed once
+        at[need] = np.arange(len(need))
+        rows = np.take(pack_words([masks[i] for i in need.tolist()], n), at[eid], axis=0)
+        union, inter = np.bitwise_or.reduceat(rows, cut), np.bitwise_and.reduceat(rows, cut)
+        N, I = (np.bitwise_count(w).sum(axis=1, dtype=np.int64) - 1 for w in (union, inter))
+        settled[r] = (I > 0) | (S[r] < 2 * N) | (S[r] == 0)  # by (a), (b) and (c), or v alone
+        own = np.maximum(I, N * (S[r] == N))  # v's other members: X ∖ {v} in (a), U ∖ {v} in (b)
+        early += [(int(act[r[i]]), vertices_of(int.from_bytes((inter if I[i] else union)[i].tobytes(), "little")))
+                  for i in np.flatnonzero((own > 0) & (own + 1 < len(act))).tolist()]
+    k = 0
+    for last, found in _sorted_candidates(h, start, edges, act[~settled], len(act)):
+        j = bisect_right(early, last, key=itemgetter(0))
+        yield [p for _, p in sorted(early[k:j] + found)]
+        k = j
+    yield [p for _, p in early[k:]]
+
+
+def _sorted_candidates(h: Hypergraph, start: np.ndarray, edges: np.ndarray, act: np.ndarray, limit: int):
+    """Per block of the vertices ``act`` (ascending), its last vertex and their
+    (vertex, proposal) pairs of :func:`_candidate_modules`, each of fewer than
+    ``limit`` vertices. Codegrees are counted by sorting the slots (v, x), x in
+    an edge on v, read through ``start`` and ``edges`` (from :func:`vertex_edges`),
+    in blocks of whole vertices of about ``BLOCK_BYTES // 16`` slots."""
     import numpy as np
     n = h.num_vertices
     offsets, vertices = _edge_incidences(h)
-    act = np.flatnonzero(start[1:] != start[:-1])  # the vertices in some edge
-    begin = np.r_[start[act], len(edges)]  # where each one's entries begin
-    sizes = np.diff(offsets)[edges]
+    begin = np.r_[0, np.cumsum(start[act + 1] - start[act])]  # where each vertex's entries begin
+    lo, hi = (start[act[0]], start[act[-1] + 1]) if len(act) else (0, 0)
+    eid = edges[lo:hi]  # each vertex's edges in turn, one slice if no other vertex lies between
+    if hi - lo > begin[-1]:
+        eid = edges[np.repeat(start[act] - begin[:-1], np.diff(begin)) + np.arange(begin[-1])]
+    sizes = np.diff(offsets)[eid]
     slots = np.r_[0, np.cumsum(sizes)]  # slots[i]: the slots before entry i
     bound = slots[begin]
     a0 = 0
@@ -286,7 +339,7 @@ def _candidate_modules(h: Hypergraph, start: np.ndarray, edges: np.ndarray):
         i0, i1 = begin[a0], begin[a1]
         # Pair (v, x) is (v's rank in the block)·n + x, one sorted run per v; 32-bit keys sort twice as fast.
         kind = np.int32 if (a1 - a0) * n < 2**31 else np.int64
-        at = np.repeat(offsets[edges[i0:i1]] - slots[i0:i1], sizes[i0:i1])
+        at = np.repeat(offsets[eid[i0:i1]] - slots[i0:i1], sizes[i0:i1])
         at += np.arange(slots[i0], slots[i1])  # each slot's place in ``vertices``
         pairs = vertices[at].astype(kind)
         pairs += np.repeat(np.arange(a1 - a0, dtype=kind) * kind(n), np.diff(bound[a0 : a1 + 1]))
@@ -300,7 +353,7 @@ def _candidate_modules(h: Hypergraph, start: np.ndarray, edges: np.ndarray):
         rank, col, co = rank[real], col[real], co[real]
         first = np.flatnonzero(np.r_[len(rank) > 0, rank[1:] != rank[:-1]])  # each v's codegrees
         if not len(first):
-            yield []
+            yield int(verts[-1]), []
             continue
         top = np.maximum.reduceat(co, first)
         grp = np.repeat(np.arange(len(first)), np.diff(first, append=len(co)))
@@ -309,9 +362,10 @@ def _candidate_modules(h: Hypergraph, start: np.ndarray, edges: np.ndarray):
         dv = deg[rank[first]]
         # Outside M_v codegrees are below top: none may lie in [1, deg(v) / gcd).
         least = np.minimum(top, -(-dv // np.gcd(dv, top)))
-        keep = (np.minimum.reduceat(co, first) >= least) & (size < len(act))
+        keep = (np.minimum.reduceat(co, first) >= least) & (size < limit)
         cols = np.split(col[member & keep[grp]], np.cumsum(size[keep] - 1)[:-1])
-        yield [tuple(sorted((v, *c.tolist()))) for v, c in zip(verts[rank[first][keep]].tolist(), cols)]
+        found = zip(verts[rank[first][keep]].tolist(), cols)
+        yield int(verts[-1]), [(v, tuple(sorted((v, *c.tolist())))) for v, c in found]
 
 
 def _module_traces(

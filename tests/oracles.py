@@ -11,7 +11,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd
 from typing import Iterable, Optional, Sequence
 
 
@@ -152,6 +152,27 @@ def naive_vertex_edge_masks(n: int, edges: Sequence[Iterable[int]]) -> tuple[int
     """For each vertex v < n, the sum of 2**i over the edges i that contain v."""
     sets = [frozenset(e) for e in edges]
     return tuple(sum(2**i for i, e in enumerate(sets) if v in e) for v in range(n))
+
+
+def naive_module_candidates(n: int, edges: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
+    """Each vertex v < n in some edge, ascending, with the vertices x != v of
+    top codegree (the number of edges on both), as a sorted tuple, if every
+    nonzero codegree of v is at least min(top, ceil(deg(v) / gcd(deg(v),
+    top))) and the tuple has fewer vertices than lie in some edge."""
+    sets = [frozenset(e) for e in edges]
+    active = frozenset().union(*sets)
+    out = []
+    for v in range(n):
+        on = [e for e in sets if v in e]
+        codeg = Counter(x for e in on for x in e - {v})
+        if not codeg:
+            continue
+        top = max(codeg.values())
+        least = min(top, -(-len(on) // gcd(len(on), top)))
+        members = [x for x, c in codeg.items() if c == top]
+        if min(codeg.values()) >= least and len(members) + 1 < len(active):
+            out.append(tuple(sorted([v, *members])))
+    return out
 
 
 def graph_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:

@@ -1,7 +1,8 @@
 import random
 import time
 import tracemalloc
-from itertools import combinations, product
+from collections import Counter
+from itertools import chain, combinations, product
 from math import comb
 
 import pytest
@@ -213,6 +214,27 @@ def random_instance(rng: random.Random, max_n: int = 14):
     return Hypergraph(n, sorted(sorted(e) for e in edges))
 
 
+def wide_edge_family(n: int = 10_000, triples: int = 3000) -> Hypergraph:
+    """``triples`` random triples on 200 vertices and one edge on all ``n``
+    vertices, as the CLI's wide-edge smoke test builds it."""
+    return Hypergraph(n, [*random_uniform(200, 3, triples, seed=5).edges(), range(n)])
+
+
+@pytest.fixture
+def candidates(monkeypatch):
+    """A function of h giving the candidate pass's proposals on h and the
+    vertices that the pass sent to the slot sort, in the order sent."""
+    sent: list[int] = []
+    sort = coloring._sorted_candidates
+    monkeypatch.setattr(coloring, "_sorted_candidates", lambda *args: sent.extend(args[3].tolist()) or sort(*args))
+
+    def run(h: Hypergraph) -> tuple[list[tuple[int, ...]], list[int]]:
+        sent.clear()
+        return [p for block in coloring._candidate_modules(h, *core.vertex_edges(h)) for p in block], list(sent)
+
+    return run
+
+
 class TestDecide2Coloring:
     def test_itf2_by_modules(self, itf2):
         # Seven Fano copies contracted (4 nodes each), then the Fano quotient.
@@ -362,7 +384,10 @@ class TestDecide2Coloring:
         # With a tiny block cap the codegree rows come a few vertices at a time.
         rng = random.Random(73)
         small = [planted_instance(rng) for _ in range(30)]
-        large = [itf2, random_uniform(3000, 3, 50, seed=201), random_uniform(400, 8, 600, seed=3)]
+        # The wide edge's family takes the words pass, which the cap of 8000 also splits.
+        pairs = zip(range(250, 300, 2), range(251, 300, 2))
+        wide = Hypergraph(300, [*random_uniform(40, 3, 60, seed=5).edges(), range(250), *pairs])
+        large = [wide, itf2, random_uniform(3000, 3, 50, seed=201), random_uniform(400, 8, 600, seed=3)]
 
         def proposals(hs):
             out = []
@@ -391,6 +416,58 @@ class TestDecide2Coloring:
             tracemalloc.stop()
         assert proposals == [(0, 1), (1, 2)]
         assert peak < 24 * 2**20
+
+
+class TestCandidateModules:
+    def test_matches_naive_codegree_oracle(self, itf2, candidates):
+        # Each vertex the pass keeps from the slot sort must be settled by
+        # (a) I >= 1, (b) S = N >= 1 or (c) N < S < 2N, or have no other vertex.
+        rng = random.Random(75)
+        hs = []
+        for _ in range(320):
+            n = rng.randint(1, 150)
+            sizes = (1, 2, 3, rng.randint(1, n))
+            edges = {frozenset(rng.sample(range(n), rng.choice(sizes))) for _ in range(rng.randint(1, 30))}
+            hs.append(Hypergraph(n, sorted(sorted(e) for e in edges)))
+        hs += [complete_subsets(7, 4), itf2, compose(complete_subsets(5, 3), fano()), wide_edge_family(2000, 300)]
+        fired: Counter[str] = Counter()
+        for h in hs:
+            edges = [frozenset(e) for e in h.edges()]
+            proposals, sent = candidates(h)
+            assert proposals == oracles.naive_module_candidates(h.num_vertices, edges)
+            for v in set(chain(*edges)) - set(sent):
+                on = [e for e in edges if v in e]
+                S = sum(len(e) - 1 for e in on)
+                N, I = len(frozenset.union(*on)) - 1, len(frozenset.intersection(*on)) - 1
+                case = "a" if I else "b" if S == N > 0 else "c" if N < S < 2 * N else "alone" if S == 0 else None
+                assert case is not None, (h.num_vertices, v)
+                fired[case] += 1
+            fired["sort"] += len(sent)
+        assert all(fired[case] for case in ("a", "b", "c", "sort")), fired
+
+    def test_slot_sort_gets_only_unsettled_vertices(self, itf2, candidates):
+        # The edge words settle every vertex of the first two families; itf2's
+        # vertices have S >= 2(|act| - 1), and on the last family 313 words
+        # per edge outweigh its three slots, so all of theirs are sorted.
+        assert candidates(random_uniform(400, 8, 2400, seed=3))[1] == []
+        assert candidates(wide_edge_family()) == ([], [])
+        assert candidates(itf2)[1] == list(range(49))
+        h = random_uniform(20000, 3, 20000, seed=5)
+        assert candidates(h)[1] == sorted(set(chain(*h.edges())))
+
+    def test_wide_edge_pass_stays_small(self):
+        # The words pass holds one block of gathered edge words at a time,
+        # and no vertex beside the wide edge goes to the slot sort's 10^8 slots.
+        h = wide_edge_family()
+        start, edges = core.vertex_edges(h)
+        tracemalloc.start()
+        try:
+            proposals = [p for block in coloring._candidate_modules(h, start, edges) for p in block]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert proposals == []
+        assert peak < 8 * 2**20
 
 
 class TestCertificateChecker:

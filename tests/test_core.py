@@ -532,10 +532,14 @@ class TestPairSizeTotals:
 
 
 def assert_incidences(n, masks, listed):
-    """``listed`` is the blocked unpack's read-only intp list of ``masks``."""
+    """``listed`` is the read-only intp incidence list of ``masks`` on ``n``
+    vertices: each mask's vertices, ascending, unpacked mask by mask, so a
+    header that declares 10^18 vertices costs no n-bit row."""
     offsets, vertices = listed
-    want = core._incidences(masks, n)
-    assert offsets.tolist() == want[0].tolist() and vertices.tolist() == want[1].tolist()
+    want = [vertices_of(m) for m in masks]
+    assert max(map(int.bit_length, masks), default=0) <= n
+    assert offsets.tolist() == np.cumsum([0, *map(len, want)]).tolist()
+    assert vertices.tolist() == [v for vs in want for v in vs]
     assert offsets.dtype == vertices.dtype == np.intp
     assert not offsets.flags.writeable and not vertices.flags.writeable
 
