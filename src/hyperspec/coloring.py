@@ -264,73 +264,65 @@ def _dpll(h: Hypergraph, budget: Budget, by_vertex: Optional[tuple[np.ndarray, n
 
 def _candidate_modules(h: Hypergraph, start: np.ndarray, edges: np.ndarray):
     """Vertex tuples that may be modules, yielded in blocks of vertices in
-    order: each vertex v in some edge with its top-codegree neighbours, if a
-    necessary condition holds. In a module M = {g ∪ f} with |G| outside
-    parts g, every vertex x outside M has codeg(x, v) = |G_x|·|F_v| and
-    deg(v) = |G|·|F_v|, where |G| divides gcd(deg(v), top codegree); so each
-    nonzero codeg(x, v) is at least least = min(top, ⌈deg(v) / gcd⌉), and a
-    proposal leaves out some of the |act| vertices in edges. Let v's d edges
-    have S slots (v, x ≠ v), a union U of N + 1 vertices and an intersection
-    X of I + 1; the N nonzero codegrees sum to S. (a) I ≥ 1: X ∖ {v} has
-    codeg d = top, so least = 1 and v proposes X. (b) I = 0, S = N ≥ 1: every
-    codeg is 1 = top, so v proposes U. (c) I = 0, N < S < 2N: some codeg is 1
-    and 2 ≤ top < d, so least ≥ 2 and v proposes nothing. U and X are OR and
-    AND reductions of the packed edge words, taken first, in blocks of about
-    ``BLOCK_BYTES``, for the vertices with S < 2(|act| − 1) if their Σ d·⌈n/64⌉
-    words are at most their Σ|e| slots; :func:`_sorted_candidates` counts the
-    codegrees of the rest. Only the vertices in some edge are walked."""
+    order: each vertex v in some edge with its top-codegree neighbours, if every
+    nonzero codeg(x, v) is at least least = min(top, ⌈deg(v) / gcd(deg(v), top)⌉),
+    as in a module, and the tuple leaves out some of the |act| vertices in edges.
+    Let v's d edges have S slots (v, x ≠ v), a union U of N + 1 vertices and an
+    intersection X of I + 1; the N nonzero codegrees sum to S. (a) I ≥ 1: X ∖ {v}
+    has codeg d = top, so least = 1: v proposes X. (b) I = 0, S = N ≥ 1: each codeg
+    is 1 = top: v proposes U. (c) I = 0, N < S < 2N: some codeg is 1 and 2 ≤ top < d,
+    so least ≥ 2: no proposal (README's "Candidates" bullet has the details). U and
+    X are OR and AND reductions of packed edge words, in blocks of about ``BLOCK_BYTES``,
+    tried for the vertices with S < 2(|act| − 1) if their Σ d·⌈n/64⌉ words are at
+    most their Σ|e| slots; :func:`_sorted_candidates` takes the vertices left."""
     import numpy as np
     n, masks = h.num_vertices, h.edge_masks
     act = np.flatnonzero(start[1:] != start[:-1])  # the vertices in some edge
     deg = start[act + 1] - start[act]
-    S = np.add.reduceat(np.diff(_edge_incidences(h)[0])[edges], start[act]) - deg  # v's slots besides itself
+    sizes = np.diff(_edge_incidences(h)[0])[edges]  # each entry's edge size
+    owner = np.repeat(np.arange(len(act)), deg)  # each entry's vertex, by its place in ``act``
+    S = np.add.reduceat(sizes, start[act]) - deg  # v's slots besides itself
     words = -(-n // 64)
     near = S < 2 * (len(act) - 1)
     near &= words * int(deg[near].sum()) <= int((S + deg)[near].sum())
-    inner = np.flatnonzero(np.repeat(near, deg))  # the entries of ``edges`` on those vertices
+    near_edges = edges[near[owner]]  # the edges on those vertices, vertex by vertex
     near = np.flatnonzero(near)
-    cuts = np.r_[0, np.cumsum(deg[near])]  # where each one's entries begin in ``inner``
-    at = np.empty(len(masks), dtype=np.intp)  # each packed edge's row in its block
+    cuts = np.r_[0, np.cumsum(deg[near])]  # where each one's edges begin in ``near_edges``
     settled = np.zeros(len(act), dtype=bool)
     early = []  # the settled vertices' (vertex, proposal) pairs, in order
     b0 = 0
     while b0 < len(near):
         b1 = max(b0 + 1, int(np.searchsorted(cuts, cuts[b0] + BLOCK_BYTES // (8 * words), side="right")) - 1)
-        r, eid, cut = near[b0:b1], edges[inner[cuts[b0] : cuts[b1]]], cuts[b0:b1] - cuts[b0]
+        r, cut = near[b0:b1], cuts[b0:b1] - cuts[b0]
+        need, at = np.unique(near_edges[cuts[b0] : cuts[b1]], return_inverse=True)  # each edge packed once
         b0 = b1
-        need = np.sort(eid)
-        need = need[np.diff(need, prepend=-1) != 0]  # each edge packed once
-        at[need] = np.arange(len(need))
-        rows = np.take(pack_words([masks[i] for i in need.tolist()], n), at[eid], axis=0)
+        rows = pack_words([masks[i] for i in need.tolist()], n)[at]
         union, inter = np.bitwise_or.reduceat(rows, cut), np.bitwise_and.reduceat(rows, cut)
         N, I = (np.bitwise_count(w).sum(axis=1, dtype=np.int64) - 1 for w in (union, inter))
         settled[r] = (I > 0) | (S[r] < 2 * N) | (S[r] == 0)  # by (a), (b) and (c), or v alone
         own = np.maximum(I, N * (S[r] == N))  # v's other members: X ∖ {v} in (a), U ∖ {v} in (b)
         early += [(int(act[r[i]]), vertices_of(int.from_bytes((inter if I[i] else union)[i].tobytes(), "little")))
                   for i in np.flatnonzero((own > 0) & (own + 1 < len(act))).tolist()]
-    k = 0
-    for last, found in _sorted_candidates(h, start, edges, act[~settled], len(act)):
+    rest, k = ~settled, 0
+    entries = rest[owner]  # the entries of ``edges`` on the vertices left
+    for last, found in _sorted_candidates(h, act[rest], deg[rest], edges[entries], sizes[entries], len(act)):
         j = bisect_right(early, last, key=itemgetter(0))
         yield [p for _, p in sorted(early[k:j] + found)]
         k = j
-    yield [p for _, p in early[k:]]
+    if k < len(early) or len(act) and settled.all():  # a block if any vertex is in an edge: the caller reads the clock
+        yield [p for _, p in early[k:]]
 
 
-def _sorted_candidates(h: Hypergraph, start: np.ndarray, edges: np.ndarray, act: np.ndarray, limit: int):
+def _sorted_candidates(h: Hypergraph, act: np.ndarray, deg: np.ndarray, eid: np.ndarray, sizes: np.ndarray, limit: int):
     """Per block of the vertices ``act`` (ascending), its last vertex and their
-    (vertex, proposal) pairs of :func:`_candidate_modules`, each of fewer than
-    ``limit`` vertices. Codegrees are counted by sorting the slots (v, x), x in
-    an edge on v, read through ``start`` and ``edges`` (from :func:`vertex_edges`),
-    in blocks of whole vertices of about ``BLOCK_BYTES // 16`` slots."""
+    (vertex, proposal) pairs of :func:`_candidate_modules`, of fewer than ``limit``
+    vertices each: codegrees are counted by sorting the slots (v, x), x in one of
+    v's ``deg`` edges, listed in turn in ``eid`` of sizes ``sizes``, in blocks of
+    whole vertices of about ``BLOCK_BYTES // 16`` slots."""
     import numpy as np
     n = h.num_vertices
     offsets, vertices = _edge_incidences(h)
-    begin = np.r_[0, np.cumsum(start[act + 1] - start[act])]  # where each vertex's entries begin
-    lo, hi = (start[act[0]], start[act[-1] + 1]) if len(act) else (0, 0)
-    eid = edges[lo:hi]  # each vertex's edges in turn, one slice if no other vertex lies between
-    if hi - lo > begin[-1]:
-        eid = edges[np.repeat(start[act] - begin[:-1], np.diff(begin)) + np.arange(begin[-1])]
-    sizes = np.diff(offsets)[eid]
+    begin = np.r_[0, np.cumsum(deg)]  # where each vertex's entries begin
     slots = np.r_[0, np.cumsum(sizes)]  # slots[i]: the slots before entry i
     bound = slots[begin]
     a0 = 0
@@ -347,7 +339,7 @@ def _sorted_candidates(h: Hypergraph, start: np.ndarray, edges: np.ndarray, act:
         first = np.flatnonzero(np.r_[len(pairs) > 0, pairs[1:] != pairs[:-1]])
         co = np.diff(first, append=len(pairs))
         rank, col = np.divmod(pairs[first], n)
-        verts, deg = act[a0:a1], np.diff(begin[a0 : a1 + 1])
+        verts, dv = act[a0:a1], deg[a0:a1]
         a0 = a1
         real = col != verts[rank]  # drop v itself
         rank, col, co = rank[real], col[real], co[real]
@@ -359,7 +351,7 @@ def _sorted_candidates(h: Hypergraph, start: np.ndarray, edges: np.ndarray, act:
         grp = np.repeat(np.arange(len(first)), np.diff(first, append=len(co)))
         member = co == top[grp]
         size = np.bincount(grp[member], minlength=len(first)) + 1
-        dv = deg[rank[first]]
+        dv = dv[rank[first]]
         # Outside M_v codegrees are below top: none may lie in [1, deg(v) / gcd).
         least = np.minimum(top, -(-dv // np.gcd(dv, top)))
         keep = (np.minimum.reduceat(co, first) >= least) & (size < limit)

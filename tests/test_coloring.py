@@ -226,7 +226,7 @@ def candidates(monkeypatch):
     vertices that the pass sent to the slot sort, in the order sent."""
     sent: list[int] = []
     sort = coloring._sorted_candidates
-    monkeypatch.setattr(coloring, "_sorted_candidates", lambda *args: sent.extend(args[3].tolist()) or sort(*args))
+    monkeypatch.setattr(coloring, "_sorted_candidates", lambda *args: sent.extend(args[1].tolist()) or sort(*args))
 
     def run(h: Hypergraph) -> tuple[list[tuple[int, ...]], list[int]]:
         sent.clear()
@@ -271,6 +271,15 @@ class TestDecide2Coloring:
             ColorStatus.UNKNOWN, 6, "nodes", "modules", None)
         res = decide_2_coloring(itf2, budget_nodes=None, budget_ms=0.0)
         assert (res.status, res.budget_tripped) == (ColorStatus.UNKNOWN, "ms")
+
+    def test_clock_read_after_candidates_only_if_some_vertex_is_in_an_edge(self):
+        # No vertex in an edge: no candidate block, so no clock read and no node.
+        res = decide_2_coloring(Hypergraph(5, []), budget_ms=0)
+        assert (res.status, res.nodes, res.budget_tripped) == (ColorStatus.COLORABLE, 0, None)
+        # Vertices settled without a proposal still end in a block, read before any node.
+        for h in (Hypergraph(3, [[0], [1]]), random_uniform(400, 8, 2400, seed=3)):
+            res = decide_2_coloring(h, budget_ms=0)
+            assert (res.status, res.nodes, res.budget_tripped, res.method) == (ColorStatus.UNKNOWN, 0, "ms", "dpll")
 
     def test_no_module_is_plain_dpll(self, fano_h):
         rng = random.Random(5)
